@@ -90,7 +90,6 @@ from .semantics import (
     preferential_refinement,
     rank_by_height,
     satisfies,
-    violations,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ methods, 4 size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -24,7 +25,6 @@ from .logic import (
     SizeCapExceeded,
     land,
     lnot,
-    parse_formula,
     to_text,
 )
 from .ranking import (
@@ -36,6 +36,7 @@ from .ranking import (
     compute_ranking,
     parse_kb,
     rank_of_formula,
+    violated_defaults,
 )
 
 EXIT_OK = 0
@@ -43,8 +44,6 @@ EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_UNSAT = 3
 EXIT_CAP = 4
-
-MODEL_BASED_METHODS = {"mpr"}
 
 
 def _rank_text(r: Rank) -> str:
@@ -65,10 +64,6 @@ def _load_kb(args: argparse.Namespace) -> KnowledgeBase:
     with open(args.kb_file, encoding="utf-8") as handle:
         text = handle.read()
     return parse_kb(text, max_atoms=args.max_atoms, max_defaults=args.max_defaults)
-
-
-def _parse_query(kb: KnowledgeBase, text: str) -> tuple[Conditional, KnowledgeBase]:
-    return kb.parse_query(text)
 
 
 def _index_set_text(members) -> str:
@@ -134,7 +129,7 @@ def _query_evidence(
 
 def cmd_query(args: argparse.Namespace) -> int:
     kb = _load_kb(args)
-    query, kb = _parse_query(kb, args.query)
+    query, kb = kb.parse_query(args.query)
     rt = compute_ranking(kb)
     started = time.perf_counter()
     answer = harness.closure_query(kb, rt, args.method)(query)
@@ -159,13 +154,9 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_bases(args: argparse.Namespace) -> int:
-    kb = _load_kb(args)
-    sig = kb.signature.copy()
-    antecedent = parse_formula(args.antecedent, sig)
-    if len(sig) != len(kb.signature):
-        kb = KnowledgeBase(
-            kb.conditionals, sig, max_atoms=kb.max_atoms, max_defaults=kb.max_defaults
-        )
+    # the placeholder consequent adds no atoms: the signature grows by the antecedent's
+    query, kb = _load_kb(args).parse_query(f"{args.antecedent} |~ true")
+    antecedent = query.antecedent
     rt = compute_ranking(kb)
     if rank_of_formula(antecedent, rt, kb) == INF:
         if args.json:
@@ -200,12 +191,12 @@ def cmd_model(args: argparse.Namespace) -> int:
                 "atoms": sorted(w.valuation.true_atoms()),
                 "rc_rank": canonical.ranks[w.id],
                 "fr_rank": collapsed.ranks[w.id],
-                "violated": sorted(semantics.violations(w, kb)),
+                "violated": sorted(violated_defaults(w.valuation, kb)),
             }
         )
     rows.sort(key=lambda row: row["atoms"])
     if args.json:
-        _emit_json({"model": args.which, "worlds": rows})
+        _emit_json({"worlds": rows})
         return EXIT_OK
     for row in rows:
         atoms = "{" + ", ".join(row["atoms"]) + "}"
@@ -216,7 +207,7 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     kb = _load_kb(args)
-    query, kb = _parse_query(kb, args.query)
+    query, kb = kb.parse_query(args.query)
     matrix = harness.compare_all(kb, query)
     if args.json:
         _emit_json({"query": query.text(), "matrix": matrix.as_dict()})
@@ -244,12 +235,16 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
         model_problems, _ = harness._model_agreement_problems(kb, rt, queries)
         problems.extend(model_problems)
-        for q_text, matrix_dict in rows:
-            cells = " ".join(f"{k}={int(v)}" for k, v in matrix_dict.items())
-            print(f"query {q_text!r} {cells}")
-        for problem in problems:
-            print(f"violation {problem}")
-        print(f"summary queries={len(rows)} violations={len(problems)}")
+        if args.json:
+            summary = {"queries": len(rows), "violations": len(problems)}
+            _emit_json({"queries": rows, "problems": problems, "summary": summary})
+        else:
+            for q_text, matrix_dict in rows:
+                cells = " ".join(f"{k}={int(v)}" for k, v in matrix_dict.items())
+                print(f"query {q_text!r} {cells}")
+            for problem in problems:
+                print(f"violation {problem}")
+            print(f"summary queries={len(rows)} violations={len(problems)}")
         return EXIT_VIOLATIONS if problems else EXIT_OK
 
     if args.max_atoms > 8 or args.max_defaults > 10:
@@ -263,6 +258,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         max_atoms=args.max_atoms,
         max_defaults=args.max_defaults,
     )
+    if args.json:
+        _emit_json({"trials": [dataclasses.asdict(t) for t in results], "summary": summary})
+        return EXIT_VIOLATIONS if summary["violations"] else EXIT_OK
     for trial in results:
         print(
             f"trial={trial.index} seed={trial.seed} atoms={trial.atoms} "
@@ -325,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_model = sub.add_parser("model", help="dump the canonical model's worlds")
     p_model.add_argument("kb_file")
-    p_model.add_argument("--which", choices=("rc", "mp", "mpr"), default="rc")
     add_caps(p_model)
     p_model.set_defaults(func=cmd_model)
 

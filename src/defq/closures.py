@@ -49,9 +49,6 @@ class RankPartition:
         """Slices in comparison order: infinite first, then ranks high to low."""
         return (self.infinite,) + tuple(reversed(self.by_rank))
 
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(part) for part in self.tuple_view())
-
 
 def partition(members: Iterable[int], rt: RankingTable) -> RankPartition:
     """Split ``members`` into the infinite slice and one slice per finite rank."""
@@ -68,7 +65,7 @@ def partition(members: Iterable[int], rt: RankingTable) -> RankPartition:
 
 def numeric_tuple(members: Iterable[int], rt: RankingTable) -> tuple[int, ...]:
     """Cardinality image of the rank partition, comparison order."""
-    return partition(members, rt).counts()
+    return tuple(len(part) for part in partition(members, rt).tuple_view())
 
 
 def lex_less_serious(d: Iterable[int], b: Iterable[int], rt: RankingTable) -> bool:
@@ -106,9 +103,8 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, antecedent: Formula) -> lis
     over the index list with mask pruning: once the running conjunction is
     empty no superset can recover.
     """
-    tt = kb.truth
-    imp_masks = [tt.mask(c.materialization()) for c in kb.conditionals]
-    start = tt.mask(antecedent)
+    imp_masks = kb.default_masks
+    start = kb.truth.mask(antecedent)
     found: list[tuple[frozenset[int], int]] = []
 
     def descend(i: int, mask: int, chosen: tuple[int, ...]) -> None:
@@ -170,11 +166,11 @@ def _skeptical_over_bases(
     if rank_of_formula(query.antecedent, rt, kb) == INF:
         return True
     tt = kb.truth
-    for base in enumerate_bases(kb, rt, query.antecedent, ordering):
-        premises = kb.materialization(base) + (query.antecedent,)
-        if not tt.entails(premises, query.consequent):
-            return False
-    return True
+    counter_models = tt.mask(query.antecedent) & ~tt.mask(query.consequent)
+    return all(
+        kb.members_mask(base) & counter_models == 0
+        for base in enumerate_bases(kb, rt, query.antecedent, ordering)
+    )
 
 
 def lc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
@@ -202,17 +198,11 @@ def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[Default
     if cached is not None:
         return cached
 
-    tt = kb.truth
-    imp_masks = [tt.mask(c.materialization()) for c in kb.conditionals]
-    a_mask = tt.mask(antecedent)
-    k = len(imp_masks)
+    a_mask = kb.truth.mask(antecedent)
+    k = len(kb)
 
     def conj(bits: int) -> int:
-        m = a_mask
-        for i in range(k):
-            if bits >> i & 1:
-                m &= imp_masks[i]
-        return m
+        return a_mask & kb.members_mask(i for i in range(k) if bits >> i & 1)
 
     minimal: list[DefaultSet] = []
     for bits in range(1 << k):
@@ -264,12 +254,13 @@ def relevant_trace(
         relevant = frozenset().union(*slices) if slices else frozenset()
 
     tt = kb.truth
+    a_mask = tt.mask(antecedent)
     remainder = set(kb.indices)
     removed: set[int] = set()
     used_fallback = False
 
     def consistent() -> bool:
-        return tt.is_consistent(kb.materialization(remainder) + (antecedent,))
+        return kb.members_mask(remainder) & a_mask != 0
 
     if not consistent():
         for rank in range(rt.order_k):
@@ -283,7 +274,7 @@ def relevant_trace(
             removed = set(relevant)
             remainder = set(kb.indices) - removed
 
-    answer = tt.entails(kb.materialization(remainder) + (antecedent,), query.consequent)
+    answer = kb.members_mask(remainder) & a_mask & ~tt.mask(query.consequent) == 0
     return RelevantTrace(
         variant=variant,
         justifications=justifications,

@@ -357,11 +357,29 @@ class TrialResult:
     problems: tuple[str, ...] = ()
 
 
+def _strict_order_problem(below: frozenset[tuple[int, int]]) -> str | None:
+    """Why a relation given as (lower, higher) pairs is not a strict partial
+    order, or None when it is irreflexive and transitive."""
+    successors: dict[int, list[int]] = {}
+    for x, y in below:
+        if x == y:
+            return f"refined-order-not-strict reflexive at {x}"
+        successors.setdefault(x, []).append(y)
+    for x, ys in successors.items():
+        for y in ys:
+            for z in successors.get(y, ()):
+                if (x, z) not in below:
+                    return f"refined-order-not-strict intransitive at {(x, y, z)}"
+    return None
+
+
 def _model_agreement_problems(
     kb: KnowledgeBase, rt: RankingTable, queries: Sequence[Conditional]
 ) -> tuple[list[str], int]:
-    """Syntactic engines vs their model-based counterparts, plus the two
-    height formulations, on one KB."""
+    """Syntactic engines vs their model-based counterparts, the strict-order
+    check on the refined class order and the two height formulations, on one
+    KB.  Heights are undefined on a relation that is not a strict order, so
+    they are compared only when the order check passes."""
     problems: list[str] = []
     checks = 0
     canonical = semantics.minimal_canonical_model(kb, rt)
@@ -372,8 +390,11 @@ def _model_agreement_problems(
             problems.append(f"rc-vs-canonical-model {q.text()!r}")
         if mp_query(kb, rt, q) != semantics.satisfies(refined, q):
             problems.append(f"mp-vs-refined-model {q.text()!r}")
-    checks += 1
-    if semantics.height_ranks(refined) != semantics.layer_ranks(refined):
+    checks += 2
+    order_problem = _strict_order_problem(refined.below)
+    if order_problem is not None:
+        problems.append(order_problem)
+    elif semantics.height_ranks(refined) != semantics.layer_ranks(refined):
         problems.append("height-vs-layer-ranks")
     return problems, checks
 
@@ -390,12 +411,12 @@ def _ordering_problems(kb: KnowledgeBase, rt: RankingTable) -> tuple[list[str], 
             checks += 1
             if mp_less_serious(d, b, rt) and not lex_less_serious(d, b, rt):
                 problems.append(f"set-order-not-coarser {sorted(d)} {sorted(b)}")
-    for m1 in all_valuations(kb.signature):
-        for m2 in all_valuations(kb.signature):
+    valuations = all_valuations(kb.signature)
+    violated = [violated_defaults(m, kb) for m in valuations]
+    for m1, v1 in zip(valuations, violated):
+        for m2, v2 in zip(valuations, violated):
             checks += 1
-            expected = mp_less_serious(
-                violated_defaults(m1, kb), violated_defaults(m2, kb), rt
-            )
+            expected = mp_less_serious(v1, v2, rt)
             if brewka_subset_less(m1, m2, kb, rt) != expected:
                 problems.append(
                     f"subset-strategy-mismatch {m1.true_atoms()} {m2.true_atoms()}"

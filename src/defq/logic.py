@@ -16,6 +16,12 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ATOM_CAP = 20
 
+# Each connective and each parenthesis opens one nesting level (a chain
+# ``a & b & c`` nests two).  The parser, the printer and the mask builder
+# recurse once or a few times per level, so the cap keeps them well inside
+# Python's recursion limit.
+MAX_NESTING = 100
+
 _ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -108,14 +114,6 @@ def implies(f: Formula, g: Formula) -> Formula:
 
 def iff(f: Formula, g: Formula) -> Formula:
     return Formula(IFF, (f, g))
-
-
-def conjoin(formulas: Iterable[Formula]) -> Formula:
-    """Left fold of ``&`` over the formulas; TRUE for the empty sequence."""
-    result = None
-    for f in formulas:
-        result = f if result is None else land(result, f)
-    return TRUE if result is None else result
 
 
 def atoms_of(f: Formula) -> tuple[str, ...]:
@@ -430,6 +428,7 @@ class _Parser:
         self.tokens = tokens
         self.sig = sig
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -438,6 +437,11 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def nest(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", offset=tok.pos)
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.take()
@@ -451,43 +455,53 @@ class _Parser:
     def iff_level(self) -> Formula:
         left = self.implies_level()
         if self.peek().kind == "iff":
-            self.take()
-            return iff(left, self.iff_level())
+            self.nest(self.take())
+            left = iff(left, self.iff_level())
+            self.depth -= 1
         return left
 
     def implies_level(self) -> Formula:
         left = self.or_level()
         if self.peek().kind == "implies":
-            self.take()
-            return implies(left, self.implies_level())
+            self.nest(self.take())
+            left = implies(left, self.implies_level())
+            self.depth -= 1
         return left
 
     def or_level(self) -> Formula:
+        start = self.depth
         left = self.and_level()
         while self.peek().kind == "or":
-            self.take()
+            self.nest(self.take())
             left = lor(left, self.and_level())
+        self.depth = start
         return left
 
     def and_level(self) -> Formula:
+        start = self.depth
         left = self.unary()
         while self.peek().kind == "and":
-            self.take()
+            self.nest(self.take())
             left = land(left, self.unary())
+        self.depth = start
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "not":
-            self.take()
-            return lnot(self.unary())
+            self.nest(self.take())
+            inner = self.unary()
+            self.depth -= 1
+            return lnot(inner)
         return self.primary()
 
     def primary(self) -> Formula:
         tok = self.take()
         if tok.kind == "lparen":
+            self.nest(tok)
             inner = self.formula()
             self.expect("rparen", "')'")
+            self.depth -= 1
             return inner
         if tok.kind == "true":
             return TRUE

@@ -57,9 +57,11 @@ class Conditional:
 class KnowledgeBase:
     """Immutable ordered sequence of defaults with its derived signature.
 
-    Holds a shared truth-table context and pure memo caches (ranking,
-    formula ranks, bases, justifications, models); concurrent readers are
-    safe because cache fills are idempotent.
+    Holds a shared truth-table context, the truth mask of each default's
+    materialization ``A -> B`` (``default_masks``, the one table every engine
+    works from) and pure memo caches (ranking, formula ranks, bases,
+    justifications, models); concurrent readers are safe because cache fills
+    are idempotent.
     """
 
     def __init__(
@@ -81,6 +83,9 @@ class KnowledgeBase:
         self.max_atoms = max_atoms
         self.max_defaults = max_defaults
         self.truth = TruthTable(signature, max_atoms)
+        self.default_masks: tuple[int, ...] = tuple(
+            self.truth.mask(c.materialization()) for c in self.conditionals
+        )
         self.cache: dict = {}
 
     def __len__(self) -> int:
@@ -93,10 +98,12 @@ class KnowledgeBase:
     def indices(self) -> frozenset[int]:
         return frozenset(range(len(self.conditionals)))
 
-    def materialization(self, members: Iterable[int] | None = None) -> tuple[Formula, ...]:
-        if members is None:
-            return tuple(c.materialization() for c in self.conditionals)
-        return tuple(self.conditionals[i].materialization() for i in sorted(members))
+    def members_mask(self, members: Iterable[int]) -> int:
+        """Truth mask of the materialization of the selected defaults."""
+        result = self.truth.full
+        for i in members:
+            result &= self.default_masks[i]
+        return result
 
     def parse_query(self, text: str) -> tuple[Conditional, "KnowledgeBase"]:
         """Parse ``A |~ B``, extending the signature with new query atoms.
@@ -153,23 +160,20 @@ class RankingTable:
     ``chain[i]`` is the i-th subset of default indices; the last entry is the
     stable one (its exceptional part is itself).  ``default_ranks[d]`` is the
     chain position where default d drops out, or ``INF`` when it never does.
-    ``order_k`` is the least i whose step ``chain[i] - chain[i+1]`` is empty,
-    i.e. one past the highest finite rank in use.
     """
 
     chain: tuple[frozenset[int], ...]
     default_ranks: tuple[Rank, ...]
-    order_k: int
 
     @property
     def fixpoint(self) -> frozenset[int]:
         return self.chain[-1]
 
-    def rank_of_default(self, index: int) -> Rank:
-        return self.default_ranks[index]
-
-    def defaults_with_rank(self, rank: Rank) -> frozenset[int]:
-        return frozenset(i for i, r in enumerate(self.default_ranks) if r == rank)
+    @property
+    def order_k(self) -> int:
+        """One past the highest finite rank in use.  Consecutive chain
+        entries always differ, so this is the index of the stable entry."""
+        return len(self.chain) - 1
 
 
 def materialize(members: Iterable[int], kb: KnowledgeBase) -> frozenset[Formula]:
@@ -179,7 +183,7 @@ def materialize(members: Iterable[int], kb: KnowledgeBase) -> frozenset[Formula]
 
 def is_exceptional(a: Formula, members: Iterable[int], kb: KnowledgeBase) -> bool:
     """True iff the materialization of the selected defaults refutes ``a``."""
-    return kb.truth.entails(kb.materialization(members), lnot(a))
+    return kb.members_mask(members) & kb.truth.mask(a) == 0
 
 
 def compute_ranking(kb: KnowledgeBase) -> RankingTable:
@@ -198,19 +202,12 @@ def compute_ranking(kb: KnowledgeBase) -> RankingTable:
             break
         chain.append(nxt)
 
-    fixpoint = chain[-1]
-    ranks: list[Rank] = [INF] * len(kb)
+    ranks: list[Rank] = [INF] * len(kb)  # the fixpoint's members keep INF
     for i, members in enumerate(chain[:-1]):
         for d in members - chain[i + 1]:
             ranks[d] = i
-    for d in fixpoint:
-        ranks[d] = INF
 
-    order_k = 0
-    while order_k < len(chain) - 1 and chain[order_k] != chain[order_k + 1]:
-        order_k += 1
-
-    table = RankingTable(tuple(chain), tuple(ranks), order_k)
+    table = RankingTable(tuple(chain), tuple(ranks))
     kb.cache["ranking"] = table
     return table
 
@@ -246,7 +243,7 @@ def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
 
 def kb_satisfiable(kb: KnowledgeBase) -> bool:
     """True iff some valuation satisfies the whole KB's materialization."""
-    return kb.truth.is_consistent(kb.materialization())
+    return kb.members_mask(range(len(kb))) != 0
 
 
 def violated_defaults(v: Valuation, kb: KnowledgeBase) -> frozenset[int]:
@@ -256,6 +253,4 @@ def violated_defaults(v: Valuation, kb: KnowledgeBase) -> frozenset[int]:
             f"valuation atoms {v.atoms!r} do not match KB signature {kb.signature.atoms!r}"
         )
     j = v.bits
-    return frozenset(
-        c.index for c in kb.conditionals if not kb.truth.satisfies(j, c.materialization())
-    )
+    return frozenset(i for i, mask in enumerate(kb.default_masks) if not mask >> j & 1)

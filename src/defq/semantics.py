@@ -2,13 +2,14 @@
 
 The minimal canonical ranked model holds one world per valuation compatible
 with the KB (compatible = satisfies every never-retracted default), each at
-the lowest chain position whose materialization it satisfies.  Refining that
-model by comparing per-world violation sets under the set-seriousness
-ordering yields a preferential model of the MP closure; collapsing the
-refined order by world height (longest descending chain) yields a ranked
+the lowest chain position whose materialization it satisfies.  Refining it
+by the set-seriousness ordering compares worlds only through their violation
+sets, so the refined order is a relation on violation classes (worlds with
+equal violation sets), stored as class-id pairs.  Collapsing it by height
+(longest descending chain, computed on the class graph) yields a ranked
 model again, whose consequences form the rational extension of the MP
-closure.  These constructions are the semantic counterparts against which
-the syntactic engines are cross-verified.
+closure.  The checks on these constructions (strict order, two height
+formulations) run in ``harness``, not here.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ class RankedModel:
         self.worlds = tuple(worlds)
         self.ranks = tuple(ranks)
 
-    def rank_of(self, world: World) -> int:
-        return self.ranks[world.id]
-
     def world_satisfies(self, world: World, f: Formula) -> bool:
         return self.kb.truth.satisfies(world.valuation.bits, f)
 
@@ -80,35 +78,27 @@ class RankedModel:
 
 
 class PreferentialModel:
-    """Finite preferential interpretation with an explicit strict order.
+    """Finite preferential interpretation whose strict order is stored on
+    violation classes: ``classes[w.id]`` is world w's class id, and ``below``
+    holds the (lower, higher) class-id pairs."""
 
-    The order is stored as the set of (lower, higher) world-id pairs;
-    irreflexivity and transitivity are verified at construction.
-    """
-
-    def __init__(self, kb: KnowledgeBase, worlds: Sequence[World], below: Iterable[tuple[int, int]]):
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        worlds: Sequence[World],
+        classes: Sequence[int],
+        below: Iterable[tuple[int, int]],
+    ):
         self.kb = kb
         self.worlds = tuple(worlds)
+        self.classes = tuple(classes)
         self.below = frozenset(below)
-        self._verify_strict_partial_order()
-
-    def _verify_strict_partial_order(self) -> None:
-        successors: dict[int, list[int]] = {}
-        for x, y in self.below:
-            if x == y:
-                raise ValueError(f"order is not irreflexive at world {x}")
-            successors.setdefault(x, []).append(y)
-        for x, ys in successors.items():
-            for y in ys:
-                for z in successors.get(y, ()):
-                    if (x, z) not in self.below:
-                        raise ValueError(f"order is not transitive at {(x, y, z)}")
 
     def world_satisfies(self, world: World, f: Formula) -> bool:
         return self.kb.truth.satisfies(world.valuation.bits, f)
 
     def strictly_below(self, x: World, y: World) -> bool:
-        return (x.id, y.id) in self.below
+        return (self.classes[x.id], self.classes[y.id]) in self.below
 
 
 Model = RankedModel | PreferentialModel
@@ -126,7 +116,7 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
         return cached
     rt = rt or compute_ranking(kb)
     tt = kb.truth
-    chain_masks = [tt.conjunction_mask(kb.materialization(members)) for members in rt.chain]
+    chain_masks = [kb.members_mask(members) for members in rt.chain]
     if chain_masks[-1] == 0:
         raise UnsatisfiableKB("no valuation satisfies the knowledge base")
     atoms = kb.signature.atoms
@@ -141,11 +131,6 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
     model = RankedModel(kb, worlds, ranks)
     kb.cache["min_canonical"] = model
     return model
-
-
-def violations(world: World, kb: KnowledgeBase) -> frozenset[int]:
-    """Defaults violated at a world; determined by its valuation alone."""
-    return violated_defaults(world.valuation, kb)
 
 
 def _model_default_ranks(model: RankedModel, kb: KnowledgeBase) -> tuple[Rank, ...]:
@@ -177,37 +162,27 @@ def preferential_refinement(model: RankedModel, kb: KnowledgeBase) -> Preferenti
     """Refine a ranked model: order worlds by the seriousness of their
     violation sets (set ordering over the model's rank partition).
 
-    On the minimal canonical model the model ranks coincide with the
-    computed default ranks, so this is the violation-set ordering used by the
-    MP closure; the refined order extends the rank order and stays a model of
-    the KB.
+    Each distinct violation set is one class; the classes' views are
+    compared once per ordered pair.  On the minimal canonical model the model
+    ranks coincide with the computed default ranks, so this is the
+    violation-set ordering used by the MP closure; the refined order extends
+    the rank order and stays a model of the KB.
     """
     default_ranks = _model_default_ranks(model, kb)
     top = model.max_rank() + 1
-    views: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    world_violations: list[frozenset[int]] = []
-    for w in model.worlds:
-        v = violations(w, kb)
-        world_violations.append(v)
-        if v not in views:
-            views[v] = _violation_view(v, default_ranks, top)
-
-    distinct = list(views.items())
-    less: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
-    for v1, view1 in distinct:
-        for v2, view2 in distinct:
-            if v1 != v2:
-                less[(v1, v2)] = _set_tuple_less(view1, view2)
-
-    below = [
-        (x.id, y.id)
-        for x in model.worlds
-        for y in model.worlds
-        if x.id != y.id
-        and world_violations[x.id] != world_violations[y.id]
-        and less[(world_violations[x.id], world_violations[y.id])]
+    class_of: dict[frozenset[int], int] = {}
+    classes = [
+        class_of.setdefault(violated_defaults(w.valuation, kb), len(class_of))
+        for w in model.worlds
     ]
-    return PreferentialModel(kb, model.worlds, below)
+    views = [_violation_view(v, default_ranks, top) for v in class_of]
+    below = [
+        (cx, cy)
+        for cx, vx in enumerate(views)
+        for cy, vy in enumerate(views)
+        if _set_tuple_less(vx, vy)
+    ]
+    return PreferentialModel(kb, model.worlds, classes, below)
 
 
 def minimal_worlds(model: Model, f: Formula) -> tuple[World, ...]:
@@ -227,8 +202,8 @@ def satisfies(model: Model, query: Conditional) -> bool:
     )
 
 
-def _predecessors(pref: PreferentialModel) -> dict[int, list[int]]:
-    preds: dict[int, list[int]] = {w.id: [] for w in pref.worlds}
+def _class_predecessors(pref: PreferentialModel) -> list[list[int]]:
+    preds: list[list[int]] = [[] for _ in range(max(pref.classes, default=-1) + 1)]
     for x, y in pref.below:
         preds[y].append(x)
     return preds
@@ -236,50 +211,44 @@ def _predecessors(pref: PreferentialModel) -> dict[int, list[int]]:
 
 def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:
     """Rank of each world as the length of a longest strictly descending
-    chain below it."""
-    preds = _predecessors(pref)
+    chain below it.  Worlds of one class share their predecessors, so the
+    heights are computed on the class graph."""
+    preds = _class_predecessors(pref)
     heights: dict[int, int] = {}
 
-    def height(wid: int) -> int:
-        cached = heights.get(wid)
+    def height(c: int) -> int:
+        cached = heights.get(c)
         if cached is not None:
             return cached
         h = 0
-        for p in preds[wid]:
+        for p in preds[c]:
             h = max(h, height(p) + 1)
-        heights[wid] = h
+        heights[c] = h
         return h
 
-    return tuple(height(w.id) for w in pref.worlds)
+    return tuple(height(c) for c in pref.classes)
 
 
 def layer_ranks(pref: PreferentialModel) -> tuple[int, ...]:
     """Rank of each world by iterated removal of minimal layers: layer 0 is
-    the minima, layer i the minima of what remains."""
-    preds = _predecessors(pref)
+    the minima, layer i the minima of what remains (on the class graph)."""
+    preds = _class_predecessors(pref)
     layers: dict[int, int] = {}
-    remaining = {w.id for w in pref.worlds}
+    remaining = set(range(len(preds)))
     level = 0
     while remaining:
-        minimal = {
-            wid for wid in remaining if not any(x in remaining for x in preds[wid])
-        }
-        for wid in minimal:
-            layers[wid] = level
+        minimal = {c for c in remaining if not any(x in remaining for x in preds[c])}
+        for c in minimal:
+            layers[c] = level
         remaining -= minimal
         level += 1
-    return tuple(layers[w.id] for w in pref.worlds)
+    return tuple(layers[c] for c in pref.classes)
 
 
 def rank_by_height(pref: PreferentialModel) -> RankedModel:
-    """Collapse a preferential model to a ranked one by world height.
-
-    Both height formulations are computed and must agree; the resulting
-    modular order extends the preferential one.
-    """
-    heights = height_ranks(pref)
-    assert heights == layer_ranks(pref), "layered ranks disagree with chain ranks"
-    return RankedModel(pref.kb, pref.worlds, list(heights))
+    """Collapse a preferential model to a ranked one by world height; the
+    resulting modular order extends the preferential one."""
+    return RankedModel(pref.kb, pref.worlds, height_ranks(pref))
 
 
 def mpr_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from defq.cli import main
+from defq.harness import METHODS
 
 from conftest import (
     CONFLICT_KB_TEXT,
@@ -141,6 +142,15 @@ class TestQuery:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "formula", ["!" * 3000 + "a", "(" * 3000 + "a" + ")" * 3000], ids=["not", "parens"]
+    )
+    def test_deep_nesting_exits_2(self, kb_file, capsys, formula):
+        path = kb_file(f"a |~ b\n{formula} |~ b\n")
+        code, _, err = run(capsys, "rank", path)
+        assert code == 2
+        assert "line 2" in err and "nests deeper" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "rank", "/nonexistent/kb.txt")
         assert code == 2
@@ -210,7 +220,7 @@ class TestModel:
 
     def test_dump_carries_violations_and_heights(self, kb_file, capsys):
         path = kb_file(TAXES_KB_TEXT)
-        code, out, _ = run(capsys, "model", path, "--which", "mpr")
+        code, out, _ = run(capsys, "model", path)
         assert code == 0
         line = next(
             l for l in out.splitlines()
@@ -263,6 +273,45 @@ class TestCheck:
         lines = out.splitlines()
         assert sum(line.startswith("query ") for line in lines) == 4
         assert lines[-1].startswith("summary queries=4 violations=0")
+
+    def test_file_mode_json(self, kb_file, capsys):
+        path = kb_file(CONFLICT_KB_TEXT)
+        code, out, _ = run(capsys, "check", path, "--count", "4", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["queries"]) == 4
+        for q_text, matrix in payload["queries"]:
+            assert "|~" in q_text
+            assert set(matrix) == set(METHODS)
+        assert payload["problems"] == []
+        assert payload["summary"] == {"queries": 4, "violations": 0}
+
+    def test_file_mode_json_reports_a_broken_order_and_exits_1(
+        self, kb_file, capsys, monkeypatch
+    ):
+        from defq import harness
+
+        monkeypatch.setattr(
+            harness, "_strict_order_problem", lambda below: "refined-order-not-strict stub"
+        )
+        code, out, _ = run(capsys, "check", kb_file(CONFLICT_KB_TEXT), "--count", "2", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["problems"] == ["refined-order-not-strict stub"]
+        assert payload["summary"]["violations"] == 1
+
+    def test_random_mode_json(self, capsys):
+        code, out, _ = run(capsys, "check", "--random", "--seed", "7", "--count", "3", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert [trial["index"] for trial in payload["trials"]] == [0, 1, 2]
+        for trial in payload["trials"]:
+            assert trial["seed"] == 7 and trial["problems"] == []
+            assert len(trial["queries"]) == 5
+            for q_text, matrix in trial["queries"]:
+                assert set(matrix) == set(METHODS)
+        assert payload["summary"]["trials"] == 3
+        assert payload["summary"]["violations"] == 0
 
     def test_check_requires_file_or_random(self, capsys):
         with pytest.raises(SystemExit):

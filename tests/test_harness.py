@@ -13,7 +13,12 @@ from defq import (
     parse_formula,
     run_random_suite,
 )
-from defq.harness import PREFERENTIAL_POSTULATES
+from defq import semantics
+from defq.harness import (
+    PREFERENTIAL_POSTULATES,
+    _model_agreement_problems,
+    _strict_order_problem,
+)
 
 
 def matrix(kb, text):
@@ -180,3 +185,41 @@ class TestRandomSuite:
         second = run_random_suite(seed=42, count=4, queries_per_kb=2)
         assert [r.kb_lines for r in first[0]] == [r.kb_lines for r in second[0]]
         assert [r.queries for r in first[0]] == [r.queries for r in second[0]]
+
+
+class TestOrderChecks:
+    def test_strict_orders_pass(self):
+        assert _strict_order_problem(frozenset()) is None
+        assert _strict_order_problem(frozenset({(0, 1), (1, 2), (0, 2)})) is None
+
+    def test_reflexive_pair_is_flagged(self):
+        problem = _strict_order_problem(frozenset({(0, 1), (1, 1)}))
+        assert problem is not None and problem.startswith("refined-order-not-strict")
+
+    def test_non_transitive_pairs_are_flagged(self):
+        problem = _strict_order_problem(frozenset({(0, 1), (1, 2)}))
+        assert problem is not None and problem.startswith("refined-order-not-strict")
+
+    def test_agreement_check_reports_a_broken_refined_order(self, merry_kb, monkeypatch):
+        refine = semantics.preferential_refinement
+
+        def broken(model, kb):
+            pref = refine(model, kb)
+            x, y = next(iter(pref.below))
+            return semantics.PreferentialModel(kb, pref.worlds, pref.classes, pref.below | {(y, x)})
+
+        monkeypatch.setattr(semantics, "preferential_refinement", broken)
+        problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])
+        assert len(problems) == 1 and problems[0].startswith("refined-order-not-strict")
+
+    def test_agreement_check_reports_height_disagreement(self, merry_kb, monkeypatch):
+        monkeypatch.setattr(
+            semantics, "layer_ranks", lambda pref: tuple(h + 1 for h in semantics.height_ranks(pref))
+        )
+        problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])
+        assert problems == ["height-vs-layer-ranks"]
+
+    def test_clean_kb_has_no_model_problems(self, merry_kb):
+        rt = compute_ranking(merry_kb)
+        query, _ = merry_kb.parse_query("Student & Adult |~ Young")
+        assert _model_agreement_problems(merry_kb, rt, [query]) == ([], 4)

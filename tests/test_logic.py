@@ -27,7 +27,7 @@ from defq import (
     parse_formula,
     to_text,
 )
-from defq.logic import parse_conditional_parts
+from defq.logic import MAX_NESTING, parse_conditional_parts
 
 
 def parse(text: str) -> Formula:
@@ -90,6 +90,38 @@ class TestParser:
             parse_conditional_parts("p & q", Signature())
         with pytest.raises(ParseError):
             parse_conditional_parts("p |~ q |~ r", Signature())
+
+
+class TestNestingCap:
+    def deep(self):
+        n = MAX_NESTING
+        return {
+            "not": ("!" * n + "a", "!" * (n + 1) + "a"),
+            "parens": ("(" * n + "a" + ")" * n, "(" * (n + 1) + "a" + ")" * (n + 1)),
+            "and-chain": (" & ".join(["a"] * (n + 1)), " & ".join(["a"] * (n + 2))),
+            "implies-chain": (" -> ".join(["a"] * (n + 1)), " -> ".join(["a"] * (n + 2))),
+            # a chain's levels close when it ends, so its tree can be twice as deep
+            "deep-chain-operand": (
+                "(" + "!" * (n - 1) + "a)" + " & a" * n,
+                "(" + "!" * (n - 1) + "a)" + " & a" * (n + 1),
+            ),
+        }
+
+    def test_formulas_at_the_cap_parse_print_and_mask(self):
+        for at_cap, _ in self.deep().values():
+            sig = Signature()
+            f = parse_formula(at_cap, sig)
+            assert parse_formula(to_text(f), Signature()) == f
+            TruthTable(sig).mask(f)
+
+    def test_one_level_past_the_cap_is_a_parse_error(self):
+        for _, past_cap in self.deep().values():
+            with pytest.raises(ParseError, match="nests deeper"):
+                parse(past_cap)
+
+    def test_thousands_of_levels_fail_without_recursion_error(self):
+        with pytest.raises(ParseError):
+            parse_conditional_parts("!" * 3000 + "a |~ b", Signature())
 
 
 class TestEvaluate:

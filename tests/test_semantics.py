@@ -1,6 +1,7 @@
 """Canonical models, the violation-seriousness refinement, and height collapse."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from defq import (
     rank_of_formula,
     rc_query,
     satisfies,
-    violations,
+    violated_defaults,
 )
 
 
@@ -78,7 +79,7 @@ class TestMinimalCanonicalModel:
         model = minimal_canonical_model(residence_kb)
         assert len(model.worlds) == 16  # 32 valuations, half break a hard default
         for w in model.worlds:
-            assert not violations(w, residence_kb) & {2, 3, 4}
+            assert not violated_defaults(w.valuation, residence_kb) & {2, 3, 4}
 
     def test_world_ranks_agree_with_formula_ranks(self, conflict_kb):
         # compatible formulas take the same rank in the model as in the chain
@@ -100,14 +101,14 @@ class TestViolations:
         model = minimal_canonical_model(taxes_kb)
         w = world_with(model, "Student", "Employee", "Pay_Taxes", "Young")
         z = world_with(model, "Student", "Employee", "Pay_Taxes")
-        assert violations(w, taxes_kb) == frozenset({0})
-        assert violations(z, taxes_kb) == frozenset({0, 1})
+        assert violated_defaults(w.valuation, taxes_kb) == frozenset({0})
+        assert violated_defaults(z.valuation, taxes_kb) == frozenset({0, 1})
 
     def test_rank_zero_worlds_violate_nothing(self, taxes_kb):
         model = minimal_canonical_model(taxes_kb)
         for w in model.worlds:
             if model.ranks[w.id] == 0:
-                assert violations(w, taxes_kb) == frozenset()
+                assert violated_defaults(w.valuation, taxes_kb) == frozenset()
 
 
 class TestRefinement:
@@ -163,6 +164,50 @@ class TestConditionalSatisfaction:
             "Residence_in_Italy & Residence_in_Germany |~ false"
         )
         assert satisfies(model, query) is True
+
+
+class TestClassOrderReference:
+    """The class-pair order equals the world-pair definition it replaced:
+    x is below y iff x's violation view is set-less than y's."""
+
+    SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.kb"))
+
+    def pool(self):
+        kbs = [parse_kb(path.read_text()) for path in self.SAMPLES]
+        assert len(kbs) == 4
+        gen = KbGenerator(seed=515151)
+        return kbs + [gen.knowledge_base(index) for index in range(25)]
+
+    def test_strictly_below_matches_world_pair_views(self):
+        from defq.closures import _set_tuple_less
+        from defq.semantics import _model_default_ranks, _violation_view
+
+        for kb in self.pool():
+            model = minimal_canonical_model(kb)
+            refined = preferential_refinement(model, kb)
+            ranks = _model_default_ranks(model, kb)
+            top = model.max_rank() + 1
+            views = [
+                _violation_view(violated_defaults(w.valuation, kb), ranks, top)
+                for w in model.worlds
+            ]
+            world_pairs = {
+                (x.id, y.id)
+                for x in model.worlds
+                for y in model.worlds
+                if _set_tuple_less(views[x.id], views[y.id])
+            }
+            for x in model.worlds:
+                for y in model.worlds:
+                    assert refined.strictly_below(x, y) == ((x.id, y.id) in world_pairs)
+            # heights on the class graph equal heights on the world graph;
+            # slice sizes, compared lexicographically, order the worlds topologically
+            heights: dict[int, int] = {}
+            for w in sorted(model.worlds, key=lambda w: tuple(map(len, views[w.id]))):
+                heights[w.id] = max(
+                    (heights[x] + 1 for x, y in world_pairs if y == w.id), default=0
+                )
+            assert height_ranks(refined) == tuple(heights[w.id] for w in model.worlds)
 
 
 class TestHeightCollapse:
@@ -337,8 +382,8 @@ class TestFixedPoint:
             top = model.max_rank() + 1
             for x in model.worlds:
                 for y in model.worlds:
-                    vx = _violation_view(violations(x, kb), ranks, top)
-                    vy = _violation_view(violations(y, kb), ranks, top)
+                    vx = _violation_view(violated_defaults(x.valuation, kb), ranks, top)
+                    vy = _violation_view(violated_defaults(y.valuation, kb), ranks, top)
                     if _set_tuple_less(vx, vy):
                         assert model.ranks[x.id] < model.ranks[y.id]
         assert found > 0
