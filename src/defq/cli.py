@@ -117,7 +117,6 @@ def _query_evidence(
         evidence["relevant"] = sorted(trace.relevant)
         evidence["removed"] = sorted(trace.removed)
         evidence["remaining"] = sorted(trace.remainder)
-        evidence["fallback"] = trace.used_fallback
     elif method == "mpr":
         model = semantics.mpr_model(kb, rt)
         minimal = semantics.minimal_worlds(model, query.antecedent)

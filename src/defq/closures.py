@@ -4,12 +4,18 @@ Two orderings compare subsets of the knowledge base through their
 rank-partition: the count ordering (lexicographic on per-rank cardinalities,
 most specific rank first) drives the lexicographic closure; the set ordering
 (strict inclusion at the first differing rank slice) drives the MP closure.
-Query answering enumerates the ordering-maximal subsets whose materialization
-is consistent with the antecedent and checks the consequent against each.
+Query answering finds the ordering-maximal subsets whose materialization is
+consistent with the antecedent and checks the consequent against each.
 
 Also here: inclusion-minimal refuting subsets (justifications), the basic and
 minimal relevant closures built on them, and the subset-strategy world
 comparator that mirrors the MP ordering on violation sets.
+
+Both kinds of subset come from depth-first searches over the KB's default
+masks that cut every subtree which cannot hold an answer: the inclusion-
+maximal consistent sets, which the orderings then filter, and the minimal
+refuting sets.  Each search holds only its current path, so memory grows
+with the number of defaults, not with the number of subsets.
 """
 
 from __future__ import annotations
@@ -94,35 +100,80 @@ def mp_less_serious(d: Iterable[int], b: Iterable[int], rt: RankingTable) -> boo
 # ---------------------------------------------------------------------------
 
 
+def _search_order(kb: KnowledgeBase, start: int) -> tuple[list[int], list[int], list[int]]:
+    """The order both subset searches decide the defaults in, with the
+    defaults' masks in that order and their suffix ANDs.
+
+    Defaults come by how few of the ``start`` worlds their mask keeps, so
+    the ones the antecedent triggers are decided first.  Past them the
+    suffix AND is usually consistent with the running mask and the cuts
+    fire near the root; in index order an antecedent whose conflicts sit at
+    the end of the file costs thousands of nodes.  Every pruning rule holds
+    for any fixed order.  ``suffix[i]`` is the AND of the masks at positions
+    >= i, and ``suffix[len(kb)]`` is the full mask.
+    """
+    order = sorted(kb.indices, key=lambda d: (start & kb.default_masks[d]).bit_count())
+    masks = [kb.default_masks[d] for d in order]
+    suffix = [kb.truth.full]
+    for m in reversed(masks):
+        suffix.append(suffix[-1] & m)
+    suffix.reverse()
+    return order, masks, suffix
+
+
 def _consistent_inclusion_maximal(kb: KnowledgeBase, antecedent: Formula) -> list[DefaultSet]:
     """Inclusion-maximal default sets whose materialization is consistent
     with the antecedent.
 
     Every ordering-maximal set is inclusion-maximal (supersets dominate in
-    both orderings), so the search space can be narrowed here.  Depth-first
-    over the index list with mask pruning: once the running conjunction is
-    empty no superset can recover.
+    both orderings), so the search space can be narrowed here.  The search
+    decides the defaults one by one (see ``_search_order``), carrying
+    ``mask``, the antecedent AND the masks of the defaults included so far;
+    ``m_i`` is the mask of the default at position i.  A set S is
+    inclusion-maximal iff its mask is nonzero and meets the mask of no
+    default outside S.  Each rule below drops only subtrees holding no such
+    set, and at a leaf (i = len(kb)) the third rule is exactly that test,
+    so the leaves reached are the inclusion-maximal sets:
+
+    - include i only when ``mask & m_i != 0``: the mask only shrinks along
+      a path, so an empty mask stays empty;
+    - exclude i only when ``mask & m_i != mask``: otherwise every
+      completion's mask lies inside ``m_i``, so i could be added back;
+    - cut when ``floor = mask & suffix[i]`` meets ``m_d`` for an excluded
+      d: every completion keeps ``floor`` inside its mask, so d could be
+      added back.  Including i leaves ``floor`` as it was (``mask & m_i &
+      suffix[i + 1]`` is ``mask & suffix[i]``), so the test runs only after
+      an exclusion.
+
+    Only the current path is held, so memory grows with the number of
+    defaults, not with the number of leaves.
     """
-    imp_masks = kb.default_masks
     start = kb.truth.mask(antecedent)
-    found: list[tuple[frozenset[int], int]] = []
+    if not start:
+        return []
+    order, masks, suffix = _search_order(kb, start)
+    chosen: list[int] = []
+    excluded: list[int] = []  # masks of the excluded defaults
+    found: list[DefaultSet] = []
 
-    def descend(i: int, mask: int, chosen: tuple[int, ...]) -> None:
-        if mask == 0:
+    def descend(i: int, mask: int) -> None:
+        if i == len(masks):
+            found.append(frozenset(chosen))
             return
-        if i == len(imp_masks):
-            found.append((frozenset(chosen), mask))
-            return
-        descend(i + 1, mask & imp_masks[i], chosen + (i,))
-        descend(i + 1, mask, chosen)
+        kept = mask & masks[i]
+        if kept:
+            chosen.append(order[i])
+            descend(i + 1, kept)
+            chosen.pop()
+        if kept != mask:
+            excluded.append(masks[i])
+            floor = mask & suffix[i + 1]
+            if not any(floor & m for m in excluded):
+                descend(i + 1, mask)
+            excluded.pop()
 
-    descend(0, start, ())
-    maximal = [
-        members
-        for members, mask in found
-        if all(d in members or mask & imp_masks[d] == 0 for d in range(len(imp_masks)))
-    ]
-    return maximal
+    descend(0, start)
+    return found
 
 
 def enumerate_bases(
@@ -192,24 +243,63 @@ def mp_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
 
 def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[DefaultSet, ...]:
     """Inclusion-minimal default sets whose materialization refutes the
-    antecedent; empty iff the whole KB is consistent with it."""
+    antecedent; empty iff the whole KB is consistent with it.
+
+    Depth-first over sets built in increasing search position (see
+    ``_search_order``), carrying ``mask``, the antecedent AND the masks of
+    the chosen defaults; ``m_j`` is the mask of the default at position j.
+    A minimal refuting set J is reached along the path that adds its
+    members in that order, and no rule below drops that path:
+
+    - stop at ``mask == 0``: every superset of a refuting set refutes and is
+      not minimal; the leaf is kept when removing any one member leaves a
+      nonzero mask;
+    - add j only when ``mask & m_j != mask``: if j cuts nothing, any
+      refuting set grown from here still refutes without j, so it is not
+      minimal with j in it;
+    - cut when ``mask & suffix[i] != 0``: adding every remaining default
+      leaves that nonzero mask, so no extension refutes the antecedent.
+
+    Only the current path is held, so memory grows with the number of
+    defaults, not with the number of subsets.
+    """
     memo = kb.cache.setdefault("justifications", {})
     cached = memo.get(antecedent)
     if cached is not None:
         return cached
 
     a_mask = kb.truth.mask(antecedent)
-    k = len(kb)
-
-    def conj(bits: int) -> int:
-        return a_mask & kb.members_mask(i for i in range(k) if bits >> i & 1)
-
+    order, masks, suffix = _search_order(kb, a_mask)
+    chosen: list[int] = []  # search positions
+    path = [a_mask]  # path[t]: a_mask AND the masks of the first t chosen
     minimal: list[DefaultSet] = []
-    for bits in range(1 << k):
-        if conj(bits) != 0:
-            continue
-        if all(conj(bits & ~(1 << i)) != 0 for i in range(k) if bits >> i & 1):
-            minimal.append(frozenset(i for i in range(k) if bits >> i & 1))
+
+    def each_member_needed() -> bool:
+        rest = kb.truth.full  # AND of the masks chosen after position t
+        for t in reversed(range(len(chosen))):
+            if path[t] & rest == 0:
+                return False
+            rest &= masks[chosen[t]]
+        return True
+
+    def descend(i: int) -> None:
+        mask = path[-1]
+        if mask == 0:
+            if each_member_needed():
+                minimal.append(frozenset(order[p] for p in chosen))
+            return
+        if mask & suffix[i]:
+            return
+        for j in range(i, len(masks)):
+            kept = mask & masks[j]
+            if kept != mask:
+                chosen.append(j)
+                path.append(kept)
+                descend(j + 1)
+                path.pop()
+                chosen.pop()
+
+    descend(0)
     result = tuple(sorted(minimal, key=sorted))
     memo[antecedent] = result
     return result
@@ -224,7 +314,6 @@ class RelevantTrace:
     relevant: DefaultSet
     removed: DefaultSet
     remainder: DefaultSet
-    used_fallback: bool
     answer: bool
 
 
@@ -236,13 +325,21 @@ def relevant_trace(
     The relevant set is the union of the justifications (basic variant) or of
     their lowest-rank slices (minimal variant).  Relevant defaults are
     removed rank by rank, lowest first, until the remainder is consistent
-    with the antecedent.  A finite-rank antecedent always reaches consistency
-    within the finite ranks; the whole-relevant-set fallback is kept as a
-    guard and flagged if it ever fires.
+    with the antecedent.
+
+    The antecedent must have finite rank r, and then the finite ranks always
+    suffice.  ``chain[r]`` holds the defaults of rank >= r and is consistent
+    with the antecedent, so every justification holds a default of rank < r,
+    and so does its lowest-rank slice.  Once the relevant defaults of rank
+    < r are gone (r <= ``order_k``, so the loop reaches them), every
+    justification has lost a member in either variant.  An inconsistent
+    remainder would contain a justification, so the remainder is consistent.
     """
     if variant not in (BASIC, MINIMAL):
         raise ValueError(f"unknown variant {variant!r}")
     antecedent = query.antecedent
+    if rank_of_formula(antecedent, rt, kb) == INF:
+        raise ValueError("antecedent has infinite rank; no relevant closure trace exists")
     justifications = find_justifications(kb, antecedent)
     if variant == BASIC:
         relevant = frozenset().union(*justifications) if justifications else frozenset()
@@ -257,22 +354,12 @@ def relevant_trace(
     a_mask = tt.mask(antecedent)
     remainder = set(kb.indices)
     removed: set[int] = set()
-    used_fallback = False
-
-    def consistent() -> bool:
-        return kb.members_mask(remainder) & a_mask != 0
-
-    if not consistent():
-        for rank in range(rt.order_k):
-            step = {d for d in relevant if rt.default_ranks[d] == rank}
-            removed |= step
-            remainder -= step
-            if consistent():
-                break
-        else:
-            used_fallback = True
-            removed = set(relevant)
-            remainder = set(kb.indices) - removed
+    for rank in range(rt.order_k):
+        if kb.members_mask(remainder) & a_mask:
+            break
+        step = {d for d in relevant if rt.default_ranks[d] == rank}
+        removed |= step
+        remainder -= step
 
     answer = kb.members_mask(remainder) & a_mask & ~tt.mask(query.consequent) == 0
     return RelevantTrace(
@@ -281,7 +368,6 @@ def relevant_trace(
         relevant=relevant,
         removed=frozenset(removed),
         remainder=frozenset(remainder),
-        used_fallback=used_fallback,
         answer=answer,
     )
 

@@ -289,6 +289,21 @@ def all_valuations(sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Va
 # ---------------------------------------------------------------------------
 
 
+def _atom_mask(i: int, n: int) -> int:
+    """Truth mask of atom i over n atoms: bit j is bit i of j.
+
+    One period is 2^i zeros then 2^i ones; doubling the copied span fills
+    the 2^n bits in n - i - 1 shift-ors, with no big-integer division.
+    """
+    half = 1 << i
+    mask = ((1 << half) - 1) << half
+    span = half << 1
+    while span < 1 << n:
+        mask |= mask << span
+        span <<= 1
+    return mask
+
+
 class TruthTable:
     """Per-signature cache of formula truth masks.
 
@@ -305,9 +320,7 @@ class TruthTable:
         self.signature = sig
         self.n = n
         self.full = (1 << (1 << n)) - 1
-        self._atom_masks = [
-            ((self.full // ((1 << (1 << i)) + 1)) << (1 << i)) for i in range(n)
-        ]
+        self._atom_masks = [_atom_mask(i, n) for i in range(n)]
         self._cache: dict[Formula, int] = {}
 
     def mask(self, f: Formula) -> int:

@@ -1,9 +1,15 @@
 """Command-line interface: formats, flags, and exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import defq
 from defq.cli import main
 from defq.harness import METHODS
 
@@ -316,3 +322,53 @@ class TestCheck:
     def test_check_requires_file_or_random(self, capsys):
         with pytest.raises(SystemExit):
             main(["check"])
+
+
+# 20 atoms x 16 defaults, the advertised cap, from the chain/exception family
+# (p_i |~ p_{i+2} and p_i & p_{i+1} |~ !p_{i+2}, indices modulo 20).
+CAP_KB_TEXT = """\
+p14 & p15 |~ !p16
+p4 & p5 |~ !p6
+p12 |~ p14
+p17 & p18 |~ !p19
+p18 |~ p0
+p5 |~ p7
+p18 & p19 |~ !p0
+p0 & p1 |~ !p2
+p3 & p4 |~ !p5
+p19 & p0 |~ !p1
+p7 & p8 |~ !p9
+p10 & p11 |~ !p12
+p11 & p12 |~ !p13
+p9 |~ p11
+p15 |~ p17
+p17 |~ p19
+"""
+
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("query", ["p17 & p18 |~ p0", "p18 & p19 |~ !p0"])
+    def test_cap_sized_kb_answers_under_one_gigabyte(self, tmp_path, query):
+        path = tmp_path / "cap.kb"
+        path.write_text(CAP_KB_TEXT)
+        env = dict(os.environ, PYTHONPATH=str(Path(defq.__file__).resolve().parent.parent))
+        answers = {}
+        for method in ("rc", "lc", "mp", "basic-relevant", "minimal-relevant"):
+            done = subprocess.run(
+                [sys.executable, "-m", "defq", "query", str(path), query,
+                 "--method", method, "--json"],
+                capture_output=True, text=True, env=env, timeout=120,
+                preexec_fn=_limit_address_space,
+            )
+            assert done.returncode == 0, (method, done.stderr)
+            answers[method] = json.loads(done.stdout)["answer"]
+        assert answers["mp"] or not answers["rc"]
+        assert answers["lc"] or not answers["mp"]
+        assert answers["minimal-relevant"] or not answers["basic-relevant"]
+        assert answers["mp"] or not answers["minimal-relevant"]

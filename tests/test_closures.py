@@ -6,6 +6,7 @@ import pytest
 
 from defq import (
     BASIC,
+    INF,
     LC,
     MINIMAL,
     MP,
@@ -20,11 +21,14 @@ from defq import (
     mp_less_serious,
     mp_query,
     numeric_tuple,
+    parse_kb,
     partition,
+    rank_of_formula,
     relevant_query,
     relevant_trace,
     violated_defaults,
 )
+from defq.closures import _consistent_inclusion_maximal
 
 
 def bases(kb, antecedent_text, ordering):
@@ -228,6 +232,115 @@ class TestJustifications:
             assert not j1 < j2
 
 
+# Two 16-atom x 16-default KBs of the chain/exception family
+# (p_i |~ p_{i+2} and p_i & p_{i+1} |~ !p_{i+2}, indices modulo 16), each with
+# a one-conflict antecedent and one giving 6-12 bases and justifications.
+FAMILY_16X16 = (
+    ("""\
+p6 & p7 |~ !p8
+p2 & p3 |~ !p4
+p11 |~ p13
+p15 |~ p1
+p9 |~ p11
+p4 |~ p6
+p12 & p13 |~ !p14
+p0 & p1 |~ !p2
+p5 & p6 |~ !p7
+p4 & p5 |~ !p6
+p10 |~ p12
+p13 & p14 |~ !p15
+p11 & p12 |~ !p13
+p1 & p2 |~ !p3
+p9 & p10 |~ !p11
+p0 |~ p2
+""", ("p0 & p1", "p0 & p1 & p3 & p4 & p5 & p7 & p9 & p12 & p14")),
+    ("""\
+p0 |~ p2
+p0 & p1 |~ !p2
+p2 |~ p4
+p2 & p3 |~ !p4
+p4 |~ p6
+p4 & p5 |~ !p6
+p6 |~ p8
+p6 & p7 |~ !p8
+p8 |~ p10
+p8 & p9 |~ !p10
+p10 |~ p12
+p10 & p11 |~ !p12
+p12 |~ p14
+p12 & p13 |~ !p14
+p14 |~ p0
+p14 & p15 |~ !p0
+""", ("p0 & p1", "p1 & p2 & p3 & p5 & p6 & p7 & !p12 & p14 & p15")),
+)
+
+
+def reference_inclusion_maximal(kb, antecedent):
+    """The unpruned search: every consistent set, kept when no default
+    outside it is consistent with it.  The maximality test runs at each
+    leaf, so only the sets found are held."""
+    masks = kb.default_masks
+    found = []
+
+    def descend(i, mask, chosen):
+        if mask == 0:
+            return
+        if i == len(masks):
+            if all(d in chosen or mask & masks[d] == 0 for d in range(len(masks))):
+                found.append(frozenset(chosen))
+            return
+        descend(i + 1, mask & masks[i], chosen + (i,))
+        descend(i + 1, mask, chosen)
+
+    descend(0, kb.truth.mask(antecedent), ())
+    return found
+
+
+def reference_justifications(kb, antecedent):
+    """The 2^k scan: every refuting subset all of whose one-smaller subsets
+    are consistent."""
+    a_mask = kb.truth.mask(antecedent)
+    k = len(kb)
+
+    def conj(bits):
+        return a_mask & kb.members_mask(i for i in range(k) if bits >> i & 1)
+
+    minimal = []
+    for bits in range(1 << k):
+        if conj(bits) != 0:
+            continue
+        if all(conj(bits & ~(1 << i)) != 0 for i in range(k) if bits >> i & 1):
+            minimal.append(frozenset(i for i in range(k) if bits >> i & 1))
+    return tuple(sorted(minimal, key=sorted))
+
+
+class TestSearchesMatchReference:
+    """The pruned searches return exactly what the unpruned ones do."""
+
+    def assert_match(self, kb, antecedent):
+        found = _consistent_inclusion_maximal(kb, antecedent)
+        assert len(found) == len(set(found))
+        assert set(found) == set(reference_inclusion_maximal(kb, antecedent))
+        assert find_justifications(kb, antecedent) == reference_justifications(kb, antecedent)
+
+    def test_random_pool(self):
+        gen = KbGenerator(seed=737373, max_atoms=6, max_defaults=10)
+        for index in range(100):
+            kb = gen.knowledge_base(index)
+            for w in range(4):
+                self.assert_match(kb, gen.query(kb, index, w).antecedent)
+            for c in kb.conditionals:
+                self.assert_match(kb, c.antecedent)
+
+    @pytest.mark.parametrize("text, antecedents", FAMILY_16X16, ids=["shuffled", "paired"])
+    def test_family_16x16(self, text, antecedents):
+        kb = parse_kb(text)
+        assert (len(kb.signature), len(kb)) == (16, 16)
+        for antecedent_text in antecedents:
+            query, _ = kb.parse_query(f"{antecedent_text} |~ true")
+            self.assert_match(kb, query.antecedent)
+
+
 class TestRelevantClosure:
     def test_residence_kb_rejects_having_residence(self, residence_kb):
         text = "Italian & German |~ Has_Residence"
@@ -254,13 +367,32 @@ class TestRelevantClosure:
         assert trace.relevant == frozenset({0, 1, 4})
         assert trace.removed == frozenset({0, 1})
         assert trace.remainder == frozenset({2, 3, 4})
-        assert trace.used_fallback is False
+        assert kb.members_mask(trace.remainder) & kb.truth.mask(query.antecedent) != 0
 
     def test_minimal_variant_removes_only_lowest_rank_slices(self, residence_kb):
         query, kb = residence_kb.parse_query("Italian & German |~ Has_Residence")
         rt = compute_ranking(kb)
         trace = relevant_trace(kb, rt, query, MINIMAL)
         assert trace.relevant == frozenset({0, 1})
+
+    @pytest.mark.parametrize("variant", [BASIC, MINIMAL])
+    def test_remainder_is_consistent_on_random_pool(self, variant):
+        gen = KbGenerator(seed=626262, max_atoms=6, max_defaults=10)
+        for index in range(100):
+            kb = gen.knowledge_base(index)
+            rt = compute_ranking(kb)
+            for w in range(4):
+                q = gen.query(kb, index, w)
+                if rank_of_formula(q.antecedent, rt, kb) == INF:
+                    continue
+                trace = relevant_trace(kb, rt, q, variant)
+                assert kb.members_mask(trace.remainder) & kb.truth.mask(q.antecedent) != 0
+
+    def test_infinite_rank_antecedent_rejected(self, residence_kb):
+        query, kb = residence_kb.parse_query("Residence_in_Italy & !Has_Residence |~ true")
+        rt = compute_ranking(kb)
+        with pytest.raises(ValueError):
+            relevant_trace(kb, rt, query, BASIC)
 
     def test_basic_implies_minimal_on_random_pool(self):
         gen = KbGenerator(seed=515151)

@@ -166,6 +166,27 @@ class TestAllValuations:
             TruthTable(sig)
 
 
+class TestAtomMasks:
+    def test_atom_masks_match_evaluation(self):
+        for n in range(11):
+            sig = Signature([f"p{i}" for i in range(n)])
+            tt = TruthTable(sig)
+            valuations = all_valuations(sig)
+            for name in sig.atoms:
+                mask = tt.mask(atom(name))
+                for v in valuations:
+                    assert bool(mask >> v.bits & 1) == evaluate(atom(name), v)
+
+    def test_atom_masks_match_division_formula(self):
+        # the big-integer division construction the doubling one replaced
+        for n in range(17):
+            sig = Signature([f"p{i}" for i in range(n)])
+            tt = TruthTable(sig)
+            for i, name in enumerate(sig.atoms):
+                expected = (tt.full // ((1 << (1 << i)) + 1)) << (1 << i)
+                assert tt.mask(atom(name)) == expected
+
+
 class TestEntailment:
     def test_modus_ponens(self):
         sig = Signature(["a", "b"])
