@@ -57,6 +57,7 @@ from .logic import (
     land,
     lnot,
     lor,
+    mask_indices,
     parse_formula,
     to_text,
 )
@@ -79,7 +80,6 @@ from .semantics import (
     PreferentialModel,
     RankedModel,
     UnsatisfiableKB,
-    World,
     height_ranks,
     is_refinement_fixed_point,
     layer_ranks,

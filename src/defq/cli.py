@@ -25,6 +25,7 @@ from .logic import (
     SizeCapExceeded,
     land,
     lnot,
+    mask_indices,
     to_text,
 )
 from .ranking import (
@@ -36,7 +37,6 @@ from .ranking import (
     compute_ranking,
     parse_kb,
     rank_of_formula,
-    violated_defaults,
 )
 
 EXIT_OK = 0
@@ -64,6 +64,11 @@ def _load_kb(args: argparse.Namespace) -> KnowledgeBase:
     with open(args.kb_file, encoding="utf-8") as handle:
         text = handle.read()
     return parse_kb(text, max_atoms=args.max_atoms, max_defaults=args.max_defaults)
+
+
+def _true_atoms(kb: KnowledgeBase, j: int) -> list[str]:
+    """Sorted names of the atoms true at valuation index j."""
+    return sorted(a for i, a in enumerate(kb.signature.atoms) if j >> i & 1)
 
 
 def _index_set_text(members) -> str:
@@ -120,9 +125,7 @@ def _query_evidence(
     elif method == "mpr":
         model = semantics.mpr_model(kb, rt)
         minimal = semantics.minimal_worlds(model, query.antecedent)
-        evidence["minimal_worlds"] = sorted(
-            sorted(w.valuation.true_atoms()) for w in minimal
-        )
+        evidence["minimal_worlds"] = sorted(_true_atoms(kb, j) for j in mask_indices(minimal))
     return evidence
 
 
@@ -133,7 +136,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     answer = harness.closure_query(kb, rt, args.method)(query)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    evidence = _query_evidence(kb, rt, args.method, query)
+    if args.json or args.explain:
+        evidence = _query_evidence(kb, rt, args.method, query)
     if args.json:
         _emit_json(
             {
@@ -182,17 +186,18 @@ def cmd_model(args: argparse.Namespace) -> int:
     kb = _load_kb(args)
     rt = compute_ranking(kb)
     canonical = semantics.minimal_canonical_model(kb, rt)
-    collapsed = semantics.mpr_model(kb, rt)
-    rows = []
-    for w in canonical.worlds:
-        rows.append(
-            {
-                "atoms": sorted(w.valuation.true_atoms()),
-                "rc_rank": canonical.ranks[w.id],
-                "fr_rank": collapsed.ranks[w.id],
-                "violated": sorted(violated_defaults(w.valuation, kb)),
-            }
-        )
+    refined = semantics.preferential_refinement(canonical, kb)
+    rc_rank = {j: r for r, stratum in enumerate(canonical.strata) for j in mask_indices(stratum)}
+    rows = [
+        {
+            "atoms": _true_atoms(kb, j),
+            "rc_rank": rc_rank[j],
+            "fr_rank": height,
+            "violated": sorted(refined.violated(c)),
+        }
+        for c, height in enumerate(semantics.height_ranks(refined))
+        for j in mask_indices(refined.classes[c])
+    ]
     rows.sort(key=lambda row: row["atoms"])
     if args.json:
         _emit_json({"worlds": rows})

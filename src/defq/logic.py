@@ -289,6 +289,16 @@ def all_valuations(sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Va
 # ---------------------------------------------------------------------------
 
 
+def mask_indices(mask: int) -> Iterator[int]:
+    """Valuation indices of the set bits of ``mask``, ascending, found in one
+    scan of its binary text rather than one 2^n-bit shift per index."""
+    text = bin(mask)[:1:-1]
+    j = text.find("1")
+    while j >= 0:
+        yield j
+        j = text.find("1", j + 1)
+
+
 def _atom_mask(i: int, n: int) -> int:
     """Truth mask of atom i over n atoms: bit j is bit i of j.
 
@@ -365,9 +375,6 @@ class TruthTable:
 
     def is_tautology(self, f: Formula) -> bool:
         return self.mask(f) == self.full
-
-    def satisfies(self, valuation_index: int, f: Formula) -> bool:
-        return bool((self.mask(f) >> valuation_index) & 1)
 
 
 def entails(

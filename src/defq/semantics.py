@@ -1,104 +1,85 @@
-"""Model-theoretic engines over finite canonical models.
+"""Model-theoretic engines over finite canonical models, held as world masks.
 
-The minimal canonical ranked model holds one world per valuation compatible
-with the KB (compatible = satisfies every never-retracted default), each at
-the lowest chain position whose materialization it satisfies.  Refining it
-by the set-seriousness ordering compares worlds only through their violation
-sets, so the refined order is a relation on violation classes (worlds with
-equal violation sets), stored as class-id pairs.  Collapsing it by height
-(longest descending chain, computed on the class graph) yields a ranked
-model again, whose consequences form the rational extension of the MP
-closure.  The checks on these constructions (strict order, two height
+A world is a valuation compatible with the KB (it satisfies every
+never-retracted default); a set of worlds is a truth mask over the KB's
+valuation indices, as everywhere else in defq.  The minimal canonical ranked
+model puts each world at the lowest chain position whose materialization it
+satisfies, so its strata are the differences of consecutive chain masks.
+Refining it by the set-seriousness ordering compares worlds only through
+their violation sets, so the refined order is a relation on violation classes
+(the worlds with one violation set, split off the compatible mask default by
+default), stored as class-id pairs.  Collapsing it by height (longest
+descending chain on the class graph) ORs the classes into strata again, and
+that ranked model's consequences form the rational extension of the MP
+closure.  Queries are mask operations: the minimal antecedent worlds, then
+one test against the consequent.  Worlds are listed one by one only for
+output.  The checks on these constructions (strict order, two height
 formulations) run in ``harness``, not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .closures import _set_tuple_less
-from .logic import Formula, LogicError, Valuation
-from .ranking import (
-    INF,
-    Conditional,
-    KnowledgeBase,
-    Rank,
-    RankingTable,
-    compute_ranking,
-    violated_defaults,
-)
+from .logic import Formula, LogicError, mask_indices
+from .ranking import INF, Conditional, KnowledgeBase, Rank, RankingTable, compute_ranking
 
 
 class UnsatisfiableKB(LogicError):
     """No valuation satisfies the KB's materialization: no models exist."""
 
 
-@dataclass(frozen=True)
-class World:
-    """One world per compatible valuation; ``valuation.bits`` doubles as the
-    valuation index in the KB's truth tables."""
-
-    id: int
-    valuation: Valuation
-
-
 class RankedModel:
-    """Finite ranked interpretation: worlds plus a rank function.
+    """Finite ranked interpretation: ``strata[r]`` is the truth mask of the
+    rank-r worlds.  The strata are disjoint and nonempty, so rank 0 holds
+    some world; the strict modular order is stratum comparison."""
 
-    The strict modular order is rank comparison; some world always has
-    rank 0.
-    """
-
-    def __init__(self, kb: KnowledgeBase, worlds: Sequence[World], ranks: Sequence[int]):
-        if len(worlds) != len(ranks):
-            raise ValueError("one rank per world required")
-        if worlds and min(ranks) != 0:
-            raise ValueError("some world must have rank 0")
+    def __init__(self, kb: KnowledgeBase, strata: Sequence[int]):
         self.kb = kb
-        self.worlds = tuple(worlds)
-        self.ranks = tuple(ranks)
+        self.strata = tuple(strata)
 
-    def world_satisfies(self, world: World, f: Formula) -> bool:
-        return self.kb.truth.satisfies(world.valuation.bits, f)
+    @property
+    def world_mask(self) -> int:
+        return reduce(or_, self.strata, 0)
+
+    @property
+    def worlds(self) -> tuple[int, ...]:
+        """Valuation indices of the worlds, ascending."""
+        return tuple(mask_indices(self.world_mask))
 
     def formula_rank(self, f: Formula) -> int | None:
         """Least rank of a world satisfying ``f``; None when no world does."""
-        best: int | None = None
-        for w in self.worlds:
-            if self.world_satisfies(w, f) and (best is None or self.ranks[w.id] < best):
-                best = self.ranks[w.id]
-        return best
+        a = self.kb.truth.mask(f)
+        return next((r for r, stratum in enumerate(self.strata) if stratum & a), None)
 
-    def strictly_below(self, x: World, y: World) -> bool:
-        return self.ranks[x.id] < self.ranks[y.id]
-
-    def max_rank(self) -> int:
-        return max(self.ranks, default=0)
+    def minimal(self, a: int) -> int:
+        return next((stratum & a for stratum in self.strata if stratum & a), 0)
 
 
 class PreferentialModel:
     """Finite preferential interpretation whose strict order is stored on
-    violation classes: ``classes[w.id]`` is world w's class id, and ``below``
-    holds the (lower, higher) class-id pairs."""
+    violation classes: ``classes[c]`` is the world mask of class c, and
+    ``below`` holds the (lower, higher) class-id pairs."""
 
     def __init__(
-        self,
-        kb: KnowledgeBase,
-        worlds: Sequence[World],
-        classes: Sequence[int],
-        below: Iterable[tuple[int, int]],
+        self, kb: KnowledgeBase, classes: Sequence[int], below: Iterable[tuple[int, int]]
     ):
         self.kb = kb
-        self.worlds = tuple(worlds)
         self.classes = tuple(classes)
         self.below = frozenset(below)
 
-    def world_satisfies(self, world: World, f: Formula) -> bool:
-        return self.kb.truth.satisfies(world.valuation.bits, f)
+    def violated(self, c: int) -> frozenset[int]:
+        """The violation set shared by the worlds of class c."""
+        worlds = self.classes[c]
+        return frozenset(d for d, mask in enumerate(self.kb.default_masks) if worlds & ~mask)
 
-    def strictly_below(self, x: World, y: World) -> bool:
-        return (self.classes[x.id], self.classes[y.id]) in self.below
+    def minimal(self, a: int) -> int:
+        holders = {c for c, worlds in enumerate(self.classes) if worlds & a}
+        blocked = {y for x, y in self.below if x in holders}
+        return reduce(or_, (self.classes[c] for c in holders - blocked), 0) & a
 
 
 Model = RankedModel | PreferentialModel
@@ -107,28 +88,24 @@ Model = RankedModel | PreferentialModel
 def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:
     """The minimal canonical ranked model of a satisfiable KB.
 
-    Worlds are all valuations satisfying the stable chain tail's
-    materialization (exactly the compatible ones over a finite signature);
-    each world sinks to the least chain position it satisfies.
+    Its worlds are the valuations satisfying the stable chain tail's
+    materialization (exactly the compatible ones over a finite signature),
+    and stratum r holds those first admitted at chain position r.  Equal
+    consecutive chain masks make the chain stable, so only the last position
+    can admit no world; that empty stratum is dropped.
     """
     cached = kb.cache.get("min_canonical")
     if cached is not None:
         return cached
     rt = rt or compute_ranking(kb)
-    tt = kb.truth
     chain_masks = [kb.members_mask(members) for members in rt.chain]
     if chain_masks[-1] == 0:
         raise UnsatisfiableKB("no valuation satisfies the knowledge base")
-    atoms = kb.signature.atoms
-    worlds: list[World] = []
-    ranks: list[int] = []
-    for j in range(1 << tt.n):
-        if not (chain_masks[-1] >> j) & 1:
-            continue
-        rank = next(i for i, mask in enumerate(chain_masks) if (mask >> j) & 1)
-        worlds.append(World(len(worlds), Valuation(atoms, j)))
-        ranks.append(rank)
-    model = RankedModel(kb, worlds, ranks)
+    strata = [chain_masks[0]]
+    strata.extend(mask & ~prev for prev, mask in zip(chain_masks, chain_masks[1:]))
+    if not strata[-1]:
+        strata.pop()
+    model = RankedModel(kb, strata)
     kb.cache["min_canonical"] = model
     return model
 
@@ -136,11 +113,8 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
 def _model_default_ranks(model: RankedModel, kb: KnowledgeBase) -> tuple[Rank, ...]:
     """Rank of each default's antecedent inside the model (INF when the
     antecedent holds at no world)."""
-    ranks: list[Rank] = []
-    for c in kb.conditionals:
-        r = model.formula_rank(c.antecedent)
-        ranks.append(INF if r is None else r)
-    return tuple(ranks)
+    ranks = (model.formula_rank(c.antecedent) for c in kb.conditionals)
+    return tuple(INF if r is None else r for r in ranks)
 
 
 def _violation_view(
@@ -158,61 +132,67 @@ def _violation_view(
     return tuple(frozenset(s) for s in slices)
 
 
+def _violation_classes(kb: KnowledgeBase, worlds: int) -> list[tuple[int, frozenset[int]]]:
+    """Split a world mask into its violation classes: (class mask, violation
+    set) pairs, one per violation set that some world has."""
+    parts = [(worlds, frozenset())]
+    for d, mask in enumerate(kb.default_masks):
+        split = []
+        for part, violated in parts:
+            kept = part & mask
+            if kept:
+                split.append((kept, violated))
+            if kept != part:
+                split.append((part ^ kept, violated | {d}))
+        parts = split
+    return parts
+
+
 def preferential_refinement(model: RankedModel, kb: KnowledgeBase) -> PreferentialModel:
     """Refine a ranked model: order worlds by the seriousness of their
     violation sets (set ordering over the model's rank partition).
 
-    Each distinct violation set is one class; the classes' views are
-    compared once per ordered pair.  On the minimal canonical model the model
-    ranks coincide with the computed default ranks, so this is the
-    violation-set ordering used by the MP closure; the refined order extends
-    the rank order and stays a model of the KB.
+    Each violation class's view is compared once per ordered class pair.  On
+    the minimal canonical model the model ranks coincide with the computed
+    default ranks, so this is the violation-set ordering used by the MP
+    closure; the refined order extends the rank order and stays a model of
+    the KB.
     """
     default_ranks = _model_default_ranks(model, kb)
-    top = model.max_rank() + 1
-    class_of: dict[frozenset[int], int] = {}
-    classes = [
-        class_of.setdefault(violated_defaults(w.valuation, kb), len(class_of))
-        for w in model.worlds
-    ]
-    views = [_violation_view(v, default_ranks, top) for v in class_of]
+    parts = _violation_classes(kb, model.world_mask)
+    views = [_violation_view(v, default_ranks, len(model.strata)) for _, v in parts]
     below = [
         (cx, cy)
         for cx, vx in enumerate(views)
         for cy, vy in enumerate(views)
         if _set_tuple_less(vx, vy)
     ]
-    return PreferentialModel(kb, model.worlds, classes, below)
+    return PreferentialModel(kb, [worlds for worlds, _ in parts], below)
 
 
-def minimal_worlds(model: Model, f: Formula) -> tuple[World, ...]:
-    """Worlds satisfying ``f`` with no strictly lower ``f``-world."""
-    holders = [w for w in model.worlds if model.world_satisfies(w, f)]
-    return tuple(
-        w for w in holders if not any(model.strictly_below(z, w) for z in holders)
-    )
+def minimal_worlds(model: Model, f: Formula) -> int:
+    """Mask of the worlds satisfying ``f`` with no strictly lower
+    ``f``-world."""
+    return model.minimal(model.kb.truth.mask(f))
 
 
 def satisfies(model: Model, query: Conditional) -> bool:
     """Conditional satisfaction: the consequent holds at every minimal
     antecedent world (vacuously true when the antecedent has no world)."""
-    return all(
-        model.world_satisfies(w, query.consequent)
-        for w in minimal_worlds(model, query.antecedent)
-    )
+    minimal = minimal_worlds(model, query.antecedent)
+    return minimal & ~model.kb.truth.mask(query.consequent) == 0
 
 
 def _class_predecessors(pref: PreferentialModel) -> list[list[int]]:
-    preds: list[list[int]] = [[] for _ in range(max(pref.classes, default=-1) + 1)]
+    preds: list[list[int]] = [[] for _ in pref.classes]
     for x, y in pref.below:
         preds[y].append(x)
     return preds
 
 
 def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:
-    """Rank of each world as the length of a longest strictly descending
-    chain below it.  Worlds of one class share their predecessors, so the
-    heights are computed on the class graph."""
+    """Rank of each class as the length of a longest strictly descending
+    chain below it (its worlds share their predecessors, so they share it)."""
     preds = _class_predecessors(pref)
     heights: dict[int, int] = {}
 
@@ -226,12 +206,12 @@ def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:
         heights[c] = h
         return h
 
-    return tuple(height(c) for c in pref.classes)
+    return tuple(height(c) for c in range(len(preds)))
 
 
 def layer_ranks(pref: PreferentialModel) -> tuple[int, ...]:
-    """Rank of each world by iterated removal of minimal layers: layer 0 is
-    the minima, layer i the minima of what remains (on the class graph)."""
+    """Rank of each class by iterated removal of minimal layers: layer 0 is
+    the minima, layer i the minima of what remains."""
     preds = _class_predecessors(pref)
     layers: dict[int, int] = {}
     remaining = set(range(len(preds)))
@@ -242,13 +222,17 @@ def layer_ranks(pref: PreferentialModel) -> tuple[int, ...]:
             layers[c] = level
         remaining -= minimal
         level += 1
-    return tuple(layers[c] for c in pref.classes)
+    return tuple(layers[c] for c in range(len(preds)))
 
 
 def rank_by_height(pref: PreferentialModel) -> RankedModel:
-    """Collapse a preferential model to a ranked one by world height; the
+    """Collapse a preferential model to a ranked one by class height; the
     resulting modular order extends the preferential one."""
-    return RankedModel(pref.kb, pref.worlds, height_ranks(pref))
+    heights = height_ranks(pref)
+    strata = [0] * (max(heights, default=-1) + 1)
+    for worlds, h in zip(pref.classes, heights):
+        strata[h] |= worlds
+    return RankedModel(pref.kb, strata)
 
 
 def mpr_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:
@@ -271,6 +255,5 @@ def is_refinement_fixed_point(
     model: RankedModel, kb: KnowledgeBase, rt: RankingTable | None = None
 ) -> bool:
     """True iff refining and collapsing by height reproduces the model's own
-    rank function (same worlds and valuations assumed)."""
-    collapsed = rank_by_height(preferential_refinement(model, kb))
-    return collapsed.ranks == model.ranks
+    strata."""
+    return rank_by_height(preferential_refinement(model, kb)).strata == model.strata

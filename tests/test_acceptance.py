@@ -16,11 +16,13 @@ from defq import (
     LC,
     MINIMAL,
     MP,
+    Valuation,
     check_postulates,
     compute_ranking,
     enumerate_bases,
     find_justifications,
     lc_query,
+    mask_indices,
     minimal_canonical_model,
     mp_query,
     mpr_query,
@@ -130,10 +132,11 @@ def test_criterion_3_canonical_model_strata():
             2: {frozenset({s, e}), frozenset({s, e, y})},
         }
         actual: dict = {}
-        for w in model.worlds:
-            actual.setdefault(model.ranks[w.id], set()).add(
-                frozenset(w.valuation.true_atoms())
-            )
+        for rank, stratum in enumerate(model.strata):
+            for j in mask_indices(stratum):
+                actual.setdefault(rank, set()).add(
+                    frozenset(Valuation(kb.signature.atoms, j).true_atoms())
+                )
         assert actual == expected
         assert len(model.worlds) == 16
 

@@ -120,6 +120,20 @@ class TestQuery:
             outputs.append(json.dumps(payload, sort_keys=True))
         assert outputs[0] == outputs[1]
 
+    def test_plain_answer_builds_no_evidence(self, kb_file, capsys, monkeypatch):
+        from defq import cli
+
+        def refuse(*args):
+            raise AssertionError("evidence built for a plain answer")
+
+        monkeypatch.setattr(cli, "_query_evidence", refuse)
+        path = kb_file(TAXES_KB_TEXT)
+        for method in METHODS:
+            code, out, _ = run(
+                capsys, "query", path, "Employee & Student |~ Young", "--method", method
+            )
+            assert code == 0 and out.strip() in ("yes", "no")
+
     def test_explain_lists_relevant_trace(self, kb_file, capsys):
         path = kb_file(RESIDENCE_KB_TEXT)
         code, out, _ = run(
@@ -238,6 +252,14 @@ class TestModel:
         code, _, err = run(capsys, "model", kb_file(UNSAT_KB_TEXT))
         assert code == 3
 
+    def test_last_chain_position_admitting_no_world(self, kb_file, capsys):
+        # chain ({0, 1, 2}, {1, 2}) with equal masks: every world has rank 0
+        code, out, _ = run(capsys, "model", kb_file("z |~ z\nx |~ y\nx |~ !y\n"))
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert all("rc=0" in line for line in lines)
+
 
 class TestCompare:
     def test_renders_all_six_methods(self, kb_file, capsys):
@@ -345,6 +367,18 @@ p15 |~ p17
 p17 |~ p19
 """
 
+# 20 atoms x 8 defaults from the same family, for the model-based mpr.
+MPR_KB_TEXT = """\
+p4 & p5 |~ !p6
+p12 & p13 |~ !p14
+p9 & p10 |~ !p11
+p15 & p16 |~ !p17
+p9 |~ p11
+p18 & p19 |~ !p0
+p7 & p8 |~ !p9
+p1 & p2 |~ !p3
+"""
+
 CHILD_ADDRESS_SPACE = 1 << 30
 
 
@@ -352,23 +386,35 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
+def _answers_under_one_gigabyte(tmp_path, kb_text, query, methods):
+    path = tmp_path / "kb.kb"
+    path.write_text(kb_text)
+    env = dict(os.environ, PYTHONPATH=str(Path(defq.__file__).resolve().parent.parent))
+    answers = {}
+    for method in methods:
+        done = subprocess.run(
+            [sys.executable, "-m", "defq", "query", str(path), query,
+             "--method", method, "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=_limit_address_space,
+        )
+        assert done.returncode == 0, (method, done.stderr)
+        answers[method] = json.loads(done.stdout)["answer"]
+    return answers
+
+
 class TestBoundedMemory:
     @pytest.mark.parametrize("query", ["p17 & p18 |~ p0", "p18 & p19 |~ !p0"])
     def test_cap_sized_kb_answers_under_one_gigabyte(self, tmp_path, query):
-        path = tmp_path / "cap.kb"
-        path.write_text(CAP_KB_TEXT)
-        env = dict(os.environ, PYTHONPATH=str(Path(defq.__file__).resolve().parent.parent))
-        answers = {}
-        for method in ("rc", "lc", "mp", "basic-relevant", "minimal-relevant"):
-            done = subprocess.run(
-                [sys.executable, "-m", "defq", "query", str(path), query,
-                 "--method", method, "--json"],
-                capture_output=True, text=True, env=env, timeout=120,
-                preexec_fn=_limit_address_space,
-            )
-            assert done.returncode == 0, (method, done.stderr)
-            answers[method] = json.loads(done.stdout)["answer"]
+        answers = _answers_under_one_gigabyte(
+            tmp_path, CAP_KB_TEXT, query, ("rc", "lc", "mp", "basic-relevant", "minimal-relevant")
+        )
         assert answers["mp"] or not answers["rc"]
         assert answers["lc"] or not answers["mp"]
         assert answers["minimal-relevant"] or not answers["basic-relevant"]
         assert answers["mp"] or not answers["minimal-relevant"]
+
+    @pytest.mark.parametrize("query", ["p9 |~ p11 | p12", "p7 & p8 & p10 |~ !p11"])
+    def test_twenty_atom_mpr_answers_under_one_gigabyte(self, tmp_path, query):
+        answers = _answers_under_one_gigabyte(tmp_path, MPR_KB_TEXT, query, ("mp", "mpr"))
+        assert answers["mpr"] or not answers["mp"]

@@ -206,7 +206,7 @@ class TestOrderChecks:
         def broken(model, kb):
             pref = refine(model, kb)
             x, y = next(iter(pref.below))
-            return semantics.PreferentialModel(kb, pref.worlds, pref.classes, pref.below | {(y, x)})
+            return semantics.PreferentialModel(kb, pref.classes, pref.below | {(y, x)})
 
         monkeypatch.setattr(semantics, "preferential_refinement", broken)
         problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])

@@ -27,7 +27,7 @@ from defq import (
     parse_formula,
     to_text,
 )
-from defq.logic import MAX_NESTING, parse_conditional_parts
+from defq.logic import MAX_NESTING, mask_indices, parse_conditional_parts
 
 
 def parse(text: str) -> Formula:
@@ -185,6 +185,13 @@ class TestAtomMasks:
             for i, name in enumerate(sig.atoms):
                 expected = (tt.full // ((1 << (1 << i)) + 1)) << (1 << i)
                 assert tt.mask(atom(name)) == expected
+
+
+class TestMaskIndices:
+    @given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+    def test_lists_the_set_bits_in_ascending_order(self, mask):
+        expected = [j for j in range(mask.bit_length()) if mask >> j & 1]
+        assert list(mask_indices(mask)) == expected
 
 
 class TestEntailment:

@@ -27,21 +27,53 @@ from defq import (
     satisfies,
     violated_defaults,
 )
+from defq.logic import Valuation, mask_indices
+
+
+def valuation(kb, j):
+    return Valuation(kb.signature.atoms, j)
+
+
+def true_atoms(kb, j):
+    return frozenset(valuation(kb, j).true_atoms())
 
 
 def strata(model):
     """Worlds grouped by rank, as sets of true-atom frozensets."""
-    grouped = {}
-    for w in model.worlds:
-        grouped.setdefault(model.ranks[w.id], set()).add(frozenset(w.valuation.true_atoms()))
-    return grouped
+    return {
+        r: {true_atoms(model.kb, j) for j in mask_indices(stratum)}
+        for r, stratum in enumerate(model.strata)
+    }
+
+
+def rank_of(model, j):
+    return next(r for r, stratum in enumerate(model.strata) if stratum >> j & 1)
+
+
+def ranks(model):
+    """Rank of each world, in ``model.worlds`` order."""
+    return tuple(rank_of(model, j) for j in model.worlds)
+
+
+def holds(kb, j, f):
+    return bool(kb.truth.mask(f) >> j & 1)
+
+
+def class_ids(pref):
+    """Class id of each world of a preferential model, by valuation index."""
+    return {j: c for c, worlds in enumerate(pref.classes) for j in mask_indices(worlds)}
+
+
+def below(pref, x, y):
+    ids = class_ids(pref)
+    return (ids[x], ids[y]) in pref.below
 
 
 def world_with(model, *names):
-    target = set(names)
-    for w in model.worlds:
-        if set(w.valuation.true_atoms()) == target:
-            return w
+    target = frozenset(names)
+    for j in model.worlds:
+        if true_atoms(model.kb, j) == target:
+            return j
     raise AssertionError(f"no world with exactly {sorted(target)}")
 
 
@@ -62,13 +94,13 @@ class TestMinimalCanonicalModel:
     def test_empty_kb_puts_every_valuation_at_rank_zero(self):
         model = minimal_canonical_model(parse_kb(""))
         assert len(model.worlds) == 1  # the empty valuation
-        assert set(model.ranks) == {0}
+        assert set(ranks(model)) == {0}
 
     def test_unviolable_default_puts_every_valuation_at_rank_zero(self):
         kb = parse_kb("a |~ a\n")
         model = minimal_canonical_model(kb)
         assert len(model.worlds) == 2
-        assert set(model.ranks) == {0}
+        assert set(ranks(model)) == {0}
 
     def test_unsatisfiable_kb_raises(self):
         kb = parse_kb("true |~ a\ntrue |~ !a\n")
@@ -79,7 +111,7 @@ class TestMinimalCanonicalModel:
         model = minimal_canonical_model(residence_kb)
         assert len(model.worlds) == 16  # 32 valuations, half break a hard default
         for w in model.worlds:
-            assert not violated_defaults(w.valuation, residence_kb) & {2, 3, 4}
+            assert not violated_defaults(valuation(residence_kb, w), residence_kb) & {2, 3, 4}
 
     def test_world_ranks_agree_with_formula_ranks(self, conflict_kb):
         # compatible formulas take the same rank in the model as in the chain
@@ -101,14 +133,14 @@ class TestViolations:
         model = minimal_canonical_model(taxes_kb)
         w = world_with(model, "Student", "Employee", "Pay_Taxes", "Young")
         z = world_with(model, "Student", "Employee", "Pay_Taxes")
-        assert violated_defaults(w.valuation, taxes_kb) == frozenset({0})
-        assert violated_defaults(z.valuation, taxes_kb) == frozenset({0, 1})
+        assert violated_defaults(valuation(taxes_kb, w), taxes_kb) == frozenset({0})
+        assert violated_defaults(valuation(taxes_kb, z), taxes_kb) == frozenset({0, 1})
 
     def test_rank_zero_worlds_violate_nothing(self, taxes_kb):
         model = minimal_canonical_model(taxes_kb)
         for w in model.worlds:
-            if model.ranks[w.id] == 0:
-                assert violated_defaults(w.valuation, taxes_kb) == frozenset()
+            if rank_of(model, w) == 0:
+                assert violated_defaults(valuation(taxes_kb, w), taxes_kb) == frozenset()
 
 
 class TestRefinement:
@@ -117,22 +149,23 @@ class TestRefinement:
         refined = preferential_refinement(model, taxes_kb)
         for x in model.worlds:
             for y in model.worlds:
-                if model.strictly_below(x, y):
-                    assert refined.strictly_below(x, y)
+                if rank_of(model, x) < rank_of(model, y):
+                    assert below(refined, x, y)
 
     def test_strictly_finer_on_equal_rank_worlds(self, taxes_kb):
         model = minimal_canonical_model(taxes_kb)
         refined = preferential_refinement(model, taxes_kb)
         w = world_with(model, "Student", "Employee", "Pay_Taxes", "Young")
         z = world_with(model, "Student", "Employee", "Pay_Taxes")
-        assert model.ranks[w.id] == model.ranks[z.id]
-        assert refined.strictly_below(w, z)
-        assert not refined.strictly_below(z, w)
+        assert rank_of(model, w) == rank_of(model, z)
+        assert below(refined, w, z)
+        assert not below(refined, z, w)
 
     def test_irreflexive(self, taxes_kb):
-        refined = preferential_refinement(minimal_canonical_model(taxes_kb), taxes_kb)
-        for w in refined.worlds:
-            assert not refined.strictly_below(w, w)
+        model = minimal_canonical_model(taxes_kb)
+        refined = preferential_refinement(model, taxes_kb)
+        for w in model.worlds:
+            assert not below(refined, w, w)
 
     def test_refined_model_still_models_the_kb(self, conflict_kb):
         refined = preferential_refinement(
@@ -154,7 +187,7 @@ class TestConditionalSatisfaction:
         refined = preferential_refinement(minimal_canonical_model(taxes_kb), taxes_kb)
         query, _ = taxes_kb.parse_query("Employee & Student |~ Young")
         minimal = minimal_worlds(refined, query.antecedent)
-        assert {frozenset(w.valuation.true_atoms()) for w in minimal} == {
+        assert {true_atoms(taxes_kb, j) for j in mask_indices(minimal)} == {
             frozenset({"Student", "Employee", "Pay_Taxes", "Young"})
         }
 
@@ -186,28 +219,32 @@ class TestClassOrderReference:
             model = minimal_canonical_model(kb)
             refined = preferential_refinement(model, kb)
             ranks = _model_default_ranks(model, kb)
-            top = model.max_rank() + 1
-            views = [
-                _violation_view(violated_defaults(w.valuation, kb), ranks, top)
-                for w in model.worlds
-            ]
+            top = len(model.strata)
+            views = {
+                j: _violation_view(violated_defaults(valuation(kb, j), kb), ranks, top)
+                for j in model.worlds
+            }
             world_pairs = {
-                (x.id, y.id)
+                (x, y)
                 for x in model.worlds
                 for y in model.worlds
-                if _set_tuple_less(views[x.id], views[y.id])
+                if _set_tuple_less(views[x], views[y])
             }
+            ids = class_ids(refined)
             for x in model.worlds:
                 for y in model.worlds:
-                    assert refined.strictly_below(x, y) == ((x.id, y.id) in world_pairs)
+                    assert ((ids[x], ids[y]) in refined.below) == ((x, y) in world_pairs)
             # heights on the class graph equal heights on the world graph;
             # slice sizes, compared lexicographically, order the worlds topologically
             heights: dict[int, int] = {}
-            for w in sorted(model.worlds, key=lambda w: tuple(map(len, views[w.id]))):
-                heights[w.id] = max(
-                    (heights[x] + 1 for x, y in world_pairs if y == w.id), default=0
+            for w in sorted(model.worlds, key=lambda w: tuple(map(len, views[w]))):
+                heights[w] = max(
+                    (heights[x] + 1 for x, y in world_pairs if y == w), default=0
                 )
-            assert height_ranks(refined) == tuple(heights[w.id] for w in model.worlds)
+            class_heights = height_ranks(refined)
+            assert tuple(class_heights[ids[w]] for w in model.worlds) == tuple(
+                heights[w] for w in model.worlds
+            )
 
 
 class TestHeightCollapse:
@@ -215,15 +252,15 @@ class TestHeightCollapse:
         collapsed = mpr_model(merry_kb)
         w = world_with(collapsed, "Student", "Adult", "Merry", "Young")
         x = world_with(collapsed, "Student", "Adult", "Serious")
-        assert collapsed.ranks[w.id] == 1
-        assert collapsed.ranks[x.id] == 2
+        assert rank_of(collapsed, w) == 1
+        assert rank_of(collapsed, x) == 2
 
     def test_redundant_kb_heights(self, redundant_kb):
         collapsed = mpr_model(redundant_kb)
         x = world_with(collapsed, "a", "c", "e", "f")
         y = world_with(collapsed, "a", "c")
-        assert collapsed.ranks[x.id] == 2
-        assert collapsed.ranks[y.id] == 1
+        assert rank_of(collapsed, x) == 2
+        assert rank_of(collapsed, y) == 1
 
     def test_both_height_formulations_agree(self, merry_kb, conflict_kb, residence_kb):
         for kb in (merry_kb, conflict_kb, residence_kb):
@@ -231,12 +268,13 @@ class TestHeightCollapse:
             assert height_ranks(refined) == layer_ranks(refined)
 
     def test_collapse_extends_the_preferential_order(self, merry_kb):
-        refined = preferential_refinement(minimal_canonical_model(merry_kb), merry_kb)
+        model = minimal_canonical_model(merry_kb)
+        refined = preferential_refinement(model, merry_kb)
         collapsed = rank_by_height(refined)
-        for x in refined.worlds:
-            for y in refined.worlds:
-                if refined.strictly_below(x, y):
-                    assert collapsed.ranks[x.id] < collapsed.ranks[y.id]
+        for x in model.worlds:
+            for y in model.worlds:
+                if below(refined, x, y):
+                    assert rank_of(collapsed, x) < rank_of(collapsed, y)
 
     def test_collapsed_model_still_models_the_kb(self, merry_kb):
         collapsed = mpr_model(merry_kb)
@@ -247,15 +285,18 @@ class TestHeightCollapse:
         # any rank function whose modular order extends the refined order is
         # pointwise >= the height collapse; checked by bounded enumeration
         kb = parse_kb("a |~ b\na & !b |~ c\n")
-        refined = preferential_refinement(minimal_canonical_model(kb), kb)
-        heights = height_ranks(refined)
-        worlds = refined.worlds
+        model = minimal_canonical_model(kb)
+        refined = preferential_refinement(model, kb)
+        worlds = model.worlds
+        ids = class_ids(refined)
+        class_heights = height_ranks(refined)
+        heights = [class_heights[ids[j]] for j in worlds]
         assert len(worlds) <= 8
         below_pairs = [
-            (x.id, y.id)
-            for x in worlds
-            for y in worlds
-            if refined.strictly_below(x, y)
+            (x, y)
+            for x in range(len(worlds))
+            for y in range(len(worlds))
+            if below(refined, worlds[x], worlds[y])
         ]
         top = max(heights) + 1
         for candidate in itertools.product(range(top + 1), repeat=len(worlds)):
@@ -274,18 +315,16 @@ class TestCanonicalMinimality:
         rt = compute_ranking(kb)
         model = minimal_canonical_model(kb, rt)
         worlds = model.worlds
-        top = max(model.ranks) + 1
+        top = max(ranks(model)) + 1
 
         def models_kb(candidate):
             for c in kb.conditionals:
-                holders = [w for w in worlds if model.world_satisfies(w, c.antecedent)]
+                holders = [i for i, j in enumerate(worlds) if holds(kb, j, c.antecedent)]
                 if not holders:
                     continue
-                least = min(candidate[w.id] for w in holders)
-                for w in holders:
-                    if candidate[w.id] == least and not model.world_satisfies(
-                        w, c.consequent
-                    ):
+                least = min(candidate[i] for i in holders)
+                for i in holders:
+                    if candidate[i] == least and not holds(kb, worlds[i], c.consequent):
                         return False
             return True
 
@@ -294,7 +333,7 @@ class TestCanonicalMinimality:
             if 0 not in candidate or not models_kb(candidate):
                 continue
             found_alternative = True
-            assert all(r <= c for r, c in zip(model.ranks, candidate))
+            assert all(r <= c for r, c in zip(ranks(model), candidate))
         assert found_alternative  # at least the constructed ranks themselves
 
     @pytest.mark.parametrize("seed", [3, 17])
@@ -309,10 +348,10 @@ class TestCanonicalMinimality:
             collapsed = rank_by_height(refined)
             for x in model.worlds:
                 for y in model.worlds:
-                    if model.strictly_below(x, y):
-                        assert refined.strictly_below(x, y)
-                    if refined.strictly_below(x, y):
-                        assert collapsed.ranks[x.id] < collapsed.ranks[y.id]
+                    if rank_of(model, x) < rank_of(model, y):
+                        assert below(refined, x, y)
+                    if below(refined, x, y):
+                        assert rank_of(collapsed, x) < rank_of(collapsed, y)
 
 
 class TestMprQueries:
@@ -350,7 +389,17 @@ class TestFixedPoint:
     def test_flat_model_is_fixed(self):
         kb = parse_kb("a |~ a\nb |~ b\n")
         model = minimal_canonical_model(kb)
-        assert set(model.ranks) == {0}
+        assert set(ranks(model)) == {0}
+        assert is_refinement_fixed_point(model, kb)
+
+    def test_last_chain_position_admitting_no_world_is_fixed(self):
+        # the chain ({0, 1, 2}, {1, 2}) has equal masks: its last position
+        # adds no world, so every world sits at rank 0 and nothing moves
+        kb = parse_kb("z |~ z\nx |~ y\nx |~ !y\n")
+        assert compute_ranking(kb).chain == (frozenset({0, 1, 2}), frozenset({1, 2}))
+        model = minimal_canonical_model(kb)
+        assert len(model.worlds) == 4
+        assert set(ranks(model)) == {0}
         assert is_refinement_fixed_point(model, kb)
 
     def test_merry_kb_canonical_model_is_not_fixed(self, merry_kb):
@@ -363,7 +412,7 @@ class TestFixedPoint:
         model = minimal_canonical_model(kb)
         if is_refinement_fixed_point(model, kb):
             refined = preferential_refinement(model, kb)
-            assert rank_by_height(refined).ranks == model.ranks
+            assert ranks(rank_by_height(refined)) == ranks(model)
 
     def test_fixed_points_satisfy_the_specificity_condition(self):
         gen = KbGenerator(seed=717171, max_atoms=3, max_defaults=4)
@@ -378,14 +427,16 @@ class TestFixedPoint:
             if not is_refinement_fixed_point(model, kb):
                 continue
             found += 1
-            ranks = _model_default_ranks(model, kb)
-            top = model.max_rank() + 1
+            default_ranks = _model_default_ranks(model, kb)
+            top = len(model.strata)
+            views = {
+                j: _violation_view(violated_defaults(valuation(kb, j), kb), default_ranks, top)
+                for j in model.worlds
+            }
             for x in model.worlds:
                 for y in model.worlds:
-                    vx = _violation_view(violated_defaults(x.valuation, kb), ranks, top)
-                    vy = _violation_view(violated_defaults(y.valuation, kb), ranks, top)
-                    if _set_tuple_less(vx, vy):
-                        assert model.ranks[x.id] < model.ranks[y.id]
+                    if _set_tuple_less(views[x], views[y]):
+                        assert rank_of(model, x) < rank_of(model, y)
         assert found > 0
 
 
