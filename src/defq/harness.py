@@ -42,6 +42,7 @@ from .logic import (
     land,
     lnot,
     lor,
+    mask_indices,
     to_text,
 )
 from .ranking import (
@@ -357,19 +358,18 @@ class TrialResult:
     problems: tuple[str, ...] = ()
 
 
-def _strict_order_problem(below: frozenset[tuple[int, int]]) -> str | None:
-    """Why a relation given as (lower, higher) pairs is not a strict partial
-    order, or None when it is irreflexive and transitive."""
-    successors: dict[int, list[int]] = {}
-    for x, y in below:
-        if x == y:
-            return f"refined-order-not-strict reflexive at {x}"
-        successors.setdefault(x, []).append(y)
-    for x, ys in successors.items():
-        for y in ys:
-            for z in successors.get(y, ()):
-                if (x, z) not in below:
-                    return f"refined-order-not-strict intransitive at {(x, y, z)}"
+def _strict_order_problem(below: Sequence[int]) -> str | None:
+    """Why a relation given as predecessor masks (bit x of ``below[y]`` for
+    x below y) is not a strict partial order, or None when it is irreflexive
+    and transitive."""
+    for z, lower in enumerate(below):
+        if lower >> z & 1:
+            return f"refined-order-not-strict reflexive at {z}"
+        for y in mask_indices(lower):
+            missing = below[y] & ~lower
+            if missing:
+                x = next(mask_indices(missing))
+                return f"refined-order-not-strict intransitive at {(x, y, z)}"
     return None
 
 

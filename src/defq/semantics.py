@@ -8,22 +8,23 @@ satisfies, so its strata are the differences of consecutive chain masks.
 Refining it by the set-seriousness ordering compares worlds only through
 their violation sets, so the refined order is a relation on violation classes
 (the worlds with one violation set, split off the compatible mask default by
-default), stored as class-id pairs.  Collapsing it by height (longest
-descending chain on the class graph) ORs the classes into strata again, and
-that ranked model's consequences form the rational extension of the MP
-closure.  Queries are mask operations: the minimal antecedent worlds, then
-one test against the consequent.  Worlds are listed one by one only for
-output.  The checks on these constructions (strict order, two height
-formulations) run in ``harness``, not here.
+default), stored as one mask per class of the class ids below it.  That
+order is strict inclusion at the first differing rank slice, so it is built
+slice by slice on groups of classes that agree so far.  Collapsing it by
+height (longest descending chain on the class graph) ORs the classes into
+strata again, and that ranked model's consequences form the rational
+extension of the MP closure.  Queries are mask operations: the minimal
+antecedent worlds, then one test against the consequent.  Worlds are listed
+one by one only for output.  The checks on these constructions (strict
+order, two height formulations) run in ``harness``, not here.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .closures import _set_tuple_less
 from .logic import Formula, LogicError, mask_indices
 from .ranking import INF, Conditional, KnowledgeBase, Rank, RankingTable, compute_ranking
 
@@ -61,15 +62,13 @@ class RankedModel:
 
 class PreferentialModel:
     """Finite preferential interpretation whose strict order is stored on
-    violation classes: ``classes[c]`` is the world mask of class c, and
-    ``below`` holds the (lower, higher) class-id pairs."""
+    violation classes: ``classes[c]`` is the world mask of class c, and bit p
+    of ``below[c]`` is set when class p is strictly below class c."""
 
-    def __init__(
-        self, kb: KnowledgeBase, classes: Sequence[int], below: Iterable[tuple[int, int]]
-    ):
+    def __init__(self, kb: KnowledgeBase, classes: Sequence[int], below: Sequence[int]):
         self.kb = kb
         self.classes = tuple(classes)
-        self.below = frozenset(below)
+        self.below = tuple(below)
 
     def violated(self, c: int) -> frozenset[int]:
         """The violation set shared by the worlds of class c."""
@@ -77,9 +76,10 @@ class PreferentialModel:
         return frozenset(d for d, mask in enumerate(self.kb.default_masks) if worlds & ~mask)
 
     def minimal(self, a: int) -> int:
-        holders = {c for c, worlds in enumerate(self.classes) if worlds & a}
-        blocked = {y for x, y in self.below if x in holders}
-        return reduce(or_, (self.classes[c] for c in holders - blocked), 0) & a
+        holders = [c for c, worlds in enumerate(self.classes) if worlds & a]
+        held = reduce(or_, (1 << c for c in holders), 0)
+        minimal = (self.classes[c] for c in holders if not self.below[c] & held)
+        return reduce(or_, minimal, 0) & a
 
 
 Model = RankedModel | PreferentialModel
@@ -125,10 +125,7 @@ def _violation_view(
     slices: list[set[int]] = [set() for _ in range(top + 1)]
     for d in members:
         r = default_ranks[d]
-        if r == INF:
-            slices[0].add(d)
-        else:
-            slices[top - int(r)].add(d)
+        slices[0 if r == INF else top - int(r)].add(d)
     return tuple(frozenset(s) for s in slices)
 
 
@@ -138,7 +135,8 @@ def _violation_classes(kb: KnowledgeBase, worlds: int) -> list[tuple[int, frozen
     parts = [(worlds, frozenset())]
     for d, mask in enumerate(kb.default_masks):
         split = []
-        for part, violated in parts:
+        while parts:  # consumed as it is split, so one copy of the worlds is held
+            part, violated = parts.pop()
             kept = part & mask
             if kept:
                 split.append((kept, violated))
@@ -152,21 +150,32 @@ def preferential_refinement(model: RankedModel, kb: KnowledgeBase) -> Preferenti
     """Refine a ranked model: order worlds by the seriousness of their
     violation sets (set ordering over the model's rank partition).
 
-    Each violation class's view is compared once per ordered class pair.  On
-    the minimal canonical model the model ranks coincide with the computed
-    default ranks, so this is the violation-set ordering used by the MP
-    closure; the refined order extends the rank order and stays a model of
-    the KB.
+    Class x is below class y when, at the first slice where their views
+    differ, x's slice is a strict subset of y's.  Classes that agree on the
+    slices before i are grouped and split by their slice i: each subgroup
+    lies below every subgroup whose slice strictly contains its own, and
+    each subgroup is split again on slice i + 1.  On the minimal canonical
+    model the model ranks coincide with the computed default ranks, so this
+    is the violation-set ordering used by the MP closure; the refined order
+    extends the rank order and stays a model of the KB.
     """
     default_ranks = _model_default_ranks(model, kb)
     parts = _violation_classes(kb, model.world_mask)
     views = [_violation_view(v, default_ranks, len(model.strata)) for _, v in parts]
-    below = [
-        (cx, cy)
-        for cx, vx in enumerate(views)
-        for cy, vy in enumerate(views)
-        if _set_tuple_less(vx, vy)
-    ]
+    below = [0] * len(views)
+    groups = [(0, list(range(len(views))))]
+    while groups:
+        i, group = groups.pop()
+        split: dict[frozenset[int], list[int]] = {}
+        for c in group:
+            split.setdefault(views[c][i], []).append(c)
+        masks = {s: reduce(or_, (1 << c for c in members)) for s, members in split.items()}
+        for s, members in split.items():
+            lower = reduce(or_, (masks[t] for t in split if t < s), 0)
+            for c in members:
+                below[c] |= lower
+            if len(members) > 1:
+                groups.append((i + 1, members))
     return PreferentialModel(kb, [worlds for worlds, _ in parts], below)
 
 
@@ -183,52 +192,40 @@ def satisfies(model: Model, query: Conditional) -> bool:
     return minimal & ~model.kb.truth.mask(query.consequent) == 0
 
 
-def _class_predecessors(pref: PreferentialModel) -> list[list[int]]:
-    preds: list[list[int]] = [[] for _ in pref.classes]
-    for x, y in pref.below:
-        preds[y].append(x)
-    return preds
-
-
 def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:
     """Rank of each class as the length of a longest strictly descending
-    chain below it (its worlds share their predecessors, so they share it)."""
-    preds = _class_predecessors(pref)
-    heights: dict[int, int] = {}
-
-    def height(c: int) -> int:
-        cached = heights.get(c)
-        if cached is not None:
-            return cached
-        h = 0
-        for p in preds[c]:
-            h = max(h, height(p) + 1)
-        heights[c] = h
-        return h
-
-    return tuple(height(c) for c in range(len(preds)))
+    chain below it (its worlds share their predecessors, so they share it).
+    Under a strict order a class has more classes below it than any class
+    below it, so visiting classes by that count is a topological order."""
+    heights = [0] * len(pref.below)
+    for c in sorted(range(len(heights)), key=lambda c: pref.below[c].bit_count()):
+        heights[c] = max((heights[p] + 1 for p in mask_indices(pref.below[c])), default=0)
+    return tuple(heights)
 
 
 def layer_ranks(pref: PreferentialModel) -> tuple[int, ...]:
     """Rank of each class by iterated removal of minimal layers: layer 0 is
     the minima, layer i the minima of what remains."""
-    preds = _class_predecessors(pref)
-    layers: dict[int, int] = {}
-    remaining = set(range(len(preds)))
+    layers = [0] * len(pref.below)
+    remaining = (1 << len(layers)) - 1
     level = 0
     while remaining:
-        minimal = {c for c in remaining if not any(x in remaining for x in preds[c])}
-        for c in minimal:
+        layer = [c for c in mask_indices(remaining) if not pref.below[c] & remaining]
+        if not layer:
+            raise ValueError("the order has a cycle, so no layer is minimal")
+        for c in layer:
             layers[c] = level
-        remaining -= minimal
+            remaining ^= 1 << c
         level += 1
-    return tuple(layers[c] for c in range(len(preds)))
+    return tuple(layers)
 
 
 def rank_by_height(pref: PreferentialModel) -> RankedModel:
     """Collapse a preferential model to a ranked one by class height; the
-    resulting modular order extends the preferential one."""
-    heights = height_ranks(pref)
+    resulting modular order extends the preferential one.  Under a strict
+    order the layer of a class is its height, and peeling layers touches
+    each class once per layer rather than once per class below it."""
+    heights = layer_ranks(pref)
     strata = [0] * (max(heights, default=-1) + 1)
     for worlds, h in zip(pref.classes, heights):
         strata[h] |= worlds
@@ -251,9 +248,7 @@ def mpr_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
     return satisfies(mpr_model(kb, rt), query)
 
 
-def is_refinement_fixed_point(
-    model: RankedModel, kb: KnowledgeBase, rt: RankingTable | None = None
-) -> bool:
+def is_refinement_fixed_point(model: RankedModel, kb: KnowledgeBase) -> bool:
     """True iff refining and collapsing by height reproduces the model's own
     strata."""
     return rank_by_height(preferential_refinement(model, kb)).strata == model.strata

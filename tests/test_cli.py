@@ -414,6 +414,10 @@ class TestBoundedMemory:
         assert answers["minimal-relevant"] or not answers["basic-relevant"]
         assert answers["mp"] or not answers["minimal-relevant"]
 
+    def test_cap_sized_kb_answers_mpr_under_one_gigabyte(self, tmp_path):
+        answers = _answers_under_one_gigabyte(tmp_path, CAP_KB_TEXT, "p17 & p18 |~ p0", ("mp", "mpr"))
+        assert answers["mpr"] or not answers["mp"]
+
     @pytest.mark.parametrize("query", ["p9 |~ p11 | p12", "p7 & p8 & p10 |~ !p11"])
     def test_twenty_atom_mpr_answers_under_one_gigabyte(self, tmp_path, query):
         answers = _answers_under_one_gigabyte(tmp_path, MPR_KB_TEXT, query, ("mp", "mpr"))

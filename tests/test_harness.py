@@ -19,6 +19,7 @@ from defq.harness import (
     _model_agreement_problems,
     _strict_order_problem,
 )
+from defq.logic import mask_indices
 
 
 def matrix(kb, text):
@@ -188,16 +189,17 @@ class TestRandomSuite:
 
 
 class TestOrderChecks:
+    # bit x of below[y] says x is below y
     def test_strict_orders_pass(self):
-        assert _strict_order_problem(frozenset()) is None
-        assert _strict_order_problem(frozenset({(0, 1), (1, 2), (0, 2)})) is None
+        assert _strict_order_problem(()) is None
+        assert _strict_order_problem((0b000, 0b001, 0b011)) is None  # 0 < 1 < 2, 0 < 2
 
     def test_reflexive_pair_is_flagged(self):
-        problem = _strict_order_problem(frozenset({(0, 1), (1, 1)}))
+        problem = _strict_order_problem((0b00, 0b11))  # 0 < 1, 1 < 1
         assert problem is not None and problem.startswith("refined-order-not-strict")
 
     def test_non_transitive_pairs_are_flagged(self):
-        problem = _strict_order_problem(frozenset({(0, 1), (1, 2)}))
+        problem = _strict_order_problem((0b000, 0b001, 0b010))  # 0 < 1 < 2, not 0 < 2
         assert problem is not None and problem.startswith("refined-order-not-strict")
 
     def test_agreement_check_reports_a_broken_refined_order(self, merry_kb, monkeypatch):
@@ -205,8 +207,11 @@ class TestOrderChecks:
 
         def broken(model, kb):
             pref = refine(model, kb)
-            x, y = next(iter(pref.below))
-            return semantics.PreferentialModel(kb, pref.classes, pref.below | {(y, x)})
+            y = next(c for c, lower in enumerate(pref.below) if lower)
+            x = next(mask_indices(pref.below[y]))
+            below = list(pref.below)
+            below[x] |= 1 << y  # x < y already; add y < x
+            return semantics.PreferentialModel(kb, pref.classes, below)
 
         monkeypatch.setattr(semantics, "preferential_refinement", broken)
         problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])

@@ -8,6 +8,7 @@ import pytest
 from defq import (
     INF,
     KbGenerator,
+    PreferentialModel,
     UnsatisfiableKB,
     compute_ranking,
     height_ranks,
@@ -66,7 +67,7 @@ def class_ids(pref):
 
 def below(pref, x, y):
     ids = class_ids(pref)
-    return (ids[x], ids[y]) in pref.below
+    return bool(pref.below[ids[y]] >> ids[x] & 1)
 
 
 def world_with(model, *names):
@@ -200,8 +201,10 @@ class TestConditionalSatisfaction:
 
 
 class TestClassOrderReference:
-    """The class-pair order equals the world-pair definition it replaced:
-    x is below y iff x's violation view is set-less than y's."""
+    """The class order, grown slice by slice into predecessor masks, equals
+    the world-pair definition: x is below y iff x's violation view is
+    set-less than y's.  The wider pool gives views with several nonempty
+    finite slices, so the grouping recurses past the first slices."""
 
     SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.kb"))
 
@@ -209,12 +212,18 @@ class TestClassOrderReference:
         kbs = [parse_kb(path.read_text()) for path in self.SAMPLES]
         assert len(kbs) == 4
         gen = KbGenerator(seed=515151)
-        return kbs + [gen.knowledge_base(index) for index in range(25)]
+        wide = KbGenerator(seed=525252, max_atoms=6, max_defaults=10)
+        return (
+            kbs
+            + [gen.knowledge_base(index) for index in range(25)]
+            + [wide.knowledge_base(index) for index in range(60)]
+        )
 
     def test_strictly_below_matches_world_pair_views(self):
         from defq.closures import _set_tuple_less
         from defq.semantics import _model_default_ranks, _violation_view
 
+        deep = 0  # KBs with a view holding two or more nonempty finite slices
         for kb in self.pool():
             model = minimal_canonical_model(kb)
             refined = preferential_refinement(model, kb)
@@ -224,6 +233,7 @@ class TestClassOrderReference:
                 j: _violation_view(violated_defaults(valuation(kb, j), kb), ranks, top)
                 for j in model.worlds
             }
+            deep += any(sum(map(bool, view[1:])) >= 2 for view in views.values())
             world_pairs = {
                 (x, y)
                 for x in model.worlds
@@ -233,7 +243,7 @@ class TestClassOrderReference:
             ids = class_ids(refined)
             for x in model.worlds:
                 for y in model.worlds:
-                    assert ((ids[x], ids[y]) in refined.below) == ((x, y) in world_pairs)
+                    assert bool(refined.below[ids[y]] >> ids[x] & 1) == ((x, y) in world_pairs)
             # heights on the class graph equal heights on the world graph;
             # slice sizes, compared lexicographically, order the worlds topologically
             heights: dict[int, int] = {}
@@ -245,6 +255,8 @@ class TestClassOrderReference:
             assert tuple(class_heights[ids[w]] for w in model.worlds) == tuple(
                 heights[w] for w in model.worlds
             )
+            assert layer_ranks(refined) == class_heights
+        assert deep > 0
 
 
 class TestHeightCollapse:
@@ -266,6 +278,14 @@ class TestHeightCollapse:
         for kb in (merry_kb, conflict_kb, residence_kb):
             refined = preferential_refinement(minimal_canonical_model(kb), kb)
             assert height_ranks(refined) == layer_ranks(refined)
+
+    def test_layer_peel_refuses_a_cycle(self, merry_kb):
+        # classes 0 and 1 below each other: no layer is minimal, so the
+        # peel raises instead of looping
+        refined = preferential_refinement(minimal_canonical_model(merry_kb), merry_kb)
+        below = [0b10, 0b01] + [0] * (len(refined.classes) - 2)
+        with pytest.raises(ValueError):
+            layer_ranks(PreferentialModel(merry_kb, refined.classes, below))
 
     def test_collapse_extends_the_preferential_order(self, merry_kb):
         model = minimal_canonical_model(merry_kb)
