@@ -49,11 +49,9 @@ from .logic import (
     Valuation,
     all_valuations,
     atom,
-    entails,
     evaluate,
     iff,
     implies,
-    is_consistent,
     land,
     lnot,
     lor,
@@ -70,7 +68,6 @@ from .ranking import (
     compute_ranking,
     is_exceptional,
     kb_satisfiable,
-    materialize,
     parse_kb,
     rank_of_formula,
     rc_query,

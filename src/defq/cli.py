@@ -6,13 +6,12 @@ line order assigns the 0-based default indices used in all output.
 
 Exit codes: 0 success (query answers are ``yes``/``no`` on stdout), 1 check
 suite found violations, 2 parse error, 3 unsatisfiable KB for model-based
-methods, 4 size cap exceeded.
+methods, 4 size cap exceeded or memory limit reached.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -263,7 +262,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         max_defaults=args.max_defaults,
     )
     if args.json:
-        _emit_json({"trials": [dataclasses.asdict(t) for t in results], "summary": summary})
+        _emit_json({"trials": [t._asdict() for t in results], "summary": summary})
         return EXIT_VIOLATIONS if summary["violations"] else EXIT_OK
     for trial in results:
         print(
@@ -370,6 +369,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNSAT
     except SizeCapExceeded as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("memory limit reached: the process ran out of memory before an answer; "
+              "use a smaller KB or raise the memory limit", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,7 @@ with the number of defaults, not with the number of subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .logic import Formula, Valuation
 from .ranking import (
@@ -43,8 +42,7 @@ MINIMAL = "minimal"
 DefaultSet = frozenset[int]
 
 
-@dataclass(frozen=True)
-class RankPartition:
+class RankPartition(NamedTuple):
     """A default set split by rank: the infinite slice plus one slice per
     finite rank below the order of the KB."""
 
@@ -305,8 +303,7 @@ def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[Default
     return result
 
 
-@dataclass(frozen=True)
-class RelevantTrace:
+class RelevantTrace(NamedTuple):
     """Everything needed to recheck a relevant-closure answer by hand."""
 
     variant: str

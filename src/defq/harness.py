@@ -11,8 +11,7 @@ generation is deterministic per seed so failures are replayable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import semantics
 from .closures import (
@@ -60,8 +59,7 @@ from .ranking import (
 METHODS = ("rc", "mp", "lc", "basic-relevant", "minimal-relevant", "mpr")
 
 
-@dataclass(frozen=True)
-class ClosureMatrix:
+class ClosureMatrix(NamedTuple):
     """Membership of one query in each of the six consequence relations."""
 
     rc: bool
@@ -133,8 +131,7 @@ PREFERENTIAL_POSTULATES = ("LLE", "RW", "Refl", "And", "Or", "CM")
 RATIONAL_POSTULATES = PREFERENTIAL_POSTULATES + ("RM",)
 
 
-@dataclass(frozen=True)
-class PostulateRecord:
+class PostulateRecord(NamedTuple):
     """Outcome of one postulate instance on one (A, B, C) triple."""
 
     postulate: str
@@ -283,8 +280,7 @@ def random_formula(rng: random.Random, atoms: Sequence[str], depth: int) -> Form
     )
 
 
-@dataclass
-class KbGenerator:
+class KbGenerator(NamedTuple):
     """Deterministic source of small satisfiable KBs, queries and triples."""
 
     seed: int
@@ -344,8 +340,7 @@ class KbGenerator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrialResult:
+class TrialResult(NamedTuple):
     """One KB's worth of checks; ``problems`` is empty on success."""
 
     index: int

@@ -11,8 +11,7 @@ size keeps the enumeration desk-scale.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_ATOM_CAP = 20
 
@@ -67,13 +66,12 @@ IFF = "iff"
 _BINARY = (AND, OR, IMPLIES, IFF)
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(NamedTuple):
     """Immutable propositional formula tree.
 
     ``args`` holds the atom name (for ``atom`` nodes) or the subformulas.
     Formulas compare structurally; semantic equivalence is a separate check
-    via :func:`entails` in both directions.
+    via :meth:`TruthTable.entails` in both directions.
     """
 
     op: str
@@ -226,13 +224,12 @@ class Signature:
         return f"Signature({self._names!r})"
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """Total truth assignment over a fixed atom tuple.
 
     ``bits`` packs the assignment: atom ``atoms[i]`` is true iff bit i is
     set.  Two valuations are equal iff they have the same atoms and agree on
-    every one of them, which is exactly dataclass equality here.
+    every one of them, which is exactly equality of the two fields here.
     """
 
     atoms: tuple[str, ...]
@@ -368,30 +365,15 @@ class TruthTable:
         return result
 
     def entails(self, premises: Iterable[Formula], goal: Formula) -> bool:
+        """True iff every valuation satisfying all premises satisfies the goal."""
         return self.conjunction_mask(premises) & (self.full ^ self.mask(goal)) == 0
 
     def is_consistent(self, formulas: Iterable[Formula]) -> bool:
+        """True iff some valuation over the signature satisfies every formula."""
         return self.conjunction_mask(formulas) != 0
 
     def is_tautology(self, f: Formula) -> bool:
         return self.mask(f) == self.full
-
-
-def entails(
-    premises: Iterable[Formula],
-    goal: Formula,
-    sig: Signature,
-    max_atoms: int = DEFAULT_ATOM_CAP,
-) -> bool:
-    """True iff every valuation satisfying all premises satisfies the goal."""
-    return TruthTable(sig, max_atoms).entails(premises, goal)
-
-
-def is_consistent(
-    formulas: Iterable[Formula], sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP
-) -> bool:
-    """True iff some valuation over ``sig`` satisfies every formula."""
-    return TruthTable(sig, max_atoms).is_consistent(formulas)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +400,7 @@ _TOKEN_SPEC = [
 _TOKEN_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_SPEC))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int

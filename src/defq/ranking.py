@@ -12,8 +12,7 @@ antecedent conjoined with the negated consequent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .logic import (
     DEFAULT_ATOM_CAP,
@@ -36,8 +35,7 @@ INF = math.inf
 Rank = Union[int, float]
 
 
-@dataclass(frozen=True)
-class Conditional:
+class Conditional(NamedTuple):
     """A default ``antecedent |~ consequent`` at a fixed KB position."""
 
     antecedent: Formula
@@ -153,8 +151,7 @@ def parse_kb(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankingTable:
+class RankingTable(NamedTuple):
     """The exceptionality chain and the ranks it induces.
 
     ``chain[i]`` is the i-th subset of default indices; the last entry is the
@@ -174,11 +171,6 @@ class RankingTable:
         """One past the highest finite rank in use.  Consecutive chain
         entries always differ, so this is the index of the stable entry."""
         return len(self.chain) - 1
-
-
-def materialize(members: Iterable[int], kb: KnowledgeBase) -> frozenset[Formula]:
-    """Material counterparts ``A -> B`` of the selected defaults."""
-    return frozenset(kb.conditionals[i].materialization() for i in members)
 
 
 def is_exceptional(a: Formula, members: Iterable[int], kb: KnowledgeBase) -> bool:

@@ -340,6 +340,8 @@ class TestCheck:
                 assert set(matrix) == set(METHODS)
         assert payload["summary"]["trials"] == 3
         assert payload["summary"]["violations"] == 0
+        keys = {"index", "seed", "kb_lines", "atoms", "defaults", "queries", "checks", "problems"}
+        assert all(set(trial) == keys for trial in payload["trials"])
 
     def test_check_requires_file_or_random(self, capsys):
         with pytest.raises(SystemExit):
@@ -379,25 +381,34 @@ p7 & p8 |~ !p9
 p1 & p2 |~ !p3
 """
 
+# 20 atoms x 16 defaults with 2^16 violation classes: twelve unconditional
+# defaults plus four independent ones.  mp answers it; mpr runs out of memory.
+WORST_CASE_KB_TEXT = "".join(f"true |~ p{i}\n" for i in range(12)) + "".join(
+    f"p{i} |~ p{i + 1}\n" for i in (12, 14, 16, 18)
+)
+
 CHILD_ADDRESS_SPACE = 1 << 30
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(defq.__file__).resolve().parent.parent))
 
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
+def _query_under_one_gigabyte(path, query, method):
+    return subprocess.run(
+        [sys.executable, "-m", "defq", "query", str(path), query, "--method", method, "--json"],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+
+
 def _answers_under_one_gigabyte(tmp_path, kb_text, query, methods):
     path = tmp_path / "kb.kb"
     path.write_text(kb_text)
-    env = dict(os.environ, PYTHONPATH=str(Path(defq.__file__).resolve().parent.parent))
     answers = {}
     for method in methods:
-        done = subprocess.run(
-            [sys.executable, "-m", "defq", "query", str(path), query,
-             "--method", method, "--json"],
-            capture_output=True, text=True, env=env, timeout=120,
-            preexec_fn=_limit_address_space,
-        )
+        done = _query_under_one_gigabyte(path, query, method)
         assert done.returncode == 0, (method, done.stderr)
         answers[method] = json.loads(done.stdout)["answer"]
     return answers
@@ -422,3 +433,23 @@ class TestBoundedMemory:
     def test_twenty_atom_mpr_answers_under_one_gigabyte(self, tmp_path, query):
         answers = _answers_under_one_gigabyte(tmp_path, MPR_KB_TEXT, query, ("mp", "mpr"))
         assert answers["mpr"] or not answers["mp"]
+
+    def test_out_of_memory_exits_4_without_traceback(self, tmp_path):
+        path = tmp_path / "worst.kb"
+        path.write_text(WORST_CASE_KB_TEXT)
+        assert _query_under_one_gigabyte(path, "p12 |~ p13", "mp").returncode == 0
+        done = _query_under_one_gigabyte(path, "p12 |~ p13", "mpr")
+        assert done.returncode == 4, done.stderr
+        assert "memory limit" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
+class TestStartup:
+    def test_import_leaves_dataclasses_and_inspect_out(self):
+        probe = "import defq.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

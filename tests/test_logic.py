@@ -16,11 +16,9 @@ from defq import (
     Valuation,
     all_valuations,
     atom,
-    entails,
     evaluate,
     iff,
     implies,
-    is_consistent,
     land,
     lnot,
     lor,
@@ -196,12 +194,12 @@ class TestMaskIndices:
 
 class TestEntailment:
     def test_modus_ponens(self):
-        sig = Signature(["a", "b"])
-        assert entails({implies(atom("a"), atom("b")), atom("a")}, atom("b"), sig)
+        tt = TruthTable(Signature(["a", "b"]))
+        assert tt.entails({implies(atom("a"), atom("b")), atom("a")}, atom("b"))
 
     def test_excluded_middle_from_nothing(self):
-        sig = Signature(["a"])
-        assert entails(set(), lor(atom("a"), lnot(atom("a"))), sig)
+        tt = TruthTable(Signature(["a"]))
+        assert tt.entails(set(), lor(atom("a"), lnot(atom("a"))))
 
     def test_employed_students_are_young(self):
         sig = Signature()
@@ -210,22 +208,23 @@ class TestEntailment:
             parse_formula("Employee & Student -> Pay_Taxes", sig),
             parse_formula("Employee & Student", sig),
         }
-        assert entails(premises, parse_formula("Young", sig), sig)
+        goal = parse_formula("Young", sig)
+        assert TruthTable(sig).entails(premises, goal)
 
     def test_inconsistent_pair(self):
-        sig = Signature(["a"])
-        assert not is_consistent({atom("a"), lnot(atom("a"))}, sig)
+        tt = TruthTable(Signature(["a"]))
+        assert not tt.is_consistent({atom("a"), lnot(atom("a"))})
 
     def test_empty_set_is_consistent(self):
-        assert is_consistent(set(), Signature())
+        assert TruthTable(Signature()).is_consistent(set())
 
     def test_formulas_compare_structurally_not_semantically(self):
         # equivalence is a separate check: entailment in both directions
-        sig = Signature(["a", "b"])
+        tt = TruthTable(Signature(["a", "b"]))
         left = land(atom("a"), atom("b"))
         right = land(atom("b"), atom("a"))
         assert left != right
-        assert entails({left}, right, sig) and entails({right}, left, sig)
+        assert tt.entails({left}, right) and tt.entails({right}, left)
 
     def test_bright_kb_default_selection_is_consistent(self):
         sig = Signature()
@@ -235,7 +234,7 @@ class TestEntailment:
             parse_formula("Employee & Student -> Busy", sig),
             parse_formula("Employee & Student", sig),
         }
-        assert is_consistent(formulas, sig)
+        assert TruthTable(sig).is_consistent(formulas)
 
 
 # ---------------------------------------------------------------------------

