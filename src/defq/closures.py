@@ -171,6 +171,7 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, antecedent: Formula) -> lis
             excluded.pop()
 
     descend(0, start)
+    del descend  # empties its own closure cell: no cycle keeps ``suffix`` alive
     return found
 
 
@@ -298,6 +299,7 @@ def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[Default
                 chosen.pop()
 
     descend(0)
+    del descend  # empties its own closure cell: no cycle keeps ``suffix`` alive
     result = tuple(sorted(minimal, key=sorted))
     memo[antecedent] = result
     return result

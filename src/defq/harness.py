@@ -226,8 +226,16 @@ def oracle_mp_query(kb: KnowledgeBase, query: Conditional) -> bool:
         return True
 
     tt = TruthTable(kb.signature, kb.max_atoms)
-    imps = [c.materialization() for c in kb.conditionals]
+    imps = [tt.mask(c.materialization()) for c in kb.conditionals]
+    a_mask = tt.mask(query.antecedent)
+    counter_models = a_mask & ~tt.mask(query.consequent)
     k = len(kb)
+
+    def conjunction(members: frozenset[int]) -> int:
+        result = a_mask
+        for i in members:
+            result &= imps[i]
+        return result
 
     def slices(members: frozenset[int]) -> list[frozenset[int]]:
         ordered: list[frozenset[int]] = [
@@ -246,15 +254,12 @@ def oracle_mp_query(kb: KnowledgeBase, query: Conditional) -> bool:
     candidates = []
     for bits in range(1 << k):
         members = frozenset(i for i in range(k) if bits >> i & 1)
-        if tt.is_consistent([imps[i] for i in members] + [query.antecedent]):
+        if conjunction(members):
             candidates.append(members)
     maximal = [
         d for d in candidates if not any(b != d and less(d, b) for b in candidates)
     ]
-    return all(
-        tt.entails([imps[i] for i in d] + [query.antecedent], query.consequent)
-        for d in maximal
-    )
+    return all(conjunction(d) & counter_models == 0 for d in maximal)
 
 
 # ---------------------------------------------------------------------------

@@ -312,12 +312,12 @@ def _atom_mask(i: int, n: int) -> int:
 
 
 class TruthTable:
-    """Per-signature cache of formula truth masks.
+    """Truth masks of formulas over one signature, evaluated on demand.
 
-    Bit j of ``mask(f)`` is the truth of ``f`` at valuation index j.  All
-    connectives become single big-integer operations over the 2^n-bit space,
-    so entailment and consistency checks cost a handful of word operations at
-    desk scale.
+    Bit j of ``mask(f)`` is the truth of ``f`` at valuation index j, and each
+    connective is one big-integer operation over the 2^n-bit space.  Nothing
+    is cached: each call walks ``f`` and builds the atom masks it meets, so
+    the table holds only ``full`` and callers keep the masks they reuse.
     """
 
     def __init__(self, sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP):
@@ -327,34 +327,26 @@ class TruthTable:
         self.signature = sig
         self.n = n
         self.full = (1 << (1 << n)) - 1
-        self._atom_masks = [_atom_mask(i, n) for i in range(n)]
-        self._cache: dict[Formula, int] = {}
 
     def mask(self, f: Formula) -> int:
-        cached = self._cache.get(f)
-        if cached is not None:
-            return cached
         op = f.op
         if op == ATOM:
-            result = self._atom_masks[self.signature.index(f.args[0])]
-        elif op == TRUE_OP:
-            result = self.full
-        elif op == FALSE_OP:
-            result = 0
-        elif op == NOT:
-            result = self.full ^ self.mask(f.args[0])
-        elif op == AND:
-            result = self.mask(f.args[0]) & self.mask(f.args[1])
-        elif op == OR:
-            result = self.mask(f.args[0]) | self.mask(f.args[1])
-        elif op == IMPLIES:
-            result = (self.full ^ self.mask(f.args[0])) | self.mask(f.args[1])
-        elif op == IFF:
-            result = self.full ^ (self.mask(f.args[0]) ^ self.mask(f.args[1]))
-        else:
-            raise LogicError(f"unknown operator {op!r}")
-        self._cache[f] = result
-        return result
+            return _atom_mask(self.signature.index(f.args[0]), self.n)
+        if op == TRUE_OP:
+            return self.full
+        if op == FALSE_OP:
+            return 0
+        if op == NOT:
+            return self.full ^ self.mask(f.args[0])
+        if op == AND:
+            return self.mask(f.args[0]) & self.mask(f.args[1])
+        if op == OR:
+            return self.mask(f.args[0]) | self.mask(f.args[1])
+        if op == IMPLIES:
+            return (self.full ^ self.mask(f.args[0])) | self.mask(f.args[1])
+        if op == IFF:
+            return self.full ^ (self.mask(f.args[0]) ^ self.mask(f.args[1]))
+        raise LogicError(f"unknown operator {op!r}")
 
     def conjunction_mask(self, formulas: Iterable[Formula]) -> int:
         result = self.full

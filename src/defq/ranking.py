@@ -55,11 +55,11 @@ class Conditional(NamedTuple):
 class KnowledgeBase:
     """Immutable ordered sequence of defaults with its derived signature.
 
-    Holds a shared truth-table context, the truth mask of each default's
-    materialization ``A -> B`` (``default_masks``, the one table every engine
-    works from) and pure memo caches (ranking, formula ranks, bases,
-    justifications, models); concurrent readers are safe because cache fills
-    are idempotent.
+    Holds the truth mask of each default's materialization ``A -> B``
+    (``default_masks``, the table every engine works from and the only
+    2^n-bit state it keeps), a ``TruthTable`` for other formulas, and pure
+    memo caches (ranking, formula ranks, bases, justifications, models);
+    concurrent readers are safe because cache fills are idempotent.
     """
 
     def __init__(
@@ -184,12 +184,12 @@ def compute_ranking(kb: KnowledgeBase) -> RankingTable:
     if cached is not None:
         return cached
 
+    antecedents = [kb.truth.mask(c.antecedent) for c in kb.conditionals]
     chain: list[frozenset[int]] = [kb.indices]
     while True:
         current = chain[-1]
-        nxt = frozenset(
-            i for i in current if is_exceptional(kb.conditionals[i].antecedent, current, kb)
-        )
+        members = kb.members_mask(current)
+        nxt = frozenset(i for i in current if members & antecedents[i] == 0)
         if nxt == current:
             break
         chain.append(nxt)
@@ -210,9 +210,10 @@ def rank_of_formula(a: Formula, rt: RankingTable, kb: KnowledgeBase) -> Rank:
     cached = memo.get(a)
     if cached is not None:
         return cached
+    a_mask = kb.truth.mask(a)
     result: Rank = INF
     for i, members in enumerate(rt.chain):
-        if not is_exceptional(a, members, kb):
+        if kb.members_mask(members) & a_mask:
             result = i
             break
     memo[a] = result

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import defq
 from defq.cli import main
 from defq.harness import METHODS
+from defq.ranking import parse_kb
 
 from conftest import (
     CONFLICT_KB_TEXT,
@@ -433,6 +435,16 @@ class TestBoundedMemory:
     def test_twenty_atom_mpr_answers_under_one_gigabyte(self, tmp_path, query):
         answers = _answers_under_one_gigabyte(tmp_path, MPR_KB_TEXT, query, ("mp", "mpr"))
         assert answers["mpr"] or not answers["mp"]
+
+    def test_parsed_cap_kb_keeps_only_its_default_masks(self):
+        """Parsing keeps one 2^20-bit mask per default plus a few more."""
+        tracemalloc.start()
+        try:
+            kb = parse_kb(CAP_KB_TEXT)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live < (len(kb) + 3) * 2**20 // 8
 
     def test_out_of_memory_exits_4_without_traceback(self, tmp_path):
         path = tmp_path / "worst.kb"

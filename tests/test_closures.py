@@ -1,5 +1,6 @@
 """Seriousness orderings, bases, and the syntactic closures."""
 
+import gc
 import itertools
 
 import pytest
@@ -24,6 +25,7 @@ from defq import (
     parse_kb,
     partition,
     rank_of_formula,
+    rc_query,
     relevant_query,
     relevant_trace,
     violated_defaults,
@@ -339,6 +341,32 @@ class TestSearchesMatchReference:
         for antecedent_text in antecedents:
             query, _ = kb.parse_query(f"{antecedent_text} |~ true")
             self.assert_match(kb, query.antecedent)
+
+
+class TestSearchesFreeTheirState:
+    """A search's path and suffix masks go when it returns, not at the next
+    garbage collection: no reference cycle outlives the call."""
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda kb, rt, q: enumerate_bases(kb, rt, q.antecedent, LC),
+            lambda kb, rt, q: enumerate_bases(kb, rt, q.antecedent, MP),
+            lambda kb, rt, q: find_justifications(kb, q.antecedent),
+            lambda kb, rt, q: rc_query(kb, rt, q),
+        ],
+        ids=["lc-bases", "mp-bases", "justifications", "rc"],
+    )
+    def test_no_garbage_left(self, conflict_kb, search):
+        query, kb = conflict_kb.parse_query("Employee & Student |~ Busy")
+        rt = compute_ranking(kb)
+        gc.disable()
+        try:
+            gc.collect()
+            search(kb, rt, query)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRelevantClosure:
