@@ -5,88 +5,44 @@ closure, MP closure, lexicographic closure, basic and minimal relevant
 closure, and the rational extension of the MP closure, with syntactic
 (maximally serious consistent bases) and semantic (canonical ranked model)
 routes cross-verified against each other.
+
+The names below are exported from the modules that define them and load on
+first use, so importing ``defq`` (or running one CLI command) imports only
+the engines that are actually used.
 """
 
-from .closures import (
-    BASIC,
-    LC,
-    MINIMAL,
-    MP,
-    RankPartition,
-    RelevantTrace,
-    brewka_subset_less,
-    enumerate_bases,
-    find_justifications,
-    lc_query,
-    lex_less_serious,
-    mp_less_serious,
-    mp_query,
-    numeric_tuple,
-    partition,
-    relevant_query,
-    relevant_trace,
-)
-from .harness import (
-    ClosureMatrix,
-    KbGenerator,
-    check_postulates,
-    closure_query,
-    compare_all,
-    oracle_mp_query,
-    run_random_suite,
-)
-from .logic import (
-    DEFAULT_ATOM_CAP,
-    FALSE,
-    TRUE,
-    Formula,
-    LogicError,
-    ParseError,
-    Signature,
-    SizeCapExceeded,
-    TruthTable,
-    UnknownAtomError,
-    Valuation,
-    all_valuations,
-    atom,
-    evaluate,
-    iff,
-    implies,
-    land,
-    lnot,
-    lor,
-    mask_indices,
-    parse_formula,
-    to_text,
-)
-from .ranking import (
-    DEFAULT_KB_CAP,
-    INF,
-    Conditional,
-    KnowledgeBase,
-    RankingTable,
-    compute_ranking,
-    is_exceptional,
-    kb_satisfiable,
-    parse_kb,
-    rank_of_formula,
-    rc_query,
-    violated_defaults,
-)
-from .semantics import (
-    PreferentialModel,
-    RankedModel,
-    UnsatisfiableKB,
-    height_ranks,
-    is_refinement_fixed_point,
-    layer_ranks,
-    minimal_canonical_model,
-    minimal_worlds,
-    mpr_model,
-    mpr_query,
-    preferential_refinement,
-    rank_by_height,
-    satisfies,
-)
-
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "closures": "BASIC LC MINIMAL MP RankPartition RelevantTrace brewka_subset_less closure_query "
+    "enumerate_bases find_justifications lc_query lex_less_serious mp_less_serious mp_query "
+    "numeric_tuple partition relevant_query relevant_trace",
+    "harness": "ClosureMatrix KbGenerator check_postulates compare_all oracle_mp_query "
+    "run_random_suite",
+    "logic": "DEFAULT_ATOM_CAP FALSE TRUE Formula LogicError ParseError Signature SizeCapExceeded "
+    "TruthTable UnknownAtomError Valuation all_valuations atom evaluate iff implies land lnot "
+    "lor mask_indices parse_formula to_text",
+    "ranking": "DEFAULT_KB_CAP INF Conditional KnowledgeBase RankingTable UnsatisfiableKB "
+    "compute_ranking is_exceptional kb_satisfiable parse_kb rank_of_formula rc_query "
+    "violated_defaults",
+    "semantics": "PreferentialModel RankedModel height_ranks is_refinement_fixed_point "
+    "layer_ranks minimal_canonical_model minimal_worlds mpr_model mpr_query "
+    "preferential_refinement rank_by_height satisfies",
+}
+# export name -> defining module
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

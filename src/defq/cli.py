@@ -12,12 +12,13 @@ methods, 4 size cap exceeded or memory limit reached.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Any
 
-from . import closures, harness, semantics
+# Each command imports what it alone needs (json, harness, semantics) where
+# it runs, so a query loads only the engine it asks for.
+from . import closures
 from .logic import (
     DEFAULT_ATOM_CAP,
     ParseError,
@@ -33,6 +34,7 @@ from .ranking import (
     Conditional,
     KnowledgeBase,
     Rank,
+    UnsatisfiableKB,
     compute_ranking,
     parse_kb,
     rank_of_formula,
@@ -56,6 +58,8 @@ def _rank_json(r: Rank) -> dict[str, Any]:
 
 
 def _emit_json(payload: Any) -> None:
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -122,6 +126,8 @@ def _query_evidence(
         evidence["removed"] = sorted(trace.removed)
         evidence["remaining"] = sorted(trace.remainder)
     elif method == "mpr":
+        from . import semantics
+
         model = semantics.mpr_model(kb, rt)
         minimal = semantics.minimal_worlds(model, query.antecedent)
         evidence["minimal_worlds"] = sorted(_true_atoms(kb, j) for j in mask_indices(minimal))
@@ -132,8 +138,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     kb = _load_kb(args)
     query, kb = kb.parse_query(args.query)
     rt = compute_ranking(kb)
+    ask = closures.closure_query(kb, rt, args.method)  # may import an engine: not timed
     started = time.perf_counter()
-    answer = harness.closure_query(kb, rt, args.method)(query)
+    answer = ask(query)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if args.json or args.explain:
         evidence = _query_evidence(kb, rt, args.method, query)
@@ -182,6 +189,8 @@ def cmd_bases(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
+    from . import semantics
+
     kb = _load_kb(args)
     rt = compute_ranking(kb)
     canonical = semantics.minimal_canonical_model(kb, rt)
@@ -209,6 +218,8 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import harness
+
     kb = _load_kb(args)
     query, kb = kb.parse_query(args.query)
     matrix = harness.compare_all(kb, query)
@@ -221,6 +232,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import harness
+
     if args.kb_file and not args.random:
         # size flags bound generated KBs; a KB file loads under the normal caps
         with open(args.kb_file, encoding="utf-8") as handle:
@@ -284,12 +297,20 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("rank", "query", "bases", "model", "compare", "check")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``defq`` parser.  When ``command`` names a subcommand only its
+    subparser is built; the output (help, usage, errors) stays the same."""
+    wanted = (command,) if command in COMMANDS else COMMANDS
     parser = argparse.ArgumentParser(
         prog="defq",
         description="Defeasible entailment over propositional conditional knowledge bases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a lone subparser would shrink the usage line's choices, so spell them all
+    metavar = None if len(wanted) > 1 else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add_caps(p: argparse.ArgumentParser) -> None:
         p.add_argument("--max-atoms", type=int, default=DEFAULT_ATOM_CAP,
@@ -298,64 +319,71 @@ def build_parser() -> argparse.ArgumentParser:
                        help="knowledge-base size cap (default %(default)s)")
         p.add_argument("--json", action="store_true", help="structured output")
 
-    p_rank = sub.add_parser("rank", help="default ranks and the exceptionality chain")
-    p_rank.add_argument("kb_file")
-    add_caps(p_rank)
-    p_rank.set_defaults(func=cmd_rank)
+    if "rank" in wanted:
+        p_rank = sub.add_parser("rank", help="default ranks and the exceptionality chain")
+        p_rank.add_argument("kb_file")
+        add_caps(p_rank)
+        p_rank.set_defaults(func=cmd_rank)
 
-    p_query = sub.add_parser("query", help="answer a defeasible query")
-    p_query.add_argument("kb_file")
-    p_query.add_argument("query", help="conditional, e.g. 'a & b |~ c'")
-    p_query.add_argument(
-        "--method",
-        choices=harness.METHODS,
-        required=True,
-        help="which consequence relation to use",
-    )
-    p_query.add_argument("--explain", action="store_true",
-                         help="include the evidence behind the answer")
-    add_caps(p_query)
-    p_query.set_defaults(func=cmd_query)
+    if "query" in wanted:
+        p_query = sub.add_parser("query", help="answer a defeasible query")
+        p_query.add_argument("kb_file")
+        p_query.add_argument("query", help="conditional, e.g. 'a & b |~ c'")
+        p_query.add_argument(
+            "--method",
+            choices=closures.METHODS,
+            required=True,
+            help="which consequence relation to use",
+        )
+        p_query.add_argument("--explain", action="store_true",
+                             help="include the evidence behind the answer")
+        add_caps(p_query)
+        p_query.set_defaults(func=cmd_query)
 
-    p_bases = sub.add_parser("bases", help="maximally serious consistent bases")
-    p_bases.add_argument("kb_file")
-    p_bases.add_argument("antecedent")
-    p_bases.add_argument("--method", choices=(closures.MP, closures.LC), required=True)
-    add_caps(p_bases)
-    p_bases.set_defaults(func=cmd_bases)
+    if "bases" in wanted:
+        p_bases = sub.add_parser("bases", help="maximally serious consistent bases")
+        p_bases.add_argument("kb_file")
+        p_bases.add_argument("antecedent")
+        p_bases.add_argument("--method", choices=(closures.MP, closures.LC), required=True)
+        add_caps(p_bases)
+        p_bases.set_defaults(func=cmd_bases)
 
-    p_model = sub.add_parser("model", help="dump the canonical model's worlds")
-    p_model.add_argument("kb_file")
-    add_caps(p_model)
-    p_model.set_defaults(func=cmd_model)
+    if "model" in wanted:
+        p_model = sub.add_parser("model", help="dump the canonical model's worlds")
+        p_model.add_argument("kb_file")
+        add_caps(p_model)
+        p_model.set_defaults(func=cmd_model)
 
-    p_compare = sub.add_parser("compare", help="run all six engines on one query")
-    p_compare.add_argument("kb_file")
-    p_compare.add_argument("query")
-    add_caps(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
+    if "compare" in wanted:
+        p_compare = sub.add_parser("compare", help="run all six engines on one query")
+        p_compare.add_argument("kb_file")
+        p_compare.add_argument("query")
+        add_caps(p_compare)
+        p_compare.set_defaults(func=cmd_compare)
 
-    p_check = sub.add_parser("check", help="consistency checks across the engines")
-    p_check.add_argument("kb_file", nargs="?", default=None)
-    p_check.add_argument("--random", action="store_true",
-                         help="generate random KBs instead of reading one")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--count", type=int, default=20,
-                         help="number of random KBs, or queries in file mode")
-    # here the size flags bound the *generated* KBs, and the exhaustive
-    # pairwise checks need them small
-    p_check.add_argument("--max-atoms", type=int, default=4,
-                         help="atoms per generated KB (default %(default)s)")
-    p_check.add_argument("--max-defaults", type=int, default=6,
-                         help="defaults per generated KB (default %(default)s)")
-    p_check.add_argument("--json", action="store_true", help="structured output")
-    p_check.set_defaults(func=cmd_check)
+    if "check" in wanted:
+        p_check = sub.add_parser("check", help="consistency checks across the engines")
+        p_check.add_argument("kb_file", nargs="?", default=None)
+        p_check.add_argument("--random", action="store_true",
+                             help="generate random KBs instead of reading one")
+        p_check.add_argument("--seed", type=int, default=0)
+        p_check.add_argument("--count", type=int, default=20,
+                             help="number of random KBs, or queries in file mode")
+        # here the size flags bound the *generated* KBs, and the exhaustive
+        # pairwise checks need them small
+        p_check.add_argument("--max-atoms", type=int, default=4,
+                             help="atoms per generated KB (default %(default)s)")
+        p_check.add_argument("--max-defaults", type=int, default=6,
+                             help="defaults per generated KB (default %(default)s)")
+        p_check.add_argument("--json", action="store_true", help="structured output")
+        p_check.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.command == "check" and not args.random and args.kb_file is None:
         parser.error("check needs a KB file or --random")
@@ -364,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except semantics.UnsatisfiableKB as exc:
+    except UnsatisfiableKB as exc:
         print(f"unsatisfiable knowledge base: {exc}", file=sys.stderr)
         return EXIT_UNSAT
     except SizeCapExceeded as exc:

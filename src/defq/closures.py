@@ -8,8 +8,9 @@ Query answering finds the ordering-maximal subsets whose materialization is
 consistent with the antecedent and checks the consequent against each.
 
 Also here: inclusion-minimal refuting subsets (justifications), the basic and
-minimal relevant closures built on them, and the subset-strategy world
-comparator that mirrors the MP ordering on violation sets.
+minimal relevant closures built on them, the six engines by CLI method id,
+and the subset-strategy world comparator that mirrors the MP ordering on
+violation sets.
 
 Both kinds of subset come from depth-first searches over the KB's default
 masks that cut every subtree which cannot hold an answer: the inclusion-
@@ -20,7 +21,7 @@ with the number of defaults, not with the number of subsets.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .logic import Formula, Valuation
 from .ranking import (
@@ -30,6 +31,7 @@ from .ranking import (
     Rank,
     RankingTable,
     rank_of_formula,
+    rc_query,
     violated_defaults,
 )
 
@@ -38,6 +40,8 @@ MP = "mp"
 
 BASIC = "basic"
 MINIMAL = "minimal"
+
+METHODS = ("rc", "mp", "lc", "basic-relevant", "minimal-relevant", "mpr")
 
 DefaultSet = frozenset[int]
 
@@ -119,9 +123,9 @@ def _search_order(kb: KnowledgeBase, start: int) -> tuple[list[int], list[int], 
     return order, masks, suffix
 
 
-def _consistent_inclusion_maximal(kb: KnowledgeBase, antecedent: Formula) -> list[DefaultSet]:
+def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[DefaultSet]:
     """Inclusion-maximal default sets whose materialization is consistent
-    with the antecedent.
+    with the antecedent, whose truth mask is ``start``.
 
     Every ordering-maximal set is inclusion-maximal (supersets dominate in
     both orderings), so the search space can be narrowed here.  The search
@@ -146,7 +150,6 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, antecedent: Formula) -> lis
     Only the current path is held, so memory grows with the number of
     defaults, not with the number of leaves.
     """
-    start = kb.truth.mask(antecedent)
     if not start:
         return []
     order, masks, suffix = _search_order(kb, start)
@@ -176,13 +179,18 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, antecedent: Formula) -> lis
 
 
 def enumerate_bases(
-    kb: KnowledgeBase, rt: RankingTable, antecedent: Formula, ordering: str
+    kb: KnowledgeBase,
+    rt: RankingTable,
+    antecedent: Formula,
+    ordering: str,
+    a_mask: int | None = None,
 ) -> tuple[DefaultSet, ...]:
     """All ordering-maximal default sets consistent with the antecedent.
 
     The antecedent must have finite rank (callers decide rank-infinite
     queries without bases).  The result is never empty and is sorted by
-    index tuple for reproducible output.
+    index tuple for reproducible output.  ``a_mask`` is the antecedent's
+    truth mask when the caller has already built it.
     """
     if ordering not in (LC, MP):
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -191,10 +199,12 @@ def enumerate_bases(
     cached = memo.get(key)
     if cached is not None:
         return cached
-    if rank_of_formula(antecedent, rt, kb) == INF:
+    if a_mask is None:
+        a_mask = kb.truth.mask(antecedent)
+    if rank_of_formula(antecedent, rt, kb, a_mask) == INF:
         raise ValueError("antecedent has infinite rank; no bases exist")
 
-    candidates = _consistent_inclusion_maximal(kb, antecedent)
+    candidates = _consistent_inclusion_maximal(kb, a_mask)
     if ordering == LC:
         best = max(numeric_tuple(c, rt) for c in candidates)
         bases = [c for c in candidates if numeric_tuple(c, rt) == best]
@@ -213,13 +223,13 @@ def enumerate_bases(
 def _skeptical_over_bases(
     kb: KnowledgeBase, rt: RankingTable, query: Conditional, ordering: str
 ) -> bool:
-    if rank_of_formula(query.antecedent, rt, kb) == INF:
+    a_mask = kb.truth.mask(query.antecedent)
+    if rank_of_formula(query.antecedent, rt, kb, a_mask) == INF:
         return True
-    tt = kb.truth
-    counter_models = tt.mask(query.antecedent) & ~tt.mask(query.consequent)
+    counter_models = a_mask & ~kb.truth.mask(query.consequent)
     return all(
         kb.members_mask(base) & counter_models == 0
-        for base in enumerate_bases(kb, rt, query.antecedent, ordering)
+        for base in enumerate_bases(kb, rt, query.antecedent, ordering, a_mask)
     )
 
 
@@ -240,9 +250,12 @@ def mp_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[DefaultSet, ...]:
+def find_justifications(
+    kb: KnowledgeBase, antecedent: Formula, a_mask: int | None = None
+) -> tuple[DefaultSet, ...]:
     """Inclusion-minimal default sets whose materialization refutes the
-    antecedent; empty iff the whole KB is consistent with it.
+    antecedent; empty iff the whole KB is consistent with it.  ``a_mask`` is
+    the antecedent's truth mask when the caller has already built it.
 
     Depth-first over sets built in increasing search position (see
     ``_search_order``), carrying ``mask``, the antecedent AND the masks of
@@ -267,7 +280,8 @@ def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[Default
     if cached is not None:
         return cached
 
-    a_mask = kb.truth.mask(antecedent)
+    if a_mask is None:
+        a_mask = kb.truth.mask(antecedent)
     order, masks, suffix = _search_order(kb, a_mask)
     chosen: list[int] = []  # search positions
     path = [a_mask]  # path[t]: a_mask AND the masks of the first t chosen
@@ -317,9 +331,14 @@ class RelevantTrace(NamedTuple):
 
 
 def relevant_trace(
-    kb: KnowledgeBase, rt: RankingTable, query: Conditional, variant: str
+    kb: KnowledgeBase,
+    rt: RankingTable,
+    query: Conditional,
+    variant: str,
+    a_mask: int | None = None,
 ) -> RelevantTrace:
-    """Run the relevant-closure procedure and keep its intermediate sets.
+    """Run the relevant-closure procedure and keep its intermediate sets
+    (``a_mask`` is the antecedent's truth mask when already built).
 
     The relevant set is the union of the justifications (basic variant) or of
     their lowest-rank slices (minimal variant).  Relevant defaults are
@@ -337,9 +356,12 @@ def relevant_trace(
     if variant not in (BASIC, MINIMAL):
         raise ValueError(f"unknown variant {variant!r}")
     antecedent = query.antecedent
-    if rank_of_formula(antecedent, rt, kb) == INF:
+    tt = kb.truth
+    if a_mask is None:
+        a_mask = tt.mask(antecedent)
+    if rank_of_formula(antecedent, rt, kb, a_mask) == INF:
         raise ValueError("antecedent has infinite rank; no relevant closure trace exists")
-    justifications = find_justifications(kb, antecedent)
+    justifications = find_justifications(kb, antecedent, a_mask)
     if variant == BASIC:
         relevant = frozenset().union(*justifications) if justifications else frozenset()
     else:
@@ -349,8 +371,6 @@ def relevant_trace(
             slices.append(frozenset(d for d in j if rt.default_ranks[d] == low))
         relevant = frozenset().union(*slices) if slices else frozenset()
 
-    tt = kb.truth
-    a_mask = tt.mask(antecedent)
     remainder = set(kb.indices)
     removed: set[int] = set()
     for rank in range(rt.order_k):
@@ -379,9 +399,31 @@ def relevant_query(
     Rank-infinite antecedents are accepted outright, mirroring the other
     closures on impossible antecedents.
     """
-    if rank_of_formula(query.antecedent, rt, kb) == INF:
+    a_mask = kb.truth.mask(query.antecedent)
+    if rank_of_formula(query.antecedent, rt, kb, a_mask) == INF:
         return True
-    return relevant_trace(kb, rt, query, variant).answer
+    return relevant_trace(kb, rt, query, variant, a_mask).answer
+
+
+def closure_query(
+    kb: KnowledgeBase, rt: RankingTable, method: str
+) -> Callable[[Conditional], bool]:
+    """Query function for one of the six engines, by CLI method id."""
+    if method == "rc":
+        return lambda q: rc_query(kb, rt, q)
+    if method == "mp":
+        return lambda q: mp_query(kb, rt, q)
+    if method == "lc":
+        return lambda q: lc_query(kb, rt, q)
+    if method == "basic-relevant":
+        return lambda q: relevant_query(kb, rt, q, BASIC)
+    if method == "minimal-relevant":
+        return lambda q: relevant_query(kb, rt, q, MINIMAL)
+    if method == "mpr":
+        from .semantics import mpr_query  # the model engine loads only when asked for
+
+        return lambda q: mpr_query(kb, rt, q)
+    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

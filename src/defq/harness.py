@@ -17,9 +17,11 @@ from . import semantics
 from .closures import (
     BASIC,
     LC,
+    METHODS,  # re-exported: callers know it as defq.harness.METHODS
     MINIMAL,
     MP,
     brewka_subset_less,
+    closure_query,
     enumerate_bases,
     lc_query,
     lex_less_serious,
@@ -56,9 +58,6 @@ from .ranking import (
     violated_defaults,
 )
 
-METHODS = ("rc", "mp", "lc", "basic-relevant", "minimal-relevant", "mpr")
-
-
 class ClosureMatrix(NamedTuple):
     """Membership of one query in each of the six consequence relations."""
 
@@ -89,25 +88,6 @@ class ClosureMatrix(NamedTuple):
             ("minimal=>mp", not self.minimal or self.mp),
         )
         return tuple(name for name, ok in expected if not ok)
-
-
-def closure_query(
-    kb: KnowledgeBase, rt: RankingTable, method: str
-) -> Callable[[Conditional], bool]:
-    """Query function for one of the six engines, by CLI method id."""
-    if method == "rc":
-        return lambda q: rc_query(kb, rt, q)
-    if method == "mp":
-        return lambda q: mp_query(kb, rt, q)
-    if method == "lc":
-        return lambda q: lc_query(kb, rt, q)
-    if method == "basic-relevant":
-        return lambda q: relevant_query(kb, rt, q, BASIC)
-    if method == "minimal-relevant":
-        return lambda q: relevant_query(kb, rt, q, MINIMAL)
-    if method == "mpr":
-        return lambda q: semantics.mpr_query(kb, rt, q)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def compare_all(kb: KnowledgeBase, query: Conditional) -> ClosureMatrix:

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 from .logic import (
     DEFAULT_ATOM_CAP,
     Formula,
+    LogicError,
     ParseError,
     Signature,
     SizeCapExceeded,
@@ -33,6 +34,10 @@ DEFAULT_KB_CAP = 16
 
 INF = math.inf
 Rank = Union[int, float]
+
+
+class UnsatisfiableKB(LogicError):
+    """No valuation satisfies the KB's materialization: no models exist."""
 
 
 class Conditional(NamedTuple):
@@ -204,13 +209,17 @@ def compute_ranking(kb: KnowledgeBase) -> RankingTable:
     return table
 
 
-def rank_of_formula(a: Formula, rt: RankingTable, kb: KnowledgeBase) -> Rank:
-    """Least chain position whose materialization does not refute ``a``."""
+def rank_of_formula(
+    a: Formula, rt: RankingTable, kb: KnowledgeBase, a_mask: int | None = None
+) -> Rank:
+    """Least chain position whose materialization does not refute ``a``;
+    ``a_mask`` is ``a``'s truth mask when the caller has already built it."""
     memo = kb.cache.setdefault("formula_ranks", {})
     cached = memo.get(a)
     if cached is not None:
         return cached
-    a_mask = kb.truth.mask(a)
+    if a_mask is None:
+        a_mask = kb.truth.mask(a)
     result: Rank = INF
     for i, members in enumerate(rt.chain):
         if kb.members_mask(members) & a_mask:
@@ -227,11 +236,12 @@ def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
     never below itself, so the infinite case is decided by the explicit
     clause alone.
     """
-    rank_a = rank_of_formula(query.antecedent, rt, kb)
+    a_mask = kb.truth.mask(query.antecedent)
+    rank_a = rank_of_formula(query.antecedent, rt, kb, a_mask)
     if rank_a == INF:
         return True
-    rank_conflict = rank_of_formula(land(query.antecedent, lnot(query.consequent)), rt, kb)
-    return rank_a < rank_conflict
+    conflict = land(query.antecedent, lnot(query.consequent))
+    return rank_a < rank_of_formula(conflict, rt, kb, a_mask & ~kb.truth.mask(query.consequent))
 
 
 def kb_satisfiable(kb: KnowledgeBase) -> bool:

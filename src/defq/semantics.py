@@ -25,12 +25,9 @@ from functools import reduce
 from operator import or_
 from typing import Sequence
 
-from .logic import Formula, LogicError, mask_indices
+from .logic import Formula, mask_indices
 from .ranking import INF, Conditional, KnowledgeBase, Rank, RankingTable, compute_ranking
-
-
-class UnsatisfiableKB(LogicError):
-    """No valuation satisfies the KB's materialization: no models exist."""
+from .ranking import UnsatisfiableKB  # defined in ranking: the CLI catches it without this module
 
 
 class RankedModel:

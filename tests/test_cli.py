@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import defq
-from defq.cli import main
-from defq.harness import METHODS
-from defq.ranking import parse_kb
+from defq import logic
+from defq.cli import COMMANDS, build_parser, main
+from defq.harness import METHODS, closure_query
+from defq.ranking import compute_ranking, parse_kb
 
 from conftest import (
     CONFLICT_KB_TEXT,
@@ -465,3 +466,79 @@ class TestStartup:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "method, absent",
+        [("mp", ["defq.harness", "defq.semantics", "json"]), ("mpr", ["defq.harness", "json"])],
+    )
+    def test_query_imports_only_its_engine(self, method, absent):
+        probe = (
+            "import sys, defq.cli\n"
+            "code = defq.cli.main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m == 'json' or m.startswith('defq')))\n"
+            "sys.exit(code)\n"
+        )
+        taxes = Path(__file__).resolve().parent.parent / "samples" / "taxes.kb"
+        query = "Employee & Student |~ Young"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe, "query", str(taxes), query, "--method", method],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        answer, loaded = done.stdout.splitlines()
+        assert answer == "yes"
+        assert "defq.closures" in loaded
+        assert not [name for name in absent if repr(name) in loaded]
+
+
+USAGE = "usage: defq [-h] {rank,query,bases,model,compare,check} ...\n"
+
+
+class TestParser:
+    """Building only the named subcommand's parser changes no output."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_subparser_prints_the_same_help_and_usage(self, capsys, command):
+        printed = []
+        for parser in (build_parser(command), build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            printed.append((capsys.readouterr().out, parser.format_usage()))
+        assert printed[0] == printed[1]
+        assert printed[0][1] == USAGE
+
+    @pytest.mark.parametrize(
+        "argv, messages",
+        [
+            ([], ["the following arguments are required: command"]),
+            # argparse quotes the choices (3.10.13, 3.12.1, 3.13.0) or, in later
+            # patch releases such as 3.13.13, prints them bare
+            (["bogus"], [
+                "argument command: invalid choice: 'bogus' (choose from "
+                "'rank', 'query', 'bases', 'model', 'compare', 'check')",
+                "argument command: invalid choice: 'bogus' (choose from "
+                "rank, query, bases, model, compare, check)",
+            ]),
+            (["check"], ["check needs a KB file or --random"]),
+        ],
+    )
+    def test_top_level_errors(self, capsys, argv, messages):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err in [f"{USAGE}defq: error: {m}\n" for m in messages]
+
+
+class TestAntecedentOnce:
+    """A query builds the atom masks of its antecedent and consequent once
+    each; the default masks and the ranking are built before counting."""
+
+    @pytest.mark.parametrize("method", ("rc", "lc", "mp", "basic-relevant", "minimal-relevant"))
+    def test_query_builds_each_atom_mask_once(self, monkeypatch, method):
+        query, kb = parse_kb(CAP_KB_TEXT).parse_query("p17 & p18 |~ p0")
+        rt = compute_ranking(kb)
+        built = []
+        atom_mask = logic._atom_mask
+        monkeypatch.setattr(logic, "_atom_mask", lambda i, n: built.append(i) or atom_mask(i, n))
+        closure_query(kb, rt, method)(query)
+        assert sorted(built) == sorted(kb.signature.index(a) for a in ("p17", "p18", "p0"))
