@@ -14,11 +14,11 @@ the engines that are actually used.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "closures": "BASIC LC MINIMAL MP RankPartition RelevantTrace brewka_subset_less closure_query "
+    "closures": "BASIC LC MINIMAL MP RankPartition RelevantTrace closure_query "
     "enumerate_bases find_justifications lc_query lex_less_serious mp_less_serious mp_query "
     "numeric_tuple partition relevant_query relevant_trace",
-    "harness": "ClosureMatrix KbGenerator check_postulates compare_all oracle_mp_query "
-    "run_random_suite",
+    "harness": "ClosureMatrix KbGenerator brewka_subset_less check_postulates compare_all "
+    "oracle_mp_query run_random_suite",
     "logic": "DEFAULT_ATOM_CAP FALSE TRUE Formula LogicError ParseError Signature SizeCapExceeded "
     "TruthTable UnknownAtomError Valuation all_valuations atom evaluate iff implies land lnot "
     "lor mask_indices parse_formula to_text",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any
+from typing import Any, Sequence
 
 # Each command imports what it alone needs (json, harness, semantics) where
 # it runs, so a query loads only the engine it asks for.
@@ -107,8 +107,17 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _query_evidence(
-    kb: KnowledgeBase, rt, method: str, query: Conditional
+    kb: KnowledgeBase, rt, method: str, query: Conditional, kept: Sequence[int], size: int
 ) -> dict[str, Any]:
+    """The evidence behind an answer found on ``kb``, the query's part of a
+    KB of ``size`` defaults whose d-th kept default is ``kept[d]`` there.
+    Default sets come out in the whole KB's indices: the defaults the part
+    dropped join every base and the relevant remainder."""
+    untouched = sorted(set(range(size)).difference(kept))
+
+    def whole(members, plus: Sequence[int] = ()) -> list[int]:
+        return sorted([*(kept[d] for d in members), *plus])
+
     evidence: dict[str, Any] = {}
     rank_a = rank_of_formula(query.antecedent, rt, kb)
     evidence["antecedent_rank"] = _rank_json(rank_a)
@@ -117,14 +126,14 @@ def _query_evidence(
         evidence["conflict_rank"] = _rank_json(rank_of_formula(conflict, rt, kb))
     elif method in ("mp", "lc") and rank_a != INF:
         bases = closures.enumerate_bases(kb, rt, query.antecedent, method)
-        evidence["bases"] = [sorted(b) for b in bases]
+        evidence["bases"] = sorted(whole(b, untouched) for b in bases)
     elif method in ("basic-relevant", "minimal-relevant") and rank_a != INF:
         variant = closures.BASIC if method == "basic-relevant" else closures.MINIMAL
-        trace = closures.relevant_trace(kb, rt, query, variant)
-        evidence["justifications"] = [sorted(j) for j in trace.justifications]
-        evidence["relevant"] = sorted(trace.relevant)
-        evidence["removed"] = sorted(trace.removed)
-        evidence["remaining"] = sorted(trace.remainder)
+        trace = closures.relevant_trace(kb, rt, query, variant)  # the answer's trace, kept
+        evidence["justifications"] = sorted(whole(j) for j in trace.justifications)
+        evidence["relevant"] = whole(trace.relevant)
+        evidence["removed"] = whole(trace.removed)
+        evidence["remaining"] = whole(trace.remainder, untouched)
     elif method == "mpr":
         from . import semantics
 
@@ -137,13 +146,16 @@ def _query_evidence(
 def cmd_query(args: argparse.Namespace) -> int:
     kb = _load_kb(args)
     query, kb = kb.parse_query(args.query)
+    size, kept = len(kb), range(len(kb))
+    if args.method != "mpr":  # mpr's heights depend on every default
+        kb, kept = kb.query_part(query)
     rt = compute_ranking(kb)
     ask = closures.closure_query(kb, rt, args.method)  # may import an engine: not timed
     started = time.perf_counter()
     answer = ask(query)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if args.json or args.explain:
-        evidence = _query_evidence(kb, rt, args.method, query)
+        evidence = _query_evidence(kb, rt, args.method, query, kept, size)
     if args.json:
         _emit_json(
             {

@@ -8,9 +8,8 @@ Query answering finds the ordering-maximal subsets whose materialization is
 consistent with the antecedent and checks the consequent against each.
 
 Also here: inclusion-minimal refuting subsets (justifications), the basic and
-minimal relevant closures built on them, the six engines by CLI method id,
-and the subset-strategy world comparator that mirrors the MP ordering on
-violation sets.
+minimal relevant closures built on them, and the six engines by CLI method
+id.
 
 Both kinds of subset come from depth-first searches over the KB's default
 masks that cut every subtree which cannot hold an answer: the inclusion-
@@ -23,16 +22,14 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .logic import Formula, Valuation
+from .logic import Formula
 from .ranking import (
     INF,
     Conditional,
     KnowledgeBase,
-    Rank,
     RankingTable,
     rank_of_formula,
     rc_query,
-    violated_defaults,
 )
 
 LC = "lc"
@@ -114,8 +111,9 @@ def _search_order(kb: KnowledgeBase, start: int) -> tuple[list[int], list[int], 
     for any fixed order.  ``suffix[i]`` is the AND of the masks at positions
     >= i, and ``suffix[len(kb)]`` is the full mask.
     """
-    order = sorted(kb.indices, key=lambda d: (start & kb.default_masks[d]).bit_count())
-    masks = [kb.default_masks[d] for d in order]
+    default_masks = kb.default_masks
+    order = sorted(kb.indices, key=lambda d: (start & default_masks[d]).bit_count())
+    masks = [default_masks[d] for d in order]
     suffix = [kb.truth.full]
     for m in reversed(masks):
         suffix.append(suffix[-1] & m)
@@ -338,7 +336,11 @@ def relevant_trace(
     a_mask: int | None = None,
 ) -> RelevantTrace:
     """Run the relevant-closure procedure and keep its intermediate sets
-    (``a_mask`` is the antecedent's truth mask when already built).
+    (``a_mask`` is the antecedent's truth mask when already built).  The
+    KB keeps the last trace, keyed by the query object and the variant, so
+    the evidence for the query just answered reuses it.  (Keying by the
+    formulas would cost a hash of both on every call, more than a trace of
+    a small KB.)
 
     The relevant set is the union of the justifications (basic variant) or of
     their lowest-rank slices (minimal variant).  Relevant defaults are
@@ -355,6 +357,9 @@ def relevant_trace(
     """
     if variant not in (BASIC, MINIMAL):
         raise ValueError(f"unknown variant {variant!r}")
+    last = kb.cache.get("relevant_trace")
+    if last is not None and last[0] is query and last[1] == variant:
+        return last[2]
     antecedent = query.antecedent
     tt = kb.truth
     if a_mask is None:
@@ -381,7 +386,7 @@ def relevant_trace(
         remainder -= step
 
     answer = kb.members_mask(remainder) & a_mask & ~tt.mask(query.consequent) == 0
-    return RelevantTrace(
+    trace = RelevantTrace(
         variant=variant,
         justifications=justifications,
         relevant=relevant,
@@ -389,6 +394,8 @@ def relevant_trace(
         remainder=frozenset(remainder),
         answer=answer,
     )
+    kb.cache["relevant_trace"] = (query, variant, trace)
+    return trace
 
 
 def relevant_query(
@@ -426,50 +433,11 @@ def closure_query(
     raise ValueError(f"unknown method {method!r}")
 
 
-# ---------------------------------------------------------------------------
-# Subset-strategy world comparator
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    # The subset-strategy comparator moved to harness, its only caller; the
+    # old name still resolves here (without importing harness up front).
+    if name == "brewka_subset_less":
+        from .harness import brewka_subset_less
 
-
-def _satisfied_slices(
-    m: Valuation, kb: KnowledgeBase, rt: RankingTable
-) -> list[DefaultSet]:
-    """Per-rank sets of defaults satisfied at ``m``, ranks ascending with the
-    infinite slice last (treated as the highest rank)."""
-    violated = violated_defaults(m, kb)
-    rank_values: list[Rank] = list(range(rt.order_k)) + [INF]
-    return [
-        frozenset(
-            d
-            for d in range(len(kb))
-            if rt.default_ranks[d] == r and d not in violated
-        )
-        for r in rank_values
-    ]
-
-
-def _weakly_subset_preferred(s1: Sequence[DefaultSet], s2: Sequence[DefaultSet]) -> bool:
-    n = len(s1)
-    if all(s1[i] == s2[i] for i in range(n)):
-        return True
-    return any(
-        s1[i] > s2[i] and all(s1[j] == s2[j] for j in range(i + 1, n))
-        for i in range(n)
-    )
-
-
-def brewka_subset_less(
-    m1: Valuation, m2: Valuation, kb: KnowledgeBase, rt: RankingTable
-) -> bool:
-    """Strict subset-strategy preference between two valuations.
-
-    The materialized defaults form a ranked base (computed ranks, infinite
-    slice highest).  m1 is weakly preferred to m2 when the per-rank satisfied
-    sets all coincide, or m1's set is a strict superset at some rank with
-    agreement at every higher rank; strict preference is weak preference in
-    one direction only.  This is an independent route to the set ordering on
-    violation sets and is tested for agreement with it pair by pair.
-    """
-    s1 = _satisfied_slices(m1, kb, rt)
-    s2 = _satisfied_slices(m2, kb, rt)
-    return _weakly_subset_preferred(s1, s2) and not _weakly_subset_preferred(s2, s1)
+        return brewka_subset_less
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

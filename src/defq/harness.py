@@ -20,7 +20,7 @@ from .closures import (
     METHODS,  # re-exported: callers know it as defq.harness.METHODS
     MINIMAL,
     MP,
-    brewka_subset_less,
+    DefaultSet,
     closure_query,
     enumerate_bases,
     lc_query,
@@ -36,6 +36,7 @@ from .logic import (
     Signature,
     SizeCapExceeded,
     TruthTable,
+    Valuation,
     all_valuations,
     atoms_of,
     iff,
@@ -50,6 +51,7 @@ from .ranking import (
     INF,
     Conditional,
     KnowledgeBase,
+    Rank,
     RankingTable,
     compute_ranking,
     kb_satisfiable,
@@ -377,6 +379,55 @@ def _model_agreement_problems(
     elif semantics.height_ranks(refined) != semantics.layer_ranks(refined):
         problems.append("height-vs-layer-ranks")
     return problems, checks
+
+
+# ---------------------------------------------------------------------------
+# Subset-strategy world comparator
+# ---------------------------------------------------------------------------
+
+
+def _satisfied_slices(
+    m: Valuation, kb: KnowledgeBase, rt: RankingTable
+) -> list[DefaultSet]:
+    """Per-rank sets of defaults satisfied at ``m``, ranks ascending with the
+    infinite slice last (treated as the highest rank)."""
+    violated = violated_defaults(m, kb)
+    rank_values: list[Rank] = list(range(rt.order_k)) + [INF]
+    return [
+        frozenset(
+            d
+            for d in range(len(kb))
+            if rt.default_ranks[d] == r and d not in violated
+        )
+        for r in rank_values
+    ]
+
+
+def _weakly_subset_preferred(s1: Sequence[DefaultSet], s2: Sequence[DefaultSet]) -> bool:
+    n = len(s1)
+    if all(s1[i] == s2[i] for i in range(n)):
+        return True
+    return any(
+        s1[i] > s2[i] and all(s1[j] == s2[j] for j in range(i + 1, n))
+        for i in range(n)
+    )
+
+
+def brewka_subset_less(
+    m1: Valuation, m2: Valuation, kb: KnowledgeBase, rt: RankingTable
+) -> bool:
+    """Strict subset-strategy preference between two valuations.
+
+    The materialized defaults form a ranked base (computed ranks, infinite
+    slice highest).  m1 is weakly preferred to m2 when the per-rank satisfied
+    sets all coincide, or m1's set is a strict superset at some rank with
+    agreement at every higher rank; strict preference is weak preference in
+    one direction only.  This is an independent route to the set ordering on
+    violation sets and is tested for agreement with it pair by pair.
+    """
+    s1 = _satisfied_slices(m1, kb, rt)
+    s2 = _satisfied_slices(m2, kb, rt)
+    return _weakly_subset_preferred(s1, s2) and not _weakly_subset_preferred(s2, s1)
 
 
 def _ordering_problems(kb: KnowledgeBase, rt: RankingTable) -> tuple[list[str], int]:

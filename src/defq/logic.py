@@ -272,13 +272,17 @@ def evaluate(f: Formula, v: Valuation) -> bool:
     raise LogicError(f"unknown operator {op!r}")
 
 
+def check_atom_cap(sig: Signature, max_atoms: int) -> None:
+    """Raise ``SizeCapExceeded`` when ``sig`` has more than ``max_atoms`` atoms."""
+    if len(sig) > max_atoms:
+        raise SizeCapExceeded(f"{len(sig)} atoms exceeds the enumeration cap of {max_atoms}")
+
+
 def all_valuations(sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Valuation]:
     """All 2^|sig| valuations, in binary counting order over the signature."""
-    n = len(sig)
-    if n > max_atoms:
-        raise SizeCapExceeded(f"{n} atoms exceeds the enumeration cap of {max_atoms}")
+    check_atom_cap(sig, max_atoms)
     names = sig.atoms
-    return [Valuation(names, j) for j in range(1 << n)]
+    return [Valuation(names, j) for j in range(1 << len(sig))]
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +325,9 @@ class TruthTable:
     """
 
     def __init__(self, sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP):
-        n = len(sig)
-        if n > max_atoms:
-            raise SizeCapExceeded(f"{n} atoms exceeds the enumeration cap of {max_atoms}")
+        check_atom_cap(sig, max_atoms)
         self.signature = sig
-        self.n = n
+        self.n = n = len(sig)
         self.full = (1 << (1 << n)) - 1
 
     def mask(self, f: Formula) -> int:

@@ -12,6 +12,7 @@ antecedent conjoined with the negated consequent.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .logic import (
@@ -23,6 +24,8 @@ from .logic import (
     SizeCapExceeded,
     TruthTable,
     Valuation,
+    atoms_of,
+    check_atom_cap,
     implies,
     land,
     lnot,
@@ -50,6 +53,10 @@ class Conditional(NamedTuple):
     def materialization(self) -> Formula:
         return implies(self.antecedent, self.consequent)
 
+    def atoms(self) -> tuple[str, ...]:
+        """Atom names of the antecedent, then the consequent's new ones."""
+        return tuple(dict.fromkeys(atoms_of(self.antecedent) + atoms_of(self.consequent)))
+
     def text(self) -> str:
         return f"{to_text(self.antecedent)} |~ {to_text(self.consequent)}"
 
@@ -63,8 +70,10 @@ class KnowledgeBase:
     Holds the truth mask of each default's materialization ``A -> B``
     (``default_masks``, the table every engine works from and the only
     2^n-bit state it keeps), a ``TruthTable`` for other formulas, and pure
-    memo caches (ranking, formula ranks, bases, justifications, models);
-    concurrent readers are safe because cache fills are idempotent.
+    memo caches (ranking, formula ranks, bases, justifications, the last
+    relevant trace, models); concurrent readers are safe because cache fills
+    are idempotent.  ``truth`` and ``default_masks`` are built the first time
+    they are read, so parsing builds no mask; both caps are checked here.
     """
 
     def __init__(
@@ -81,15 +90,20 @@ class KnowledgeBase:
         for i, c in enumerate(conditionals):
             if c.index != i:
                 raise ValueError("conditional indices must be contiguous from 0")
+        check_atom_cap(signature, max_atoms)
         self.conditionals: tuple[Conditional, ...] = tuple(conditionals)
         self.signature = signature
         self.max_atoms = max_atoms
         self.max_defaults = max_defaults
-        self.truth = TruthTable(signature, max_atoms)
-        self.default_masks: tuple[int, ...] = tuple(
-            self.truth.mask(c.materialization()) for c in self.conditionals
-        )
         self.cache: dict = {}
+
+    @cached_property
+    def truth(self) -> TruthTable:
+        return TruthTable(self.signature, self.max_atoms)
+
+    @cached_property
+    def default_masks(self) -> tuple[int, ...]:
+        return tuple(self.truth.mask(c.materialization()) for c in self.conditionals)
 
     def __len__(self) -> int:
         return len(self.conditionals)
@@ -104,8 +118,9 @@ class KnowledgeBase:
     def members_mask(self, members: Iterable[int]) -> int:
         """Truth mask of the materialization of the selected defaults."""
         result = self.truth.full
+        masks = self.default_masks  # one read: the lazy attribute is slower to load
         for i in members:
-            result &= self.default_masks[i]
+            result &= masks[i]
         return result
 
     def parse_query(self, text: str) -> tuple[Conditional, "KnowledgeBase"]:
@@ -125,6 +140,68 @@ class KnowledgeBase:
             self.conditionals, sig, max_atoms=self.max_atoms, max_defaults=self.max_defaults
         )
         return query, extended
+
+    def query_part(self, query: Conditional) -> tuple["KnowledgeBase", tuple[int, ...]]:
+        """The KB that rc, lc, mp and the relevant closures answer ``query``
+        on, and the index in this KB of each default it keeps.
+
+        The defaults fall into groups joined by shared atoms; an atom-free
+        default is a group of its own.  The part keeps the groups that share
+        an atom with the query and every group whose materialization is
+        unsatisfiable.  Each dropped group is satisfiable and shares no atom
+        with the kept groups or the query, so it makes no formula over
+        their atoms exceptional: the kept defaults keep their ranks, every
+        base (and every relevant remainder) of the whole KB is one of the
+        part's plus every dropped default, the justifications are the
+        part's, and the answers agree (the relevance half of syntax
+        splitting).  An unsatisfiable group refutes the materialization of
+        the first chain position, so every rank is infinite, and it is kept
+        for that.  ``query`` must be over this KB's signature (see
+        ``parse_query``).  Returns this KB itself when it drops nothing.
+        """
+        n = len(self.conditionals)
+        parent = list(range(n + 1))  # union-find over the defaults, then the query
+
+        def root(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        holder: dict[str, int] = {}  # atom -> first node that mentions it
+        for node, c in enumerate(self.conditionals + (query,)):
+            for name in c.atoms():
+                parent[root(node)] = root(holder.setdefault(name, node))
+        groups: dict[int, list[int]] = {}
+        for d in range(n):
+            groups.setdefault(root(d), []).append(d)
+        query_group = root(n)
+        kept = sorted(
+            d
+            for g, members in groups.items()
+            if g == query_group or not self._satisfiable(members)
+            for d in members
+        )
+        if len(kept) == n:
+            return self, tuple(kept)
+        used = {name for d in kept for name in self.conditionals[d].atoms()}
+        used.update(query.atoms())
+        part = KnowledgeBase(
+            [Conditional(self.conditionals[d].antecedent, self.conditionals[d].consequent, i)
+             for i, d in enumerate(kept)],
+            Signature(a for a in self.signature.atoms if a in used),
+            max_atoms=self.max_atoms,
+            max_defaults=self.max_defaults,
+        )
+        return part, tuple(kept)
+
+    def _satisfiable(self, members: Sequence[int]) -> bool:
+        """Whether the selected defaults' materializations hold together,
+        decided over their own atoms only."""
+        chosen = [self.conditionals[d] for d in members]
+        sig = Signature(name for c in chosen for name in c.atoms())
+        return TruthTable(sig, self.max_atoms).conjunction_mask(
+            c.materialization() for c in chosen
+        ) != 0
 
 
 def parse_kb(

@@ -7,6 +7,7 @@ time budget.  The shared 200-KB random pool is built once per module.
 
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +27,13 @@ from defq import (
     minimal_canonical_model,
     mp_query,
     mpr_query,
+    oracle_mp_query,
     parse_formula,
     parse_kb,
     rc_query,
     relevant_query,
     run_random_suite,
+    satisfies,
 )
 
 from conftest import (
@@ -43,6 +46,22 @@ from conftest import (
     SWIMMER_KB_TEXT,
     TAXES_KB_TEXT,
 )
+
+MODULAR_KB_TEXT = (Path(__file__).resolve().parent.parent / "samples" / "modular.kb").read_text()
+
+# Golden answers on samples/modular.kb, per method: rc, lc, mp, basic and
+# minimal relevant, mpr.  The first six queries stay inside one taxonomy or
+# span both; the last asks about an atom no default mentions.
+MODULAR_GOLDEN = {
+    "Penguin |~ Wings": (False, True, True, True, True, True),
+    "Penguin |~ !Flies": (True, True, True, True, True, True),
+    "Employee & Student |~ Young": (False, True, True, True, True, True),
+    "Penguin & Employee & Student |~ Wings & Young": (False, True, True, True, True, True),
+    "Bird & Student |~ Flies & !Pay_Taxes": (True, True, True, True, True, True),
+    "Penguin & Student |~ Flies": (False, False, False, False, False, False),
+    "Fish |~ Wings": (False, False, False, False, False, False),
+}
+MODULAR_METHODS = ("rc", "lc", "mp", BASIC, MINIMAL, "mpr")
 
 SUITE_SEED = 20250801
 SUITE_KBS = 200
@@ -239,3 +258,15 @@ def test_criterion_10_postulate_suite(random_suite):
         assert record.violated, "expected rational-monotonicity failure was not flagged"
         (record,) = check_postulates(kb, "mpr", [triple], ("RM",))
         assert not record.violated
+
+
+def test_criterion_11_independent_taxonomies():
+    with criterion(11, "golden answers on two independent taxonomies"):
+        for query_text, golden in MODULAR_GOLDEN.items():
+            answers = tuple(ask(MODULAR_KB_TEXT, query_text, m) for m in MODULAR_METHODS)
+            assert answers == golden, query_text
+            # second routes, on the whole KB: the oracle for mp, the
+            # canonical model for rc
+            query, kb = parse_kb(MODULAR_KB_TEXT).parse_query(query_text)
+            assert oracle_mp_query(kb, query) is golden[2], query_text
+            assert satisfies(minimal_canonical_model(kb), query) is golden[0], query_text

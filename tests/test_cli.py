@@ -542,3 +542,25 @@ class TestAntecedentOnce:
         monkeypatch.setattr(logic, "_atom_mask", lambda i, n: built.append(i) or atom_mask(i, n))
         closure_query(kb, rt, method)(query)
         assert sorted(built) == sorted(kb.signature.index(a) for a in ("p17", "p18", "p0"))
+
+
+class TestEvidenceReusesTheTrace:
+    """``--json`` evidence of a relevant query reuses the answer's trace, so
+    it builds no atom mask the plain answer did not."""
+
+    @pytest.mark.parametrize("method", ("basic-relevant", "minimal-relevant"))
+    def test_json_builds_no_more_masks_than_the_plain_answer(
+        self, monkeypatch, capsys, tmp_path, method
+    ):
+        path = tmp_path / "cap.kb"
+        path.write_text(CAP_KB_TEXT)
+        built = []
+        atom_mask = logic._atom_mask
+        monkeypatch.setattr(logic, "_atom_mask", lambda i, n: built.append(i) or atom_mask(i, n))
+        counts = []
+        for extra in ([], ["--json"]):
+            built.clear()
+            assert main(["query", str(path), "p17 & p18 |~ p0", "--method", method, *extra]) == 0
+            counts.append(len(built))
+        capsys.readouterr()
+        assert counts[0] == counts[1]

@@ -13,7 +13,6 @@ from defq import (
     MP,
     KbGenerator,
     all_valuations,
-    brewka_subset_less,
     compute_ranking,
     enumerate_bases,
     find_justifications,
@@ -31,6 +30,7 @@ from defq import (
     violated_defaults,
 )
 from defq.closures import _consistent_inclusion_maximal
+from defq.harness import brewka_subset_less
 
 
 def bases(kb, antecedent_text, ordering):

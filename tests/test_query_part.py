@@ -1,0 +1,158 @@
+"""The query's part of a KB: every method but mpr answers on the defaults
+that share atoms with the query, and gives the whole KB's answer and, mapped
+back to the whole KB's indices, its evidence."""
+
+from pathlib import Path
+
+import pytest
+
+from defq import logic
+from defq.cli import _query_evidence, main
+from defq.closures import closure_query
+from defq.harness import KbGenerator
+from defq.logic import Formula, TruthTable, to_text
+from defq.ranking import compute_ranking, parse_kb
+
+from test_acceptance import MODULAR_GOLDEN
+from test_cli import CAP_KB_TEXT, WORST_CASE_KB_TEXT
+
+METHODS = ("rc", "lc", "mp", "basic-relevant", "minimal-relevant", "mpr")
+
+PART_METHODS = ("rc", "lc", "mp", "basic-relevant", "minimal-relevant")
+
+# groups of defaults an untouched part of the KB may hold: satisfiable ones,
+# which the part drops, and unsatisfiable ones, which make every rank infinite
+EXTRA_GROUPS = (
+    "",
+    "true |~ true\n",
+    "u |~ v\nu |~ !v\ntrue |~ u\n",
+    "true |~ false\n",
+)
+
+
+def renamed(f: Formula, suffix: str) -> Formula:
+    if f.op == "atom":
+        return Formula("atom", (f.args[0] + suffix,))
+    return Formula(f.op, tuple(renamed(g, suffix) for g in f.args))
+
+
+def union_text(seed: int) -> str:
+    """Two or three generated KBs with their atoms renamed apart, in one
+    file with their defaults interleaved, plus one of ``EXTRA_GROUPS``."""
+    gen = KbGenerator(seed, max_atoms=4, max_defaults=5)
+    lines = []
+    for g in range(2 + seed % 2):
+        kb = gen.knowledge_base(g)
+        lines.append([
+            f"{to_text(renamed(c.antecedent, f'_{g}'))} |~ {to_text(renamed(c.consequent, f'_{g}'))}"
+            for c in kb
+        ])
+    mixed = [line for row in zip(*lines) for line in row]
+    mixed += [line for row in lines for line in row[min(map(len, lines)):]]
+    return "".join(f"{line}\n" for line in mixed) + EXTRA_GROUPS[seed % len(EXTRA_GROUPS)]
+
+
+def pool_queries(kb, seed):
+    gen = KbGenerator(seed, depth=2)
+    yield from (gen.query(kb, 0, w) for w in range(6))
+    yield from kb.conditionals
+    yield kb.parse_query("fresh |~ fresh")[0]
+
+
+def test_part_answers_and_evidence_match_the_whole_kb():
+    checked = split = with_evidence = 0
+    for seed in range(300):
+        whole = parse_kb(union_text(seed))
+        for q in pool_queries(whole, seed):
+            query, kb = whole.parse_query(q.text())
+            part, kept = kb.query_part(query)
+            if part is not kb:
+                split += 1
+            rt, part_rt = compute_ranking(kb), compute_ranking(part)
+            everything = range(len(kb))
+            for method in PART_METHODS:
+                answer = closure_query(kb, rt, method)(query)
+                assert closure_query(part, part_rt, method)(query) == answer, (
+                    seed, query.text(), method,
+                )
+                expected = _query_evidence(kb, rt, method, query, everything, len(kb))
+                got = _query_evidence(part, part_rt, method, query, kept, len(kb))
+                assert got == expected, (seed, query.text(), method)
+                with_evidence += len(expected) > 1
+                checked += 1
+    # the pool must exercise the split, and evidence beyond the antecedent rank
+    assert split > 500 and with_evidence > 1000, (checked, split, with_evidence)
+
+
+def test_unsatisfiable_group_keeps_every_rank_infinite():
+    kb = parse_kb("a |~ b\nc |~ d\nc |~ !d\ntrue |~ c\nx |~ y\ntrue |~ true\n")
+    query, kb = kb.parse_query("a |~ !b")
+    part, kept = kb.query_part(query)
+    assert kept == (0, 1, 2, 3)
+    assert part.signature.atoms == ("a", "b", "c", "d")
+    assert closure_query(part, compute_ranking(part), "rc")(query)
+
+
+def test_atom_free_unsatisfiable_default_is_kept():
+    kb = parse_kb("a |~ b\ntrue |~ false\ntrue |~ true\n")
+    query, kb = kb.parse_query("a |~ b")
+    assert kb.query_part(query)[1] == (0, 1)
+
+
+def test_nothing_dropped_returns_the_kb_itself():
+    kb = parse_kb(CAP_KB_TEXT)
+    query, kb = kb.parse_query("p17 & p18 |~ p0")
+    assert kb.query_part(query) == (kb, tuple(range(len(kb))))
+
+
+def test_modular_sample_splits_into_its_taxonomies():
+    text = (Path(__file__).resolve().parent.parent / "samples" / "modular.kb").read_text()
+    kb = parse_kb(text)
+    query, kb = kb.parse_query("Penguin |~ Wings")
+    part, kept = kb.query_part(query)
+    assert kept == (0, 1, 2, 3)
+    assert part.signature.atoms == ("Bird", "Flies", "Wings", "Penguin")
+    query, kb = kb.parse_query("Fish |~ Wings")
+    assert kb.query_part(query)[1] == (0, 1, 2, 3)
+    query, kb = kb.parse_query("Fish |~ Scales")
+    part, kept = kb.query_part(query)
+    assert (kept, part.signature.atoms) == ((), ("Fish", "Scales"))
+
+
+@pytest.fixture
+def masks_built(monkeypatch):
+    """Sizes (atom counts) of every atom mask and truth table built."""
+    sizes = []
+    atom_mask = logic._atom_mask
+    init = TruthTable.__init__
+
+    def counting_init(self, sig, *args):
+        sizes.append(len(sig))
+        init(self, sig, *args)
+
+    monkeypatch.setattr(logic, "_atom_mask", lambda i, n: sizes.append(n) or atom_mask(i, n))
+    monkeypatch.setattr(TruthTable, "__init__", counting_init)
+    return sizes
+
+
+def test_parse_kb_builds_no_mask(masks_built):
+    kb = parse_kb(CAP_KB_TEXT)
+    assert masks_built == []
+    assert "default_masks" not in vars(kb) and "truth" not in vars(kb)
+    assert len(kb.default_masks) == 16 and max(masks_built) == 20
+
+
+def test_worst_case_mp_query_builds_no_twenty_atom_mask(masks_built, tmp_path, capsys):
+    path = tmp_path / "worst.kb"
+    path.write_text(WORST_CASE_KB_TEXT)
+    assert main(["query", str(path), "p12 |~ p13", "--method", "mp"]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    assert masks_built and max(masks_built) < 20
+
+
+@pytest.mark.parametrize("query", sorted(MODULAR_GOLDEN))
+def test_cli_answers_the_modular_goldens(query, capsys):
+    sample = Path(__file__).resolve().parent.parent / "samples" / "modular.kb"
+    for method, expected in zip(METHODS, MODULAR_GOLDEN[query]):
+        assert main(["query", str(sample), query, "--method", method]) == 0
+        assert capsys.readouterr().out == ("yes\n" if expected else "no\n"), method

@@ -210,7 +210,7 @@ class TestClassOrderReference:
 
     def pool(self):
         kbs = [parse_kb(path.read_text()) for path in self.SAMPLES]
-        assert len(kbs) == 4
+        assert len(kbs) == 5
         gen = KbGenerator(seed=515151)
         wide = KbGenerator(seed=525252, max_atoms=6, max_defaults=10)
         return (
