@@ -14,17 +14,16 @@ the engines that are actually used.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "closures": "BASIC LC MINIMAL MP RankPartition RelevantTrace closure_query "
-    "enumerate_bases find_justifications lc_query lex_less_serious mp_less_serious mp_query "
-    "numeric_tuple partition relevant_query relevant_trace",
+    "closures": "BASIC LC MINIMAL MP RelevantTrace closure_query enumerate_bases "
+    "find_justifications lc_query lex_less_serious mp_less_serious mp_query numeric_tuple "
+    "relevant_query relevant_trace",
     "harness": "ClosureMatrix KbGenerator brewka_subset_less check_postulates compare_all "
     "oracle_mp_query run_random_suite",
     "logic": "DEFAULT_ATOM_CAP FALSE TRUE Formula LogicError ParseError Signature SizeCapExceeded "
-    "TruthTable UnknownAtomError Valuation all_valuations atom evaluate iff implies land lnot "
-    "lor mask_indices parse_formula to_text",
+    "TruthTable UnknownAtomError atom iff implies land lnot lor mask_indices parse_formula "
+    "to_text",
     "ranking": "DEFAULT_KB_CAP INF Conditional KnowledgeBase RankingTable UnsatisfiableKB "
-    "compute_ranking is_exceptional kb_satisfiable parse_kb rank_of_formula rc_query "
-    "violated_defaults",
+    "compute_ranking is_exceptional kb_satisfiable parse_kb rank_of_formula rc_query",
     "semantics": "PreferentialModel RankedModel height_ranks is_refinement_fixed_point "
     "layer_ranks minimal_canonical_model minimal_worlds mpr_model mpr_query "
     "preferential_refinement rank_by_height satisfies",

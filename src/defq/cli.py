@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 # Each command imports what it alone needs (json, harness, semantics) where
 # it runs, so a query loads only the engine it asks for.
@@ -312,6 +312,21 @@ def cmd_check(args: argparse.Namespace) -> int:
 COMMANDS = ("rank", "query", "bases", "model", "compare", "check")
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """Argument type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``defq`` parser.  When ``command`` names a subcommand only its
     subparser is built; the output (help, usage, errors) stays the same."""
@@ -379,13 +394,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_check.add_argument("--random", action="store_true",
                              help="generate random KBs instead of reading one")
         p_check.add_argument("--seed", type=int, default=0)
-        p_check.add_argument("--count", type=int, default=20,
+        p_check.add_argument("--count", type=_int_at_least(0), default=20,
                              help="number of random KBs, or queries in file mode")
         # here the size flags bound the *generated* KBs, and the exhaustive
         # pairwise checks need them small
-        p_check.add_argument("--max-atoms", type=int, default=4,
+        p_check.add_argument("--max-atoms", type=_int_at_least(1), default=4,
                              help="atoms per generated KB (default %(default)s)")
-        p_check.add_argument("--max-defaults", type=int, default=6,
+        p_check.add_argument("--max-defaults", type=_int_at_least(1), default=6,
                              help="defaults per generated KB (default %(default)s)")
         p_check.add_argument("--json", action="store_true", help="structured output")
         p_check.set_defaults(func=cmd_check)
@@ -401,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("check needs a KB file or --random")
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:  # a KB file that is not UTF-8 text
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UnsatisfiableKB as exc:

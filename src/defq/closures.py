@@ -1,9 +1,10 @@
 """Seriousness orderings over default sets and the syntactic closures.
 
-Two orderings compare subsets of the knowledge base through their
-rank-partition: the count ordering (lexicographic on per-rank cardinalities,
-most specific rank first) drives the lexicographic closure; the set ordering
-(strict inclusion at the first differing rank slice) drives the MP closure.
+Two orderings compare subsets of the knowledge base through their rank
+slices, the masks ``RankingTable.slices``: the count ordering (lexicographic
+on slice sizes, most specific rank first) drives the lexicographic closure;
+the set ordering (strict inclusion at the first differing rank slice) drives
+the MP closure.
 Query answering finds the ordering-maximal subsets whose materialization is
 consistent with the antecedent and checks the consequent against each.
 
@@ -43,34 +44,17 @@ METHODS = ("rc", "mp", "lc", "basic-relevant", "minimal-relevant", "mpr")
 DefaultSet = frozenset[int]
 
 
-class RankPartition(NamedTuple):
-    """A default set split by rank: the infinite slice plus one slice per
-    finite rank below the order of the KB."""
-
-    infinite: DefaultSet
-    by_rank: tuple[DefaultSet, ...]
-
-    def tuple_view(self) -> tuple[DefaultSet, ...]:
-        """Slices in comparison order: infinite first, then ranks high to low."""
-        return (self.infinite,) + tuple(reversed(self.by_rank))
-
-
-def partition(members: Iterable[int], rt: RankingTable) -> RankPartition:
-    """Split ``members`` into the infinite slice and one slice per finite rank."""
-    finite: list[set[int]] = [set() for _ in range(rt.order_k)]
-    infinite: set[int] = set()
+def _members_mask(members: Iterable[int]) -> int:
+    mask = 0
     for d in members:
-        r = rt.default_ranks[d]
-        if r == INF:
-            infinite.add(d)
-        else:
-            finite[int(r)].add(d)
-    return RankPartition(frozenset(infinite), tuple(frozenset(p) for p in finite))
+        mask |= 1 << d
+    return mask
 
 
 def numeric_tuple(members: Iterable[int], rt: RankingTable) -> tuple[int, ...]:
-    """Cardinality image of the rank partition, comparison order."""
-    return tuple(len(part) for part in partition(members, rt).tuple_view())
+    """Slice sizes of ``members``, in comparison order."""
+    mask = _members_mask(members)
+    return tuple((mask & s).bit_count() for s in rt.slices)
 
 
 def lex_less_serious(d: Iterable[int], b: Iterable[int], rt: RankingTable) -> bool:
@@ -78,20 +62,20 @@ def lex_less_serious(d: Iterable[int], b: Iterable[int], rt: RankingTable) -> bo
     return numeric_tuple(d, rt) < numeric_tuple(b, rt)
 
 
-def _set_tuple_less(dv: Sequence[DefaultSet], bv: Sequence[DefaultSet]) -> bool:
-    for x, y in zip(dv, bv):
-        if x == y:
-            continue
-        return x < y  # strict subset at the first differing slice
+def _slices_less(x: int, y: int, slices: Sequence[int]) -> bool:
+    """Set ordering on default masks: at the first slice where ``x`` and
+    ``y`` differ, x's part is a strict subset of y's."""
+    diff = x ^ y
+    for s in slices:
+        if diff & s:
+            return x & diff & s == 0
     return False
 
 
 def mp_less_serious(d: Iterable[int], b: Iterable[int], rt: RankingTable) -> bool:
     """Set ordering: strict inclusion at the first differing rank slice,
     scanning the infinite slice first, then finite ranks high to low."""
-    return _set_tuple_less(
-        partition(d, rt).tuple_view(), partition(b, rt).tuple_view()
-    )
+    return _slices_less(_members_mask(d), _members_mask(b), rt.slices)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +191,12 @@ def enumerate_bases(
         best = max(numeric_tuple(c, rt) for c in candidates)
         bases = [c for c in candidates if numeric_tuple(c, rt) == best]
     else:
-        views = [(c, partition(c, rt).tuple_view()) for c in candidates]
+        masks = [_members_mask(c) for c in candidates]
+        slices = rt.slices
         bases = [
             c
-            for c, view in views
-            if not any(other is not c and _set_tuple_less(view, vo) for other, vo in views)
+            for c, x in zip(candidates, masks)
+            if not any(_slices_less(x, y, slices) for y in masks)
         ]
     result = tuple(sorted(bases, key=sorted))
     memo[key] = result

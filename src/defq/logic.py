@@ -1,4 +1,4 @@
-"""Propositional core: formula trees, parsing, valuations, classical entailment.
+"""Propositional core: formula trees, parsing, truth masks, classical entailment.
 
 Everything downstream reduces to classical consequence over a finite
 signature.  Entailment is decided by exhaustive valuation enumeration,
@@ -47,7 +47,7 @@ class SizeCapExceeded(LogicError):
 
 
 class UnknownAtomError(LogicError):
-    """A formula mentions an atom outside the valuation's signature."""
+    """A formula mentions an atom outside the signature."""
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def to_text(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Signatures and valuations
+# Signatures
 # ---------------------------------------------------------------------------
 
 
@@ -224,65 +224,10 @@ class Signature:
         return f"Signature({self._names!r})"
 
 
-class Valuation(NamedTuple):
-    """Total truth assignment over a fixed atom tuple.
-
-    ``bits`` packs the assignment: atom ``atoms[i]`` is true iff bit i is
-    set.  Two valuations are equal iff they have the same atoms and agree on
-    every one of them, which is exactly equality of the two fields here.
-    """
-
-    atoms: tuple[str, ...]
-    bits: int
-
-    def value(self, name: str) -> bool:
-        try:
-            i = self.atoms.index(name)
-        except ValueError:
-            raise UnknownAtomError(f"atom {name!r} not in signature") from None
-        return bool((self.bits >> i) & 1)
-
-    def true_atoms(self) -> tuple[str, ...]:
-        return tuple(a for i, a in enumerate(self.atoms) if (self.bits >> i) & 1)
-
-    def as_dict(self) -> dict[str, bool]:
-        return {a: bool((self.bits >> i) & 1) for i, a in enumerate(self.atoms)}
-
-
-def evaluate(f: Formula, v: Valuation) -> bool:
-    """Classical truth of ``f`` under ``v`` (the slow reference semantics)."""
-    op = f.op
-    if op == ATOM:
-        return v.value(f.args[0])
-    if op == TRUE_OP:
-        return True
-    if op == FALSE_OP:
-        return False
-    if op == NOT:
-        return not evaluate(f.args[0], v)
-    a = evaluate(f.args[0], v)
-    if op == AND:
-        return a and evaluate(f.args[1], v)
-    if op == OR:
-        return a or evaluate(f.args[1], v)
-    if op == IMPLIES:
-        return (not a) or evaluate(f.args[1], v)
-    if op == IFF:
-        return a == evaluate(f.args[1], v)
-    raise LogicError(f"unknown operator {op!r}")
-
-
 def check_atom_cap(sig: Signature, max_atoms: int) -> None:
     """Raise ``SizeCapExceeded`` when ``sig`` has more than ``max_atoms`` atoms."""
     if len(sig) > max_atoms:
         raise SizeCapExceeded(f"{len(sig)} atoms exceeds the enumeration cap of {max_atoms}")
-
-
-def all_valuations(sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Valuation]:
-    """All 2^|sig| valuations, in binary counting order over the signature."""
-    check_atom_cap(sig, max_atoms)
-    names = sig.atoms
-    return [Valuation(names, j) for j in range(1 << len(sig))]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +236,8 @@ def all_valuations(sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Va
 
 
 def mask_indices(mask: int) -> Iterator[int]:
-    """Valuation indices of the set bits of ``mask``, ascending, found in one
-    scan of its binary text rather than one 2^n-bit shift per index."""
+    """The valuation indices of the set bits of ``mask``, ascending, found in
+    one scan of its binary text rather than one 2^n-bit shift per index."""
     text = bin(mask)[:1:-1]
     j = text.find("1")
     while j >= 0:

@@ -23,7 +23,6 @@ from .logic import (
     Signature,
     SizeCapExceeded,
     TruthTable,
-    Valuation,
     atoms_of,
     check_atom_cap,
     implies,
@@ -126,7 +125,7 @@ class KnowledgeBase:
     def parse_query(self, text: str) -> tuple[Conditional, "KnowledgeBase"]:
         """Parse ``A |~ B``, extending the signature with new query atoms.
 
-        Returns the query and the knowledge base to evaluate it against: a
+        Returns the query and the knowledge base to answer it on: a
         fresh one when the signature grew (this instance is never mutated),
         otherwise this instance itself.  Default ranks are unaffected by
         fresh atoms, so rankings computed before and after agree.
@@ -239,10 +238,13 @@ class RankingTable(NamedTuple):
     ``chain[i]`` is the i-th subset of default indices; the last entry is the
     stable one (its exceptional part is itself).  ``default_ranks[d]`` is the
     chain position where default d drops out, or ``INF`` when it never does.
+    ``slices`` holds the rank slices as masks over default indices (bit d
+    for default d), in comparison order (see ``rank_slices``).
     """
 
     chain: tuple[frozenset[int], ...]
     default_ranks: tuple[Rank, ...]
+    slices: tuple[int, ...]
 
     @property
     def fixpoint(self) -> frozenset[int]:
@@ -253,6 +255,16 @@ class RankingTable(NamedTuple):
         """One past the highest finite rank in use.  Consecutive chain
         entries always differ, so this is the index of the stable entry."""
         return len(self.chain) - 1
+
+
+def rank_slices(default_ranks: Sequence[Rank], top: int) -> tuple[int, ...]:
+    """Masks of the rank slices of ranks below ``top``, in the order the
+    seriousness orderings compare them: the infinite slice first, then the
+    finite ranks from ``top - 1`` down to 0."""
+    slices = [0] * (top + 1)
+    for d, r in enumerate(default_ranks):
+        slices[0 if r == INF else top - int(r)] |= 1 << d
+    return tuple(slices)
 
 
 def is_exceptional(a: Formula, members: Iterable[int], kb: KnowledgeBase) -> bool:
@@ -281,7 +293,7 @@ def compute_ranking(kb: KnowledgeBase) -> RankingTable:
         for d in members - chain[i + 1]:
             ranks[d] = i
 
-    table = RankingTable(tuple(chain), tuple(ranks))
+    table = RankingTable(tuple(chain), tuple(ranks), rank_slices(ranks, len(chain) - 1))
     kb.cache["ranking"] = table
     return table
 
@@ -324,13 +336,3 @@ def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
 def kb_satisfiable(kb: KnowledgeBase) -> bool:
     """True iff some valuation satisfies the whole KB's materialization."""
     return kb.members_mask(range(len(kb))) != 0
-
-
-def violated_defaults(v: Valuation, kb: KnowledgeBase) -> frozenset[int]:
-    """Indices of defaults whose antecedent holds and consequent fails at ``v``."""
-    if v.atoms != kb.signature.atoms:
-        raise ValueError(
-            f"valuation atoms {v.atoms!r} do not match KB signature {kb.signature.atoms!r}"
-        )
-    j = v.bits
-    return frozenset(i for i, mask in enumerate(kb.default_masks) if not mask >> j & 1)

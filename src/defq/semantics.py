@@ -26,7 +26,15 @@ from operator import or_
 from typing import Sequence
 
 from .logic import Formula, mask_indices
-from .ranking import INF, Conditional, KnowledgeBase, Rank, RankingTable, compute_ranking
+from .ranking import (
+    INF,
+    Conditional,
+    KnowledgeBase,
+    Rank,
+    RankingTable,
+    compute_ranking,
+    rank_slices,
+)
 from .ranking import UnsatisfiableKB  # defined in ranking: the CLI catches it without this module
 
 
@@ -45,7 +53,7 @@ class RankedModel:
 
     @property
     def worlds(self) -> tuple[int, ...]:
-        """Valuation indices of the worlds, ascending."""
+        """The valuation indices of the worlds, ascending."""
         return tuple(mask_indices(self.world_mask))
 
     def formula_rank(self, f: Formula) -> int | None:
@@ -114,22 +122,11 @@ def _model_default_ranks(model: RankedModel, kb: KnowledgeBase) -> tuple[Rank, .
     return tuple(INF if r is None else r for r in ranks)
 
 
-def _violation_view(
-    members: frozenset[int], default_ranks: tuple[Rank, ...], top: int
-) -> tuple[frozenset[int], ...]:
-    """Rank partition of a violation set in comparison order (infinite slice
-    first, then ranks high to low), using the model's own default ranks."""
-    slices: list[set[int]] = [set() for _ in range(top + 1)]
-    for d in members:
-        r = default_ranks[d]
-        slices[0 if r == INF else top - int(r)].add(d)
-    return tuple(frozenset(s) for s in slices)
-
-
-def _violation_classes(kb: KnowledgeBase, worlds: int) -> list[tuple[int, frozenset[int]]]:
+def _violation_classes(kb: KnowledgeBase, worlds: int) -> list[tuple[int, int]]:
     """Split a world mask into its violation classes: (class mask, violation
-    set) pairs, one per violation set that some world has."""
-    parts = [(worlds, frozenset())]
+    mask) pairs, one per violation set that some world has; bit d of the
+    violation mask is set when the class's worlds violate default d."""
+    parts = [(worlds, 0)]
     for d, mask in enumerate(kb.default_masks):
         split = []
         while parts:  # consumed as it is split, so one copy of the worlds is held
@@ -138,37 +135,37 @@ def _violation_classes(kb: KnowledgeBase, worlds: int) -> list[tuple[int, frozen
             if kept:
                 split.append((kept, violated))
             if kept != part:
-                split.append((part ^ kept, violated | {d}))
+                split.append((part ^ kept, violated | 1 << d))
         parts = split
     return parts
 
 
 def preferential_refinement(model: RankedModel, kb: KnowledgeBase) -> PreferentialModel:
     """Refine a ranked model: order worlds by the seriousness of their
-    violation sets (set ordering over the model's rank partition).
+    violation sets (set ordering over the rank slices of the model's own
+    default ranks).
 
-    Class x is below class y when, at the first slice where their views
-    differ, x's slice is a strict subset of y's.  Classes that agree on the
-    slices before i are grouped and split by their slice i: each subgroup
-    lies below every subgroup whose slice strictly contains its own, and
-    each subgroup is split again on slice i + 1.  On the minimal canonical
-    model the model ranks coincide with the computed default ranks, so this
-    is the violation-set ordering used by the MP closure; the refined order
-    extends the rank order and stays a model of the KB.
+    Class x is below class y when, at the first slice where their violation
+    sets differ, x's part is a strict subset of y's.  Classes that agree on
+    the slices before i are grouped and split by their slice i: each
+    subgroup lies below every subgroup whose slice strictly contains its
+    own, and each subgroup is split again on slice i + 1.  On the minimal
+    canonical model the model ranks coincide with the computed default
+    ranks, so this is the violation-set ordering used by the MP closure; the
+    refined order extends the rank order and stays a model of the KB.
     """
-    default_ranks = _model_default_ranks(model, kb)
+    slices = rank_slices(_model_default_ranks(model, kb), len(model.strata))
     parts = _violation_classes(kb, model.world_mask)
-    views = [_violation_view(v, default_ranks, len(model.strata)) for _, v in parts]
-    below = [0] * len(views)
-    groups = [(0, list(range(len(views))))]
+    below = [0] * len(parts)
+    groups = [(0, list(range(len(parts))))]
     while groups:
         i, group = groups.pop()
-        split: dict[frozenset[int], list[int]] = {}
+        split: dict[int, list[int]] = {}
         for c in group:
-            split.setdefault(views[c][i], []).append(c)
+            split.setdefault(parts[c][1] & slices[i], []).append(c)
         masks = {s: reduce(or_, (1 << c for c in members)) for s, members in split.items()}
         for s, members in split.items():
-            lower = reduce(or_, (masks[t] for t in split if t < s), 0)
+            lower = reduce(or_, (masks[t] for t in split if t != s and t & ~s == 0), 0)
             for c in members:
                 below[c] |= lower
             if len(members) > 1:

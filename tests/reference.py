@@ -1,0 +1,93 @@
+"""Slow reference definitions that the tests hold the engines to.
+
+Nothing here uses truth masks or rank-slice masks: ``evaluate`` walks the
+formula at one valuation, ``violated`` evaluates each default there, and
+``partition`` splits a default set into frozenset rank slices the way the
+seriousness orderings are defined.
+"""
+
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+from defq import INF, Formula
+
+
+def valuation(atoms: Sequence[str], j: int) -> dict[str, bool]:
+    """The valuation with index j: atom ``atoms[i]`` is true iff bit i of j is set."""
+    return {name: bool(j >> i & 1) for i, name in enumerate(atoms)}
+
+
+def true_atoms(atoms: Sequence[str], j: int) -> tuple[str, ...]:
+    return tuple(name for i, name in enumerate(atoms) if j >> i & 1)
+
+
+def evaluate(f: Formula, v: Mapping[str, bool]) -> bool:
+    """Classical truth of ``f`` under the valuation ``v``."""
+    op = f.op
+    if op == "atom":
+        return v[f.args[0]]
+    if op == "true":
+        return True
+    if op == "false":
+        return False
+    if op == "not":
+        return not evaluate(f.args[0], v)
+    a = evaluate(f.args[0], v)
+    if op == "and":
+        return a and evaluate(f.args[1], v)
+    if op == "or":
+        return a or evaluate(f.args[1], v)
+    if op == "implies":
+        return (not a) or evaluate(f.args[1], v)
+    if op == "iff":
+        return a == evaluate(f.args[1], v)
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def violated(kb, j: int) -> frozenset[int]:
+    """Indices of the defaults whose antecedent holds and consequent fails
+    at the valuation with index j."""
+    v = valuation(kb.signature.atoms, j)
+    return frozenset(
+        c.index
+        for c in kb.conditionals
+        if evaluate(c.antecedent, v) and not evaluate(c.consequent, v)
+    )
+
+
+class RankPartition(NamedTuple):
+    """A default set split by rank: the infinite slice plus one slice per
+    finite rank below ``top``."""
+
+    infinite: frozenset[int]
+    by_rank: tuple[frozenset[int], ...]
+
+    def tuple_view(self) -> tuple[frozenset[int], ...]:
+        """Slices in comparison order: infinite first, then ranks high to low."""
+        return (self.infinite,) + tuple(reversed(self.by_rank))
+
+
+def partition(members: Iterable[int], default_ranks: Sequence, top: int) -> RankPartition:
+    """Split ``members`` into the infinite slice and one slice per finite
+    rank below ``top``."""
+    finite: list[set[int]] = [set() for _ in range(top)]
+    infinite: set[int] = set()
+    for d in members:
+        r = default_ranks[d]
+        if r == INF:
+            infinite.add(d)
+        else:
+            finite[int(r)].add(d)
+    return RankPartition(frozenset(infinite), tuple(frozenset(p) for p in finite))
+
+
+def view(members: Iterable[int], rt) -> tuple[frozenset[int], ...]:
+    """The rank slices of ``members`` under a ranking table, comparison order."""
+    return partition(members, rt.default_ranks, rt.order_k).tuple_view()
+
+
+def set_tuple_less(dv: Sequence[frozenset[int]], bv: Sequence[frozenset[int]]) -> bool:
+    """Set ordering on slice tuples: strict subset at the first differing slice."""
+    for x, y in zip(dv, bv):
+        if x != y:
+            return x < y
+    return False

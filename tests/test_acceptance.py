@@ -17,7 +17,6 @@ from defq import (
     LC,
     MINIMAL,
     MP,
-    Valuation,
     check_postulates,
     compute_ranking,
     enumerate_bases,
@@ -46,6 +45,7 @@ from conftest import (
     SWIMMER_KB_TEXT,
     TAXES_KB_TEXT,
 )
+from reference import true_atoms
 
 MODULAR_KB_TEXT = (Path(__file__).resolve().parent.parent / "samples" / "modular.kb").read_text()
 
@@ -154,7 +154,7 @@ def test_criterion_3_canonical_model_strata():
         for rank, stratum in enumerate(model.strata):
             for j in mask_indices(stratum):
                 actual.setdefault(rank, set()).add(
-                    frozenset(Valuation(kb.signature.atoms, j).true_atoms())
+                    frozenset(true_atoms(kb.signature.atoms, j))
                 )
         assert actual == expected
         assert len(model.worlds) == 16

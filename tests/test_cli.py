@@ -174,6 +174,18 @@ class TestQuery:
         assert code == 2
         assert "line 2" in err and "nests deeper" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["query", "{}", "a |~ b", "--method", "mp"], ["check", "{}"]],
+        ids=["query", "check"],
+    )
+    def test_non_utf8_kb_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.kb"
+        path.write_bytes(b"a |~ b\n\xff |~ c\n")
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "rank", "/nonexistent/kb.txt")
         assert code == 2
@@ -349,6 +361,21 @@ class TestCheck:
     def test_check_requires_file_or_random(self, capsys):
         with pytest.raises(SystemExit):
             main(["check"])
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-atoms", "0"), ("--max-atoms", "-1"), ("--max-defaults", "0"),
+         ("--max-defaults", "-4"), ("--count", "-2")],
+    )
+    def test_random_mode_rejects_out_of_range_sizes(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--random", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: defq check")
+        assert f"defq check: error: argument {flag}: must be at least" in captured.err
+        assert "Traceback" not in captured.err
 
 
 # 20 atoms x 16 defaults, the advertised cap, from the chain/exception family

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from defq import (
     MINIMAL,
     MP,
     KbGenerator,
-    all_valuations,
     compute_ranking,
     enumerate_bases,
     find_justifications,
@@ -22,15 +22,14 @@ from defq import (
     mp_query,
     numeric_tuple,
     parse_kb,
-    partition,
     rank_of_formula,
     rc_query,
     relevant_query,
     relevant_trace,
-    violated_defaults,
 )
 from defq.closures import _consistent_inclusion_maximal
 from defq.harness import brewka_subset_less
+from reference import partition, set_tuple_less, true_atoms, view, violated
 
 
 def bases(kb, antecedent_text, ordering):
@@ -48,31 +47,75 @@ def ask(kb, text, method):
     return relevant_query(kb, rt, query, method)
 
 
+def slice_masks(part):
+    """A reference partition's slices as masks, comparison order."""
+    return tuple(sum(1 << d for d in members) for members in part.tuple_view())
+
+
 class TestPartition:
+    """The reference partition on the worked KBs, and the ranking table's
+    slice masks against it."""
+
     def test_mixed_ranks(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
-        part = partition({1, 2}, rt)
+        part = partition({1, 2}, rt.default_ranks, rt.order_k)
         assert part.infinite == frozenset()
         assert part.by_rank == (frozenset({1}), frozenset({2}))
         assert part.tuple_view() == (frozenset(), frozenset({2}), frozenset({1}))
         assert numeric_tuple({1, 2}, rt) == (0, 1, 1)
+        assert rt.slices == slice_masks(partition(range(3), rt.default_ranks, rt.order_k))
 
     def test_empty_set(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
-        part = partition(set(), rt)
+        part = partition(set(), rt.default_ranks, rt.order_k)
         assert part.infinite == frozenset()
         assert all(not p for p in part.by_rank)
+        assert numeric_tuple(set(), rt) == (0, 0, 0)
 
     def test_conflict_kb_slices(self, conflict_kb):
         rt = compute_ranking(conflict_kb)
-        part = partition({0, 1, 3}, rt)
+        part = partition({0, 1, 3}, rt.default_ranks, rt.order_k)
         assert part.tuple_view() == (frozenset(), frozenset({3}), frozenset({0, 1}))
+        assert rt.slices == slice_masks(partition(range(4), rt.default_ranks, rt.order_k))
 
     def test_infinite_slice(self, residence_kb):
         rt = compute_ranking(residence_kb)
-        part = partition({0, 2, 3, 4}, rt)
+        part = partition({0, 2, 3, 4}, rt.default_ranks, rt.order_k)
         assert part.infinite == frozenset({2, 3, 4})
         assert numeric_tuple({0, 2, 3, 4}, rt) == (3, 1)
+        assert rt.slices == (0b11100, 0b00011)
+
+
+SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.kb"))
+
+
+def ordering_pool():
+    """The five samples, then the 6-atom, 10-default pool's KBs of at most 8
+    defaults: a 10-default KB alone has 4^10 subset pairs."""
+    kbs = [parse_kb(path.read_text()) for path in SAMPLES]
+    assert len(kbs) == 5
+    wide = KbGenerator(seed=525252, max_atoms=6, max_defaults=10)
+    pool = [wide.knowledge_base(index) for index in range(60)]
+    return kbs + [kb for kb in pool if len(kb) <= 8]
+
+
+class TestSliceMasksMatchReference:
+    def test_every_subset_pair(self):
+        deep = 0  # KBs with two or more finite ranks and an infinite slice
+        for kb in ordering_pool():
+            rt = compute_ranking(kb)
+            deep += rt.order_k >= 2 and rt.slices[0] != 0
+            subsets = [frozenset(c) for r in range(len(kb) + 1)
+                       for c in itertools.combinations(range(len(kb)), r)]
+            views = [view(s, rt) for s in subsets]
+            sizes = [tuple(map(len, v)) for v in views]
+            for s, size in zip(subsets, sizes):
+                assert numeric_tuple(s, rt) == size
+            for d, dv, dsize in zip(subsets, views, sizes):
+                for b, bv, bsize in zip(subsets, views, sizes):
+                    assert mp_less_serious(d, b, rt) == set_tuple_less(dv, bv)
+                    assert lex_less_serious(d, b, rt) == (dsize < bsize)
+        assert deep > 0
 
 
 class TestCountOrdering:
@@ -436,15 +479,17 @@ class TestRelevantClosure:
 
 
 class TestSubsetStrategy:
+    """The comparator on valuation indices, against the reference set
+    ordering on reference violation sets."""
+
     def test_irreflexive(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
-        v = all_valuations(taxes_kb.signature)[5]
-        assert not brewka_subset_less(v, v, taxes_kb, rt)
+        assert not brewka_subset_less(5, 5, taxes_kb, rt)
 
     def test_taxes_kb_young_vs_not_young_worlds(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
         atoms = taxes_kb.signature.atoms
-        by_true = {v.true_atoms(): v for v in all_valuations(taxes_kb.signature)}
+        by_true = {true_atoms(atoms, j): j for j in range(1 << len(atoms))}
         m1 = by_true[tuple(a for a in atoms if a in ("Student", "Employee", "Pay_Taxes", "Young"))]
         m2 = by_true[tuple(a for a in atoms if a in ("Student", "Employee", "Pay_Taxes"))]
         assert brewka_subset_less(m1, m2, taxes_kb, rt)
@@ -456,10 +501,10 @@ class TestSubsetStrategy:
     def test_matches_set_ordering_on_violation_sets(self, fixture, request):
         kb = request.getfixturevalue(fixture)
         rt = compute_ranking(kb)
-        valuations = all_valuations(kb.signature)
-        for m1 in valuations:
-            for m2 in valuations:
-                expected = mp_less_serious(
-                    violated_defaults(m1, kb), violated_defaults(m2, kb), rt
-                )
-                assert brewka_subset_less(m1, m2, kb, rt) == expected
+        sets = [violated(kb, j) for j in range(1 << len(kb.signature))]
+        views = [view(v, rt) for v in sets]
+        for j1, (s1, v1) in enumerate(zip(sets, views)):
+            for j2, (s2, v2) in enumerate(zip(sets, views)):
+                expected = set_tuple_less(v1, v2)
+                assert mp_less_serious(s1, s2, rt) == expected
+                assert brewka_subset_less(j1, j2, kb, rt) == expected

@@ -1,4 +1,4 @@
-"""Propositional core: parsing, evaluation, enumeration, entailment."""
+"""Propositional core: parsing, truth masks against the reference evaluation, entailment."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +13,7 @@ from defq import (
     SizeCapExceeded,
     TruthTable,
     UnknownAtomError,
-    Valuation,
-    all_valuations,
     atom,
-    evaluate,
     iff,
     implies,
     land,
@@ -26,6 +23,7 @@ from defq import (
     to_text,
 )
 from defq.logic import MAX_NESTING, mask_indices, parse_conditional_parts
+from reference import evaluate, valuation
 
 
 def parse(text: str) -> Formula:
@@ -123,43 +121,53 @@ class TestNestingCap:
 
 
 class TestEvaluate:
+    """The reference semantics and the truth masks on hand-checked cases."""
+
     def test_implication_false_antecedent(self):
-        v = Valuation(("a", "b"), 0b00)
-        assert evaluate(implies(atom("a"), atom("b")), v) is True
+        f = implies(atom("a"), atom("b"))
+        assert evaluate(f, valuation(("a", "b"), 0b00)) is True
+        assert TruthTable(Signature(["a", "b"])).mask(f) & 1
 
     def test_contradiction_everywhere(self):
         f = land(atom("a"), lnot(atom("a")))
-        for v in all_valuations(Signature(["a"])):
-            assert evaluate(f, v) is False
+        for j in range(2):
+            assert evaluate(f, valuation(("a",), j)) is False
+        assert TruthTable(Signature(["a"])).mask(f) == 0
 
     def test_biconditional_both_true(self):
-        v = Valuation(("a", "b"), 0b11)
-        assert evaluate(iff(atom("a"), atom("b")), v) is True
+        f = iff(atom("a"), atom("b"))
+        assert evaluate(f, valuation(("a", "b"), 0b11)) is True
+        assert TruthTable(Signature(["a", "b"])).mask(f) >> 0b11 & 1
 
     def test_unresolved_atom_raises(self):
         with pytest.raises(UnknownAtomError):
-            evaluate(atom("z"), Valuation(("a",), 0))
+            TruthTable(Signature(["a"])).mask(atom("z"))
 
 
 class TestAllValuations:
+    """The valuation space of a truth table: index j sets atom i iff bit i
+    of j is set, in binary counting order over the signature."""
+
     def test_single_atom_order(self):
-        vs = all_valuations(Signature(["a"]))
-        assert [v.as_dict() for v in vs] == [{"a": False}, {"a": True}]
+        tt = TruthTable(Signature(["a"]))
+        assert tt.full == 0b11
+        assert [bool(tt.mask(atom("a")) >> j & 1) for j in range(2)] == [False, True]
 
     def test_empty_signature_has_one_valuation(self):
-        vs = all_valuations(Signature())
-        assert len(vs) == 1
-        assert vs[0].as_dict() == {}
+        tt = TruthTable(Signature())
+        assert tt.full == 1
+        assert tt.mask(TRUE) == 1
 
     def test_four_atoms_sixteen_valuations(self):
-        vs = all_valuations(Signature(list("abcd")))
-        assert len(vs) == 16
-        assert len({v.bits for v in vs}) == 16
+        sig = Signature(list("abcd"))
+        tt = TruthTable(sig)
+        assert tt.full == (1 << 16) - 1
+        masks = [tt.mask(atom(name)) for name in sig.atoms]
+        columns = {tuple(m >> j & 1 for m in masks) for j in range(16)}
+        assert len(columns) == 16
 
     def test_cap_exceeded(self):
         sig = Signature([f"p{i}" for i in range(21)])
-        with pytest.raises(SizeCapExceeded):
-            all_valuations(sig)
         with pytest.raises(SizeCapExceeded):
             TruthTable(sig)
 
@@ -169,11 +177,11 @@ class TestAtomMasks:
         for n in range(11):
             sig = Signature([f"p{i}" for i in range(n)])
             tt = TruthTable(sig)
-            valuations = all_valuations(sig)
+            valuations = [valuation(sig.atoms, j) for j in range(1 << n)]
             for name in sig.atoms:
                 mask = tt.mask(atom(name))
-                for v in valuations:
-                    assert bool(mask >> v.bits & 1) == evaluate(atom(name), v)
+                for j, v in enumerate(valuations):
+                    assert bool(mask >> j & 1) == evaluate(atom(name), v)
 
     def test_atom_masks_match_division_formula(self):
         # the big-integer division construction the doubling one replaced
@@ -274,8 +282,8 @@ def test_print_parse_round_trip(f):
 def test_truth_masks_agree_with_direct_evaluation(f):
     tt = TruthTable(SIG)
     mask = tt.mask(f)
-    for v in all_valuations(SIG):
-        assert bool((mask >> v.bits) & 1) == evaluate(f, v)
+    for j in range(1 << len(SIG)):
+        assert bool((mask >> j) & 1) == evaluate(f, valuation(SIG.atoms, j))
 
 
 @given(formulas(3), formulas(3), formulas(3))

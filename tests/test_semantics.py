@@ -26,17 +26,13 @@ from defq import (
     rank_of_formula,
     rc_query,
     satisfies,
-    violated_defaults,
 )
-from defq.logic import Valuation, mask_indices
-
-
-def valuation(kb, j):
-    return Valuation(kb.signature.atoms, j)
+from defq.logic import mask_indices
+from reference import evaluate, partition, set_tuple_less, valuation, violated
 
 
 def true_atoms(kb, j):
-    return frozenset(valuation(kb, j).true_atoms())
+    return frozenset(name for i, name in enumerate(kb.signature.atoms) if j >> i & 1)
 
 
 def strata(model):
@@ -68,6 +64,24 @@ def class_ids(pref):
 def below(pref, x, y):
     ids = class_ids(pref)
     return bool(pref.below[ids[y]] >> ids[x] & 1)
+
+
+def model_views(model, kb):
+    """Reference rank partition of each world's violation set, comparison
+    order, over the model's own default ranks: the least rank of a world
+    where the antecedent holds, or INF when none does."""
+    top = len(model.strata)
+    default_ranks = [
+        min(
+            (rank_of(model, j) for j in model.worlds
+             if evaluate(c.antecedent, valuation(kb.signature.atoms, j))),
+            default=INF,
+        )
+        for c in kb.conditionals
+    ]
+    return {
+        j: partition(violated(kb, j), default_ranks, top).tuple_view() for j in model.worlds
+    }
 
 
 def world_with(model, *names):
@@ -112,7 +126,7 @@ class TestMinimalCanonicalModel:
         model = minimal_canonical_model(residence_kb)
         assert len(model.worlds) == 16  # 32 valuations, half break a hard default
         for w in model.worlds:
-            assert not violated_defaults(valuation(residence_kb, w), residence_kb) & {2, 3, 4}
+            assert not violated(residence_kb, w) & {2, 3, 4}
 
     def test_world_ranks_agree_with_formula_ranks(self, conflict_kb):
         # compatible formulas take the same rank in the model as in the chain
@@ -134,14 +148,23 @@ class TestViolations:
         model = minimal_canonical_model(taxes_kb)
         w = world_with(model, "Student", "Employee", "Pay_Taxes", "Young")
         z = world_with(model, "Student", "Employee", "Pay_Taxes")
-        assert violated_defaults(valuation(taxes_kb, w), taxes_kb) == frozenset({0})
-        assert violated_defaults(valuation(taxes_kb, z), taxes_kb) == frozenset({0, 1})
+        assert violated(taxes_kb, w) == frozenset({0})
+        assert violated(taxes_kb, z) == frozenset({0, 1})
 
     def test_rank_zero_worlds_violate_nothing(self, taxes_kb):
         model = minimal_canonical_model(taxes_kb)
         for w in model.worlds:
             if rank_of(model, w) == 0:
-                assert violated_defaults(valuation(taxes_kb, w), taxes_kb) == frozenset()
+                assert violated(taxes_kb, w) == frozenset()
+
+    def test_violation_classes_match_the_reference(self, taxes_kb, merry_kb, residence_kb):
+        # one class per violation set, each holding the worlds that violate it
+        for kb in (taxes_kb, merry_kb, residence_kb):
+            model = minimal_canonical_model(kb)
+            refined = preferential_refinement(model, kb)
+            for w, c in class_ids(refined).items():
+                assert refined.violated(c) == violated(kb, w)
+            assert len(refined.classes) == len({violated(kb, w) for w in model.worlds})
 
 
 class TestRefinement:
@@ -220,25 +243,17 @@ class TestClassOrderReference:
         )
 
     def test_strictly_below_matches_world_pair_views(self):
-        from defq.closures import _set_tuple_less
-        from defq.semantics import _model_default_ranks, _violation_view
-
         deep = 0  # KBs with a view holding two or more nonempty finite slices
         for kb in self.pool():
             model = minimal_canonical_model(kb)
             refined = preferential_refinement(model, kb)
-            ranks = _model_default_ranks(model, kb)
-            top = len(model.strata)
-            views = {
-                j: _violation_view(violated_defaults(valuation(kb, j), kb), ranks, top)
-                for j in model.worlds
-            }
+            views = model_views(model, kb)
             deep += any(sum(map(bool, view[1:])) >= 2 for view in views.values())
             world_pairs = {
                 (x, y)
                 for x in model.worlds
                 for y in model.worlds
-                if _set_tuple_less(views[x], views[y])
+                if set_tuple_less(views[x], views[y])
             }
             ids = class_ids(refined)
             for x in model.worlds:
@@ -436,9 +451,6 @@ class TestFixedPoint:
 
     def test_fixed_points_satisfy_the_specificity_condition(self):
         gen = KbGenerator(seed=717171, max_atoms=3, max_defaults=4)
-        from defq.semantics import _model_default_ranks, _violation_view
-        from defq.closures import _set_tuple_less
-
         pool = [parse_kb("a |~ b\n")]  # known fixed point
         pool.extend(gen.knowledge_base(index) for index in range(15))
         found = 0
@@ -447,15 +459,10 @@ class TestFixedPoint:
             if not is_refinement_fixed_point(model, kb):
                 continue
             found += 1
-            default_ranks = _model_default_ranks(model, kb)
-            top = len(model.strata)
-            views = {
-                j: _violation_view(violated_defaults(valuation(kb, j), kb), default_ranks, top)
-                for j in model.worlds
-            }
+            views = model_views(model, kb)
             for x in model.worlds:
                 for y in model.worlds:
-                    if _set_tuple_less(views[x], views[y]):
+                    if set_tuple_less(views[x], views[y]):
                         assert rank_of(model, x) < rank_of(model, y)
         assert found > 0
 
