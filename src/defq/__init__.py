@@ -18,15 +18,15 @@ _EXPORTS = {
     "find_justifications lc_query lex_less_serious mp_less_serious mp_query numeric_tuple "
     "relevant_query relevant_trace",
     "harness": "ClosureMatrix KbGenerator brewka_subset_less check_postulates compare_all "
-    "oracle_mp_query run_random_suite",
+    "cross_check oracle_mp_query run_random_suite",
     "logic": "DEFAULT_ATOM_CAP FALSE TRUE Formula LogicError ParseError Signature SizeCapExceeded "
     "TruthTable UnknownAtomError atom iff implies land lnot lor mask_indices parse_formula "
     "to_text",
     "ranking": "DEFAULT_KB_CAP INF Conditional KnowledgeBase RankingTable UnsatisfiableKB "
-    "compute_ranking is_exceptional kb_satisfiable parse_kb rank_of_formula rc_query",
-    "semantics": "PreferentialModel RankedModel height_ranks is_refinement_fixed_point "
-    "layer_ranks minimal_canonical_model minimal_worlds mpr_model mpr_query "
-    "preferential_refinement rank_by_height satisfies",
+    "compute_ranking kb_satisfiable parse_kb rank_of_formula rc_query",
+    "semantics": "PreferentialModel RankedModel height_ranks layer_ranks "
+    "minimal_canonical_model minimal_worlds mpr_model mpr_query preferential_refinement "
+    "rank_by_height satisfies",
 }
 # export name -> defining module
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

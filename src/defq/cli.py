@@ -74,8 +74,9 @@ def _true_atoms(kb: KnowledgeBase, j: int) -> list[str]:
     return sorted(a for i, a in enumerate(kb.signature.atoms) if j >> i & 1)
 
 
-def _index_set_text(members) -> str:
-    return "{" + ", ".join(str(i) for i in sorted(members)) + "}"
+def _index_set_text(members: int) -> str:
+    """A default mask as ``{i, j, ...}``."""
+    return "{" + ", ".join(str(i) for i in mask_indices(members)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
                 for c in kb.conditionals
             ],
             "order_k": rt.order_k,
-            "chain": [sorted(members) for members in rt.chain],
+            "chain": [list(mask_indices(members)) for members in rt.chain],
         }
         _emit_json(payload)
         return EXIT_OK
@@ -111,12 +112,13 @@ def _query_evidence(
 ) -> dict[str, Any]:
     """The evidence behind an answer found on ``kb``, the query's part of a
     KB of ``size`` defaults whose d-th kept default is ``kept[d]`` there.
-    Default sets come out in the whole KB's indices: the defaults the part
-    dropped join every base and the relevant remainder."""
+    The part's default masks come out as lists of the whole KB's indices:
+    the defaults the part dropped join every base and the relevant
+    remainder."""
     untouched = sorted(set(range(size)).difference(kept))
 
-    def whole(members, plus: Sequence[int] = ()) -> list[int]:
-        return sorted([*(kept[d] for d in members), *plus])
+    def whole(members: int, plus: Sequence[int] = ()) -> list[int]:
+        return sorted([*(kept[d] for d in mask_indices(members)), *plus])
 
     evidence: dict[str, Any] = {}
     rank_a = rank_of_formula(query.antecedent, rt, kb)
@@ -191,7 +193,7 @@ def cmd_bases(args: argparse.Namespace) -> int:
             {
                 "antecedent": to_text(antecedent),
                 "method": args.method,
-                "bases": [sorted(b) for b in bases],
+                "bases": [list(mask_indices(b)) for b in bases],
             }
         )
         return EXIT_OK
@@ -208,12 +210,13 @@ def cmd_model(args: argparse.Namespace) -> int:
     canonical = semantics.minimal_canonical_model(kb, rt)
     refined = semantics.preferential_refinement(canonical, kb)
     rc_rank = {j: r for r, stratum in enumerate(canonical.strata) for j in mask_indices(stratum)}
+    violated = [list(mask_indices(v)) for v in refined.violations]
     rows = [
         {
             "atoms": _true_atoms(kb, j),
             "rc_rank": rc_rank[j],
             "fr_rank": height,
-            "violated": sorted(refined.violated(c)),
+            "violated": violated[c],
         }
         for c, height in enumerate(semantics.height_ranks(refined))
         for j in mask_indices(refined.classes[c])
@@ -251,18 +254,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         with open(args.kb_file, encoding="utf-8") as handle:
             kb = parse_kb(handle.read())
         gen = harness.KbGenerator(args.seed, max_atoms=max(len(kb.signature), 1))
-        rt = compute_ranking(kb)
         queries = [gen.query(kb, 0, w) for w in range(args.count)]
-        problems: list[str] = []
-        rows = []
-        for q in queries:
-            matrix = harness.compare_all(kb, q)
-            rows.append((q.text(), matrix.as_dict()))
-            problems.extend(
-                f"inclusion {name} {q.text()!r}" for name in matrix.inclusion_violations()
-            )
-        model_problems, _ = harness._model_agreement_problems(kb, rt, queries)
-        problems.extend(model_problems)
+        rows, problems, _ = harness.cross_check(kb, compute_ranking(kb), queries)
         if args.json:
             summary = {"queries": len(rows), "violations": len(problems)}
             _emit_json({"queries": rows, "problems": problems, "summary": summary})

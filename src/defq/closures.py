@@ -1,7 +1,8 @@
 """Seriousness orderings over default sets and the syntactic closures.
 
-Two orderings compare subsets of the knowledge base through their rank
-slices, the masks ``RankingTable.slices``: the count ordering (lexicographic
+A set of defaults is a default mask (bit d for default d) here, as in
+``ranking``.  Two orderings compare such sets through their rank slices,
+the masks ``RankingTable.slices``: the count ordering (lexicographic
 on slice sizes, most specific rank first) drives the lexicographic closure;
 the set ordering (strict inclusion at the first differing rank slice) drives
 the MP closure.
@@ -21,9 +22,9 @@ with the number of defaults, not with the number of subsets.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
-from .logic import Formula
+from .logic import Formula, mask_indices
 from .ranking import (
     INF,
     Conditional,
@@ -41,41 +42,31 @@ MINIMAL = "minimal"
 
 METHODS = ("rc", "mp", "lc", "basic-relevant", "minimal-relevant", "mpr")
 
-DefaultSet = frozenset[int]
+
+def numeric_tuple(members: int, rt: RankingTable) -> tuple[int, ...]:
+    """Slice sizes of the default mask ``members``, in comparison order."""
+    return tuple((members & s).bit_count() for s in rt.slices)
 
 
-def _members_mask(members: Iterable[int]) -> int:
-    mask = 0
-    for d in members:
-        mask |= 1 << d
-    return mask
-
-
-def numeric_tuple(members: Iterable[int], rt: RankingTable) -> tuple[int, ...]:
-    """Slice sizes of ``members``, in comparison order."""
-    mask = _members_mask(members)
-    return tuple((mask & s).bit_count() for s in rt.slices)
-
-
-def lex_less_serious(d: Iterable[int], b: Iterable[int], rt: RankingTable) -> bool:
+def lex_less_serious(d: int, b: int, rt: RankingTable) -> bool:
     """Count ordering: d strictly precedes b lexicographically on slice sizes."""
     return numeric_tuple(d, rt) < numeric_tuple(b, rt)
 
 
-def _slices_less(x: int, y: int, slices: Sequence[int]) -> bool:
-    """Set ordering on default masks: at the first slice where ``x`` and
-    ``y`` differ, x's part is a strict subset of y's."""
-    diff = x ^ y
-    for s in slices:
+def mp_less_serious(d: int, b: int, rt: RankingTable) -> bool:
+    """Set ordering: at the first rank slice where the default masks d and
+    b differ, d's part is a strict subset of b's; the infinite slice is
+    scanned first, then finite ranks high to low."""
+    diff = d ^ b
+    for s in rt.slices:
         if diff & s:
-            return x & diff & s == 0
+            return d & diff & s == 0
     return False
 
 
-def mp_less_serious(d: Iterable[int], b: Iterable[int], rt: RankingTable) -> bool:
-    """Set ordering: strict inclusion at the first differing rank slice,
-    scanning the infinite slice first, then finite ranks high to low."""
-    return _slices_less(_members_mask(d), _members_mask(b), rt.slices)
+def _index_order(members: int) -> list[int]:
+    """Sort key that lists default sets by their ascending index lists."""
+    return list(mask_indices(members))
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +75,9 @@ def mp_less_serious(d: Iterable[int], b: Iterable[int], rt: RankingTable) -> boo
 
 
 def _search_order(kb: KnowledgeBase, start: int) -> tuple[list[int], list[int], list[int]]:
-    """The order both subset searches decide the defaults in, with the
-    defaults' masks in that order and their suffix ANDs.
+    """The order both subset searches decide the defaults in, as one-bit
+    default masks, with the defaults' truth masks in that order and their
+    suffix ANDs.
 
     Defaults come by how few of the ``start`` worlds their mask keeps, so
     the ones the antecedent triggers are decided first.  Past them the
@@ -96,28 +88,29 @@ def _search_order(kb: KnowledgeBase, start: int) -> tuple[list[int], list[int], 
     >= i, and ``suffix[len(kb)]`` is the full mask.
     """
     default_masks = kb.default_masks
-    order = sorted(kb.indices, key=lambda d: (start & default_masks[d]).bit_count())
+    order = sorted(range(len(kb)), key=lambda d: (start & default_masks[d]).bit_count())
     masks = [default_masks[d] for d in order]
     suffix = [kb.truth.full]
     for m in reversed(masks):
         suffix.append(suffix[-1] & m)
     suffix.reverse()
-    return order, masks, suffix
+    return [1 << d for d in order], masks, suffix
 
 
-def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[DefaultSet]:
+def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[int]:
     """Inclusion-maximal default sets whose materialization is consistent
     with the antecedent, whose truth mask is ``start``.
 
     Every ordering-maximal set is inclusion-maximal (supersets dominate in
     both orderings), so the search space can be narrowed here.  The search
     decides the defaults one by one (see ``_search_order``), carrying
-    ``mask``, the antecedent AND the masks of the defaults included so far;
-    ``m_i`` is the mask of the default at position i.  A set S is
-    inclusion-maximal iff its mask is nonzero and meets the mask of no
-    default outside S.  Each rule below drops only subtrees holding no such
-    set, and at a leaf (i = len(kb)) the third rule is exactly that test,
-    so the leaves reached are the inclusion-maximal sets:
+    ``chosen``, the default mask of the defaults included so far, and
+    ``mask``, the antecedent AND their truth masks; ``m_i`` is the truth
+    mask of the default at position i.  A set S is inclusion-maximal iff its
+    mask is nonzero and meets the mask of no default outside S.  Each rule
+    below drops only subtrees holding no such set, and at a leaf
+    (i = len(kb)) the third rule is exactly that test, so the leaves reached
+    are the inclusion-maximal sets:
 
     - include i only when ``mask & m_i != 0``: the mask only shrinks along
       a path, so an empty mask stays empty;
@@ -134,28 +127,25 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[Default
     """
     if not start:
         return []
-    order, masks, suffix = _search_order(kb, start)
-    chosen: list[int] = []
+    bits, masks, suffix = _search_order(kb, start)
     excluded: list[int] = []  # masks of the excluded defaults
-    found: list[DefaultSet] = []
+    found: list[int] = []
 
-    def descend(i: int, mask: int) -> None:
+    def descend(i: int, chosen: int, mask: int) -> None:
         if i == len(masks):
-            found.append(frozenset(chosen))
+            found.append(chosen)
             return
         kept = mask & masks[i]
         if kept:
-            chosen.append(order[i])
-            descend(i + 1, kept)
-            chosen.pop()
+            descend(i + 1, chosen | bits[i], kept)
         if kept != mask:
             excluded.append(masks[i])
             floor = mask & suffix[i + 1]
             if not any(floor & m for m in excluded):
-                descend(i + 1, mask)
+                descend(i + 1, chosen, mask)
             excluded.pop()
 
-    descend(0, start)
+    descend(0, 0, start)
     del descend  # empties its own closure cell: no cycle keeps ``suffix`` alive
     return found
 
@@ -166,12 +156,13 @@ def enumerate_bases(
     antecedent: Formula,
     ordering: str,
     a_mask: int | None = None,
-) -> tuple[DefaultSet, ...]:
-    """All ordering-maximal default sets consistent with the antecedent.
+) -> tuple[int, ...]:
+    """All ordering-maximal default sets consistent with the antecedent, as
+    default masks.
 
     The antecedent must have finite rank (callers decide rank-infinite
     queries without bases).  The result is never empty and is sorted by
-    index tuple for reproducible output.  ``a_mask`` is the antecedent's
+    index list for reproducible output.  ``a_mask`` is the antecedent's
     truth mask when the caller has already built it.
     """
     if ordering not in (LC, MP):
@@ -191,14 +182,8 @@ def enumerate_bases(
         best = max(numeric_tuple(c, rt) for c in candidates)
         bases = [c for c in candidates if numeric_tuple(c, rt) == best]
     else:
-        masks = [_members_mask(c) for c in candidates]
-        slices = rt.slices
-        bases = [
-            c
-            for c, x in zip(candidates, masks)
-            if not any(_slices_less(x, y, slices) for y in masks)
-        ]
-    result = tuple(sorted(bases, key=sorted))
+        bases = [c for c in candidates if not any(mp_less_serious(c, y, rt) for y in candidates)]
+    result = tuple(sorted(bases, key=_index_order))
     memo[key] = result
     return result
 
@@ -235,14 +220,16 @@ def mp_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
 
 def find_justifications(
     kb: KnowledgeBase, antecedent: Formula, a_mask: int | None = None
-) -> tuple[DefaultSet, ...]:
+) -> tuple[int, ...]:
     """Inclusion-minimal default sets whose materialization refutes the
-    antecedent; empty iff the whole KB is consistent with it.  ``a_mask`` is
-    the antecedent's truth mask when the caller has already built it.
+    antecedent, as default masks; empty iff the whole KB is consistent with
+    it.  ``a_mask`` is the antecedent's truth mask when the caller has
+    already built it.
 
     Depth-first over sets built in increasing search position (see
-    ``_search_order``), carrying ``mask``, the antecedent AND the masks of
-    the chosen defaults; ``m_j`` is the mask of the default at position j.
+    ``_search_order``), carrying ``members``, the default mask of the chosen
+    defaults, and ``mask``, the antecedent AND their truth masks; ``m_j`` is
+    the truth mask of the default at position j.
     A minimal refuting set J is reached along the path that adds its
     members in that order, and no rule below drops that path:
 
@@ -265,10 +252,10 @@ def find_justifications(
 
     if a_mask is None:
         a_mask = kb.truth.mask(antecedent)
-    order, masks, suffix = _search_order(kb, a_mask)
+    bits, masks, suffix = _search_order(kb, a_mask)
     chosen: list[int] = []  # search positions
     path = [a_mask]  # path[t]: a_mask AND the masks of the first t chosen
-    minimal: list[DefaultSet] = []
+    minimal: list[int] = []
 
     def each_member_needed() -> bool:
         rest = kb.truth.full  # AND of the masks chosen after position t
@@ -278,11 +265,11 @@ def find_justifications(
             rest &= masks[chosen[t]]
         return True
 
-    def descend(i: int) -> None:
+    def descend(i: int, members: int) -> None:
         mask = path[-1]
         if mask == 0:
             if each_member_needed():
-                minimal.append(frozenset(order[p] for p in chosen))
+                minimal.append(members)
             return
         if mask & suffix[i]:
             return
@@ -291,25 +278,26 @@ def find_justifications(
             if kept != mask:
                 chosen.append(j)
                 path.append(kept)
-                descend(j + 1)
+                descend(j + 1, members | bits[j])
                 path.pop()
                 chosen.pop()
 
-    descend(0)
+    descend(0, 0)
     del descend  # empties its own closure cell: no cycle keeps ``suffix`` alive
-    result = tuple(sorted(minimal, key=sorted))
+    result = tuple(sorted(minimal, key=_index_order))
     memo[antecedent] = result
     return result
 
 
 class RelevantTrace(NamedTuple):
-    """Everything needed to recheck a relevant-closure answer by hand."""
+    """Everything needed to recheck a relevant-closure answer by hand; the
+    default sets are default masks."""
 
     variant: str
-    justifications: tuple[DefaultSet, ...]
-    relevant: DefaultSet
-    removed: DefaultSet
-    remainder: DefaultSet
+    justifications: tuple[int, ...]
+    relevant: int
+    removed: int
+    remainder: int
     answer: bool
 
 
@@ -328,8 +316,9 @@ def relevant_trace(
     a small KB.)
 
     The relevant set is the union of the justifications (basic variant) or of
-    their lowest-rank slices (minimal variant).  Relevant defaults are
-    removed rank by rank, lowest first, until the remainder is consistent
+    their lowest-rank slices (minimal variant: each justification ANDed with
+    the lowest rank slice it meets).  Relevant defaults are removed rank
+    slice by rank slice, lowest first, until the remainder is consistent
     with the antecedent.
 
     The antecedent must have finite rank r, and then the finite ranks always
@@ -352,31 +341,26 @@ def relevant_trace(
     if rank_of_formula(antecedent, rt, kb, a_mask) == INF:
         raise ValueError("antecedent has infinite rank; no relevant closure trace exists")
     justifications = find_justifications(kb, antecedent, a_mask)
-    if variant == BASIC:
-        relevant = frozenset().union(*justifications) if justifications else frozenset()
-    else:
-        slices = []
-        for j in justifications:
-            low = min(rt.default_ranks[d] for d in j)
-            slices.append(frozenset(d for d in j if rt.default_ranks[d] == low))
-        relevant = frozenset().union(*slices) if slices else frozenset()
+    relevant = 0
+    for j in justifications:
+        if variant == BASIC:
+            relevant |= j
+        else:
+            relevant |= j & next(s for s in reversed(rt.slices) if s & j)
 
-    remainder = set(kb.indices)
-    removed: set[int] = set()
-    for rank in range(rt.order_k):
+    remainder = (1 << len(kb)) - 1
+    for s in reversed(rt.slices[1:]):  # the finite ranks, lowest first
         if kb.members_mask(remainder) & a_mask:
             break
-        step = {d for d in relevant if rt.default_ranks[d] == rank}
-        removed |= step
-        remainder -= step
+        remainder &= ~(relevant & s)
 
     answer = kb.members_mask(remainder) & a_mask & ~tt.mask(query.consequent) == 0
     trace = RelevantTrace(
         variant=variant,
         justifications=justifications,
         relevant=relevant,
-        removed=frozenset(removed),
-        remainder=frozenset(remainder),
+        removed=relevant & ~remainder,
+        remainder=remainder,
         answer=answer,
     )
     kb.cache["relevant_trace"] = (query, variant, trace)

@@ -70,8 +70,9 @@ class Formula(NamedTuple):
     """Immutable propositional formula tree.
 
     ``args`` holds the atom name (for ``atom`` nodes) or the subformulas.
-    Formulas compare structurally; semantic equivalence is a separate check
-    via :meth:`TruthTable.entails` in both directions.
+    Formulas compare structurally; semantic equivalence is equality of
+    their truth masks (the tests check it with ``reference.entails`` in both
+    directions).
     """
 
     op: str
@@ -236,8 +237,9 @@ def check_atom_cap(sig: Signature, max_atoms: int) -> None:
 
 
 def mask_indices(mask: int) -> Iterator[int]:
-    """The valuation indices of the set bits of ``mask``, ascending, found in
-    one scan of its binary text rather than one 2^n-bit shift per index."""
+    """The indices of the set bits of ``mask``, ascending (valuation indices
+    of a truth mask, default indices of a default mask), found in one scan
+    of its binary text rather than one 2^n-bit shift per index."""
     text = bin(mask)[:1:-1]
     j = text.find("1")
     while j >= 0:
@@ -302,14 +304,6 @@ class TruthTable:
             if not result:
                 break
         return result
-
-    def entails(self, premises: Iterable[Formula], goal: Formula) -> bool:
-        """True iff every valuation satisfying all premises satisfies the goal."""
-        return self.conjunction_mask(premises) & (self.full ^ self.mask(goal)) == 0
-
-    def is_consistent(self, formulas: Iterable[Formula]) -> bool:
-        """True iff some valuation over the signature satisfies every formula."""
-        return self.conjunction_mask(formulas) != 0
 
     def is_tautology(self, f: Formula) -> bool:
         return self.mask(f) == self.full

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .logic import (
     DEFAULT_ATOM_CAP,
@@ -28,6 +28,7 @@ from .logic import (
     implies,
     land,
     lnot,
+    mask_indices,
     parse_conditional_parts,
     to_text,
 )
@@ -110,16 +111,13 @@ class KnowledgeBase:
     def __iter__(self) -> Iterator[Conditional]:
         return iter(self.conditionals)
 
-    @property
-    def indices(self) -> frozenset[int]:
-        return frozenset(range(len(self.conditionals)))
-
-    def members_mask(self, members: Iterable[int]) -> int:
-        """Truth mask of the materialization of the selected defaults."""
+    def members_mask(self, members: int) -> int:
+        """Truth mask of the materialization of the defaults in the default
+        mask ``members`` (bit d for default d)."""
         result = self.truth.full
         masks = self.default_masks  # one read: the lazy attribute is slower to load
-        for i in members:
-            result &= masks[i]
+        for d in mask_indices(members):
+            result &= masks[d]
         return result
 
     def parse_query(self, text: str) -> tuple[Conditional, "KnowledgeBase"]:
@@ -235,20 +233,17 @@ def parse_kb(
 class RankingTable(NamedTuple):
     """The exceptionality chain and the ranks it induces.
 
-    ``chain[i]`` is the i-th subset of default indices; the last entry is the
-    stable one (its exceptional part is itself).  ``default_ranks[d]`` is the
-    chain position where default d drops out, or ``INF`` when it never does.
-    ``slices`` holds the rank slices as masks over default indices (bit d
-    for default d), in comparison order (see ``rank_slices``).
+    ``chain[i]`` is the i-th subset of the defaults as a default mask (bit
+    d for default d); the last entry is the stable one (its exceptional
+    part is itself).  ``default_ranks[d]`` is the chain position where
+    default d drops out, or ``INF`` when it never does.
+    ``slices`` holds the rank slices as default masks, in comparison order
+    (see ``rank_slices``).
     """
 
-    chain: tuple[frozenset[int], ...]
+    chain: tuple[int, ...]
     default_ranks: tuple[Rank, ...]
     slices: tuple[int, ...]
-
-    @property
-    def fixpoint(self) -> frozenset[int]:
-        return self.chain[-1]
 
     @property
     def order_k(self) -> int:
@@ -267,30 +262,25 @@ def rank_slices(default_ranks: Sequence[Rank], top: int) -> tuple[int, ...]:
     return tuple(slices)
 
 
-def is_exceptional(a: Formula, members: Iterable[int], kb: KnowledgeBase) -> bool:
-    """True iff the materialization of the selected defaults refutes ``a``."""
-    return kb.members_mask(members) & kb.truth.mask(a) == 0
-
-
 def compute_ranking(kb: KnowledgeBase) -> RankingTable:
-    """Iterate the exceptionality step from the full KB to its fixpoint."""
+    """Iterate the exceptionality step from the full KB until the chain is stable."""
     cached = kb.cache.get("ranking")
     if cached is not None:
         return cached
 
     antecedents = [kb.truth.mask(c.antecedent) for c in kb.conditionals]
-    chain: list[frozenset[int]] = [kb.indices]
+    chain = [(1 << len(kb)) - 1]
     while True:
         current = chain[-1]
         members = kb.members_mask(current)
-        nxt = frozenset(i for i in current if members & antecedents[i] == 0)
+        nxt = sum(1 << d for d in mask_indices(current) if members & antecedents[d] == 0)
         if nxt == current:
             break
         chain.append(nxt)
 
-    ranks: list[Rank] = [INF] * len(kb)  # the fixpoint's members keep INF
+    ranks: list[Rank] = [INF] * len(kb)  # the stable entry's members keep INF
     for i, members in enumerate(chain[:-1]):
-        for d in members - chain[i + 1]:
+        for d in mask_indices(members & ~chain[i + 1]):
             ranks[d] = i
 
     table = RankingTable(tuple(chain), tuple(ranks), rank_slices(ranks, len(chain) - 1))
@@ -335,4 +325,4 @@ def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
 
 def kb_satisfiable(kb: KnowledgeBase) -> bool:
     """True iff some valuation satisfies the whole KB's materialization."""
-    return kb.members_mask(range(len(kb))) != 0
+    return kb.members_mask((1 << len(kb)) - 1) != 0

@@ -67,18 +67,21 @@ class RankedModel:
 
 class PreferentialModel:
     """Finite preferential interpretation whose strict order is stored on
-    violation classes: ``classes[c]`` is the world mask of class c, and bit p
-    of ``below[c]`` is set when class p is strictly below class c."""
+    violation classes: ``classes[c]`` is the world mask of class c,
+    ``violations[c]`` the default mask of the defaults its worlds violate,
+    and bit p of ``below[c]`` is set when class p is strictly below class c."""
 
-    def __init__(self, kb: KnowledgeBase, classes: Sequence[int], below: Sequence[int]):
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        classes: Sequence[int],
+        below: Sequence[int],
+        violations: Sequence[int],
+    ):
         self.kb = kb
         self.classes = tuple(classes)
         self.below = tuple(below)
-
-    def violated(self, c: int) -> frozenset[int]:
-        """The violation set shared by the worlds of class c."""
-        worlds = self.classes[c]
-        return frozenset(d for d, mask in enumerate(self.kb.default_masks) if worlds & ~mask)
+        self.violations = tuple(violations)
 
     def minimal(self, a: int) -> int:
         holders = [c for c, worlds in enumerate(self.classes) if worlds & a]
@@ -170,7 +173,9 @@ def preferential_refinement(model: RankedModel, kb: KnowledgeBase) -> Preferenti
                 below[c] |= lower
             if len(members) > 1:
                 groups.append((i + 1, members))
-    return PreferentialModel(kb, [worlds for worlds, _ in parts], below)
+    return PreferentialModel(
+        kb, [worlds for worlds, _ in parts], below, [violated for _, violated in parts]
+    )
 
 
 def minimal_worlds(model: Model, f: Formula) -> int:
@@ -240,9 +245,3 @@ def mpr_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:
 def mpr_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
     """Membership in the rational extension of the MP closure."""
     return satisfies(mpr_model(kb, rt), query)
-
-
-def is_refinement_fixed_point(model: RankedModel, kb: KnowledgeBase) -> bool:
-    """True iff refining and collapsing by height reproduces the model's own
-    strata."""
-    return rank_by_height(preferential_refinement(model, kb)).strata == model.strata

