@@ -147,9 +147,12 @@ def _query_evidence(
 
 def cmd_query(args: argparse.Namespace) -> int:
     kb = _load_kb(args)
-    query, kb = kb.parse_query(args.query)
-    size, kept = len(kb), range(len(kb))
-    if args.method != "mpr":  # mpr's heights depend on every default
+    size = len(kb)
+    if args.method == "mpr":  # mpr's heights depend on every default
+        query, kb = kb.parse_query(args.query)
+        kept = range(size)
+    else:  # the atom cap applies to the query's part, not to the whole KB
+        query = kb.read_query(args.query)
         kb, kept = kb.query_part(query)
     rt = compute_ranking(kb)
     ask = closures.closure_query(kb, rt, args.method)  # may import an engine: not timed

@@ -23,9 +23,9 @@ from .closures import (
     closure_query,
     enumerate_bases,
     lc_query,
-    lex_less_serious,
     mp_less_serious,
     mp_query,
+    numeric_tuple,
     relevant_query,
 )
 from .logic import (
@@ -417,16 +417,20 @@ def _satisfied_slices(j: int, kb: KnowledgeBase, rt: RankingTable) -> list[int]:
     ]
 
 
-def _weakly_subset_preferred(s1: Sequence[int], s2: Sequence[int]) -> bool:
-    n = len(s1)
-    if all(s1[i] == s2[i] for i in range(n)):
-        return True
-    return any(
-        s1[i] != s2[i]
-        and s2[i] & ~s1[i] == 0
-        and all(s1[j] == s2[j] for j in range(i + 1, n))
-        for i in range(n)
-    )
+def _subset_less(s1: Sequence[int], s2: Sequence[int]) -> bool:
+    """Strict subset-strategy preference between two satisfied-slice lists
+    (as built by ``_satisfied_slices``).
+
+    s1 is weakly preferred to s2 when the per-rank satisfied sets all
+    coincide, or s1's set is a strict superset at some rank with agreement
+    at every higher rank; strict preference is weak preference in one
+    direction only.  A rank with agreement above it and a difference at it
+    is the highest rank where the lists differ, so s1 is strictly preferred
+    exactly when such a rank exists and s2's set there lies inside s1's."""
+    for x, y in zip(reversed(s1), reversed(s2)):
+        if x != y:
+            return y & ~x == 0
+    return False
 
 
 def brewka_subset_less(j1: int, j2: int, kb: KnowledgeBase, rt: RankingTable) -> bool:
@@ -434,42 +438,41 @@ def brewka_subset_less(j1: int, j2: int, kb: KnowledgeBase, rt: RankingTable) ->
     indices j1 and j2.
 
     The materialized defaults form a ranked base (computed ranks, infinite
-    slice highest).  j1 is weakly preferred to j2 when the per-rank
-    satisfied sets all coincide, or j1's set is a strict superset at some
-    rank with agreement at every higher rank; strict preference is weak
-    preference in one direction only.  This is an independent route to the
-    set ordering on violation sets and is tested for agreement with it pair
-    by pair.
+    slice highest), and the valuations are compared by ``_subset_less`` on
+    their per-rank satisfied sets.  This is an independent route to the set
+    ordering on violation sets: its slices come from ``default_masks`` and
+    ``default_ranks``, not from ``rt.slices``, and it is tested for
+    agreement with the set ordering pair by pair.
     """
-    s1 = _satisfied_slices(j1, kb, rt)
-    s2 = _satisfied_slices(j2, kb, rt)
-    return _weakly_subset_preferred(s1, s2) and not _weakly_subset_preferred(s2, s1)
+    return _subset_less(_satisfied_slices(j1, kb, rt), _satisfied_slices(j2, kb, rt))
 
 
 def _ordering_problems(kb: KnowledgeBase, rt: RankingTable) -> tuple[list[str], int]:
     """Coarseness of the set ordering vs the count ordering on all subset
     pairs, and the subset-strategy comparator vs the set ordering on all
-    valuation pairs."""
+    valuation pairs.  Each subset's count tuple and each valuation's
+    satisfied slices are built once; every pair is still compared."""
     problems: list[str] = []
     checks = 0
-    subsets = range(1 << len(kb))  # every default mask
-    for d in subsets:
-        for b in subsets:
+    counts = [numeric_tuple(d, rt) for d in range(1 << len(kb))]  # every default mask
+    for d, d_counts in enumerate(counts):
+        for b, b_counts in enumerate(counts):
             checks += 1
-            if mp_less_serious(d, b, rt) and not lex_less_serious(d, b, rt):
+            if not d_counts < b_counts and mp_less_serious(d, b, rt):
                 problems.append(
                     f"set-order-not-coarser {list(mask_indices(d))} {list(mask_indices(b))}"
                 )
     atoms = kb.signature.atoms
+    valuations = range(1 << len(atoms))
     violated = [
         sum(1 << d for d, mask in enumerate(kb.default_masks) if not mask >> j & 1)
-        for j in range(1 << len(atoms))
+        for j in valuations
     ]
-    for j1, v1 in enumerate(violated):
-        for j2, v2 in enumerate(violated):
+    satisfied = [_satisfied_slices(j, kb, rt) for j in valuations]
+    for j1, (v1, s1) in enumerate(zip(violated, satisfied)):
+        for j2, (v2, s2) in enumerate(zip(violated, satisfied)):
             checks += 1
-            expected = mp_less_serious(v1, v2, rt)
-            if brewka_subset_less(j1, j2, kb, rt) != expected:
+            if _subset_less(s1, s2) != mp_less_serious(v1, v2, rt):
                 problems.append(
                     "subset-strategy-mismatch "
                     f"{tuple(a for i, a in enumerate(atoms) if j1 >> i & 1)} "

@@ -447,17 +447,22 @@ class _Parser:
         raise ParseError("expected a formula", offset=tok.pos)
 
 
-def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse a formula, appending newly seen atoms to ``sig`` in textual order."""
-    tokens = _tokenize(text)
-    if tokens[0].kind == "end":
-        raise ParseError("empty formula", offset=0)
+def _parse_to_end(tokens: list[_Token], sig: Signature) -> Formula:
+    """Parse ``tokens`` as one formula that must reach their end token."""
     parser = _Parser(tokens, sig)
     result = parser.formula()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected {trailing.text!r}", offset=trailing.pos)
     return result
+
+
+def parse_formula(text: str, sig: Signature) -> Formula:
+    """Parse a formula, appending newly seen atoms to ``sig`` in textual order."""
+    tokens = _tokenize(text)
+    if tokens[0].kind == "end":
+        raise ParseError("empty formula", offset=0)
+    return _parse_to_end(tokens, sig)
 
 
 def parse_conditional_parts(text: str, sig: Signature) -> tuple[Formula, Formula]:
@@ -475,15 +480,4 @@ def parse_conditional_parts(text: str, sig: Signature) -> tuple[Formula, Formula
         raise ParseError("empty antecedent", offset=0)
     if right[0].kind == "end":
         raise ParseError("empty consequent", offset=right[0].pos)
-
-    lhs_parser = _Parser(left, sig)
-    antecedent = lhs_parser.formula()
-    tok = lhs_parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r}", offset=tok.pos)
-    rhs_parser = _Parser(right, sig)
-    consequent = rhs_parser.formula()
-    tok = rhs_parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r}", offset=tok.pos)
-    return antecedent, consequent
+    return _parse_to_end(left, sig), _parse_to_end(right, sig)

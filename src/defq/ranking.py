@@ -120,6 +120,12 @@ class KnowledgeBase:
             result &= masks[d]
         return result
 
+    def read_query(self, text: str) -> Conditional:
+        """Parse ``A |~ B``, which may mention atoms outside this KB's
+        signature.  No KB is built, so no cap is checked."""
+        antecedent, consequent = parse_conditional_parts(text, self.signature.copy())
+        return Conditional(antecedent, consequent, index=-1)
+
     def parse_query(self, text: str) -> tuple[Conditional, "KnowledgeBase"]:
         """Parse ``A |~ B``, extending the signature with new query atoms.
 
@@ -128,9 +134,8 @@ class KnowledgeBase:
         otherwise this instance itself.  Default ranks are unaffected by
         fresh atoms, so rankings computed before and after agree.
         """
-        sig = self.signature.copy()
-        antecedent, consequent = parse_conditional_parts(text, sig)
-        query = Conditional(antecedent, consequent, index=-1)
+        query = self.read_query(text)
+        sig = Signature([*self.signature, *query.atoms()])
         if len(sig) == len(self.signature):
             return query, self
         extended = KnowledgeBase(
@@ -153,8 +158,10 @@ class KnowledgeBase:
         part's, and the answers agree (the relevance half of syntax
         splitting).  An unsatisfiable group refutes the materialization of
         the first chain position, so every rank is infinite, and it is kept
-        for that.  ``query`` must be over this KB's signature (see
-        ``parse_query``).  Returns this KB itself when it drops nothing.
+        for that.  ``query`` may mention atoms outside this KB's signature
+        (see ``read_query``); they follow the kept atoms in the part's
+        signature, and the atom cap is checked on the part.  Returns this
+        KB itself when it drops nothing and the query adds no atom.
         """
         n = len(self.conditionals)
         parent = list(range(n + 1))  # union-find over the defaults, then the query
@@ -178,14 +185,15 @@ class KnowledgeBase:
             if g == query_group or not self._satisfiable(members)
             for d in members
         )
-        if len(kept) == n:
+        new = [name for name in query.atoms() if name not in self.signature]
+        if len(kept) == n and not new:
             return self, tuple(kept)
         used = {name for d in kept for name in self.conditionals[d].atoms()}
         used.update(query.atoms())
         part = KnowledgeBase(
             [Conditional(self.conditionals[d].antecedent, self.conditionals[d].consequent, i)
              for i, d in enumerate(kept)],
-            Signature(a for a in self.signature.atoms if a in used),
+            Signature([*(a for a in self.signature.atoms if a in used), *new]),
             max_atoms=self.max_atoms,
             max_defaults=self.max_defaults,
         )

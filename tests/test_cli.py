@@ -444,6 +444,31 @@ def _answers_under_one_gigabyte(tmp_path, kb_text, query, methods):
     return answers
 
 
+class TestAtomCapOnQueryPart:
+    """rc, lc, mp and the relevant closures check ``--max-atoms`` on the
+    query's part; mpr answers on the whole KB and checks it there."""
+
+    PART_METHODS = ("rc", "lc", "mp", "basic-relevant", "minimal-relevant")
+
+    @pytest.mark.parametrize("method", PART_METHODS)
+    def test_new_atoms_outside_the_kb_answer(self, kb_file, capsys, method):
+        code, out, err = run(capsys, "query", kb_file(CAP_KB_TEXT), "q |~ r", "--method", method)
+        assert (code, out, err) == (0, "no\n", "")
+
+    def test_new_atoms_outside_the_kb_refuse_mpr(self, kb_file, capsys):
+        code, _, err = run(capsys, "query", kb_file(CAP_KB_TEXT), "q |~ r", "--method", "mpr")
+        assert code == 4
+        assert "22 atoms exceeds the enumeration cap of 20" in err
+
+    @pytest.mark.parametrize("method", PART_METHODS + ("mpr",))
+    def test_a_part_over_the_cap_is_refused(self, kb_file, capsys, method):
+        code, _, err = run(
+            capsys, "query", kb_file(CAP_KB_TEXT), "p0 & zz |~ p2", "--method", method
+        )
+        assert code == 4
+        assert "21 atoms exceeds the enumeration cap of 20" in err
+
+
 class TestBoundedMemory:
     @pytest.mark.parametrize("query", ["p17 & p18 |~ p0", "p18 & p19 |~ !p0"])
     def test_cap_sized_kb_answers_under_one_gigabyte(self, tmp_path, query):

@@ -1,5 +1,7 @@
 """Cross-engine matrix, postulate checking, oracle, and the random suite."""
 
+from itertools import product
+
 import pytest
 
 from defq import (
@@ -14,11 +16,13 @@ from defq import (
     parse_formula,
     run_random_suite,
 )
-from defq import semantics
+from defq import harness, semantics
 from defq.harness import (
     PREFERENTIAL_POSTULATES,
     _model_agreement_problems,
+    _ordering_problems,
     _strict_order_problem,
+    _subset_less,
 )
 from defq.logic import mask_indices
 
@@ -240,3 +244,40 @@ class TestOrderChecks:
         monkeypatch.setattr(ClosureMatrix, "inclusion_violations", lambda self: ("rc=>mp",))
         _, problems, _ = cross_check(merry_kb, rt, [query])
         assert problems == [f"inclusion rc=>mp {query.text()!r}"]
+
+
+class TestOrderingChecks:
+    """The set-vs-count coarseness check and the subset-strategy check."""
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_every_pair_is_compared(self, seed):
+        gen = KbGenerator(seed, max_atoms=4, max_defaults=6)
+        for index in range(4):
+            kb = gen.knowledge_base(index)
+            problems, checks = _ordering_problems(kb, compute_ranking(kb))
+            assert problems == []
+            assert checks == 4 ** len(kb) + 4 ** len(kb.signature)
+
+    def test_a_wrong_set_ordering_fails_both_checks(self, conflict_kb, monkeypatch):
+        less = harness.mp_less_serious
+        monkeypatch.setattr(harness, "mp_less_serious", lambda d, b, rt: less(b, d, rt))
+        problems, _ = _ordering_problems(conflict_kb, compute_ranking(conflict_kb))
+        kinds = {p.split(" ", 1)[0] for p in problems}
+        assert kinds == {"set-order-not-coarser", "subset-strategy-mismatch"}
+
+    def test_subset_less_is_strict_weak_preference(self):
+        # the comparator's definition, read literally: weak preference holds
+        # when the slices all coincide, or at some rank s1's set strictly
+        # contains s2's and every higher rank agrees
+        def weakly_preferred(s1, s2):
+            n = len(s1)
+            return s1 == s2 or any(
+                s1[i] != s2[i] and s2[i] & ~s1[i] == 0 and s1[i + 1:] == s2[i + 1:]
+                for i in range(n)
+            )
+
+        lists = list(product(range(4), repeat=3))  # three ranks over two defaults
+        for s1 in lists:
+            for s2 in lists:
+                expected = weakly_preferred(s1, s2) and not weakly_preferred(s2, s1)
+                assert _subset_less(s1, s2) == expected, (s1, s2)

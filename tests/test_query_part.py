@@ -105,6 +105,20 @@ def test_nothing_dropped_returns_the_kb_itself():
     assert kb.query_part(query) == (kb, tuple(range(len(kb))))
 
 
+def test_read_query_atoms_join_the_part_and_its_cap():
+    kb = parse_kb(CAP_KB_TEXT)
+    query = kb.read_query("p17 & zz |~ yy")
+    assert len(kb.signature) == 20  # the KB is not extended
+    with pytest.raises(logic.SizeCapExceeded):
+        kb.query_part(query)  # nothing dropped: 22 atoms
+    part, kept = kb.query_part(kb.read_query("q |~ r"))
+    assert (kept, part.signature.atoms) == ((), ("q", "r"))
+    kb = parse_kb(CAP_KB_TEXT, max_atoms=22)
+    part, kept = kb.query_part(kb.read_query("p17 & zz |~ yy"))
+    assert kept == tuple(range(len(kb)))
+    assert part.signature.atoms == (*kb.signature.atoms, "zz", "yy")
+
+
 def test_modular_sample_splits_into_its_taxonomies():
     text = (Path(__file__).resolve().parent.parent / "samples" / "modular.kb").read_text()
     kb = parse_kb(text)
