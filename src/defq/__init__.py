@@ -17,8 +17,8 @@ _EXPORTS = {
     "closures": "BASIC LC MINIMAL MP RelevantTrace closure_query enumerate_bases "
     "find_justifications lc_query lex_less_serious mp_less_serious mp_query numeric_tuple "
     "relevant_query relevant_trace",
-    "harness": "ClosureMatrix KbGenerator brewka_subset_less check_postulates compare_all "
-    "cross_check oracle_mp_query run_random_suite",
+    "harness": "KbGenerator brewka_subset_less check_postulates compare_all cross_check "
+    "inclusion_violations oracle_mp_query run_random_suite",
     "logic": "DEFAULT_ATOM_CAP FALSE TRUE Formula LogicError ParseError Signature SizeCapExceeded "
     "TruthTable UnknownAtomError atom iff implies land lnot lor mask_indices parse_formula "
     "to_text",

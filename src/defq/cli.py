@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 # Each command imports what it alone needs (json, harness, semantics) where
 # it runs, so a query loads only the engine it asks for.
@@ -74,9 +74,15 @@ def _true_atoms(kb: KnowledgeBase, j: int) -> list[str]:
     return sorted(a for i, a in enumerate(kb.signature.atoms) if j >> i & 1)
 
 
-def _index_set_text(members: int) -> str:
-    """A default mask as ``{i, j, ...}``."""
-    return "{" + ", ".join(str(i) for i in mask_indices(members)) + "}"
+def _index_set_text(indices: Iterable[int]) -> str:
+    """Default indices as ``{i, j, ...}``."""
+    return "{" + ", ".join(str(i) for i in indices) + "}"
+
+
+def _whole_indices(members: int, kept: Sequence[int], plus: Sequence[int] = ()) -> list[int]:
+    """The default mask ``members`` of a query's part, whose d-th default is
+    ``kept[d]`` in the whole KB, as sorted whole-KB indices, with ``plus``."""
+    return sorted([*(kept[d] for d in mask_indices(members)), *plus])
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +109,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     print(f"order k: {rt.order_k}")
     print("chain:")
     for i, members in enumerate(rt.chain):
-        print(f"  C{i}: {_index_set_text(members)}")
+        print(f"  C{i}: {_index_set_text(mask_indices(members))}")
     return EXIT_OK
 
 
@@ -116,10 +122,6 @@ def _query_evidence(
     the defaults the part dropped join every base and the relevant
     remainder."""
     untouched = sorted(set(range(size)).difference(kept))
-
-    def whole(members: int, plus: Sequence[int] = ()) -> list[int]:
-        return sorted([*(kept[d] for d in mask_indices(members)), *plus])
-
     evidence: dict[str, Any] = {}
     rank_a = rank_of_formula(query.antecedent, rt, kb)
     evidence["antecedent_rank"] = _rank_json(rank_a)
@@ -128,14 +130,14 @@ def _query_evidence(
         evidence["conflict_rank"] = _rank_json(rank_of_formula(conflict, rt, kb))
     elif method in ("mp", "lc") and rank_a != INF:
         bases = closures.enumerate_bases(kb, rt, query.antecedent, method)
-        evidence["bases"] = sorted(whole(b, untouched) for b in bases)
+        evidence["bases"] = sorted(_whole_indices(b, kept, untouched) for b in bases)
     elif method in ("basic-relevant", "minimal-relevant") and rank_a != INF:
         variant = closures.BASIC if method == "basic-relevant" else closures.MINIMAL
         trace = closures.relevant_trace(kb, rt, query, variant)  # the answer's trace, kept
-        evidence["justifications"] = sorted(whole(j) for j in trace.justifications)
-        evidence["relevant"] = whole(trace.relevant)
-        evidence["removed"] = whole(trace.removed)
-        evidence["remaining"] = whole(trace.remainder, untouched)
+        evidence["justifications"] = sorted(_whole_indices(j, kept) for j in trace.justifications)
+        evidence["relevant"] = _whole_indices(trace.relevant, kept)
+        evidence["removed"] = _whole_indices(trace.removed, kept)
+        evidence["remaining"] = _whole_indices(trace.remainder, kept, untouched)
     elif method == "mpr":
         from . import semantics
 
@@ -180,8 +182,11 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_bases(args: argparse.Namespace) -> int:
-    # the placeholder consequent adds no atoms: the signature grows by the antecedent's
-    query, kb = _load_kb(args).parse_query(f"{args.antecedent} |~ true")
+    whole = _load_kb(args)
+    # the placeholder consequent adds no atoms, so the part is the antecedent's;
+    # the atom cap applies to it, as in cmd_query
+    query = whole.read_query(f"{args.antecedent} |~ true")
+    kb, kept = whole.query_part(query)
     antecedent = query.antecedent
     rt = compute_ranking(kb)
     if rank_of_formula(antecedent, rt, kb) == INF:
@@ -190,15 +195,13 @@ def cmd_bases(args: argparse.Namespace) -> int:
         else:
             print("antecedent has infinite rank: no bases")
         return EXIT_OK
-    bases = closures.enumerate_bases(kb, rt, antecedent, args.method)
+    untouched = sorted(set(range(len(whole))).difference(kept))  # they join every base
+    bases = sorted(
+        _whole_indices(b, kept, untouched)
+        for b in closures.enumerate_bases(kb, rt, antecedent, args.method)
+    )
     if args.json:
-        _emit_json(
-            {
-                "antecedent": to_text(antecedent),
-                "method": args.method,
-                "bases": [list(mask_indices(b)) for b in bases],
-            }
-        )
+        _emit_json({"antecedent": to_text(antecedent), "method": args.method, "bases": bases})
         return EXIT_OK
     for base in bases:
         print(_index_set_text(base))
@@ -230,7 +233,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         return EXIT_OK
     for row in rows:
         atoms = "{" + ", ".join(row["atoms"]) + "}"
-        violated = "{" + ", ".join(str(i) for i in row["violated"]) + "}"
+        violated = _index_set_text(row["violated"])
         print(f"{atoms}  rc={row['rc_rank']}  fr={row['fr_rank']}  violated={violated}")
     return EXIT_OK
 
@@ -240,11 +243,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     kb = _load_kb(args)
     query, kb = kb.parse_query(args.query)
-    matrix = harness.compare_all(kb, query)
+    answers = harness.compare_all(kb, query)
     if args.json:
-        _emit_json({"query": query.text(), "matrix": matrix.as_dict()})
+        _emit_json({"query": query.text(), "matrix": answers})
         return EXIT_OK
-    for method, answer in matrix.as_dict().items():
+    for method, answer in answers.items():
         print(f"{method}: {'yes' if answer else 'no'}")
     return EXIT_OK
 

@@ -15,18 +15,14 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import semantics
 from .closures import (
-    BASIC,
     LC,
-    METHODS,  # re-exported: callers know it as defq.harness.METHODS
-    MINIMAL,
+    METHODS,
     MP,
     closure_query,
     enumerate_bases,
-    lc_query,
     mp_less_serious,
     mp_query,
     numeric_tuple,
-    relevant_query,
 )
 from .logic import (
     FALSE,
@@ -55,48 +51,30 @@ from .ranking import (
     rc_query,
 )
 
-class ClosureMatrix(NamedTuple):
-    """Membership of one query in each of the six consequence relations."""
 
-    rc: bool
-    mp: bool
-    lc: bool
-    basic: bool
-    minimal: bool
-    mpr: bool
-
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "rc": self.rc,
-            "mp": self.mp,
-            "lc": self.lc,
-            "basic-relevant": self.basic,
-            "minimal-relevant": self.minimal,
-            "mpr": self.mpr,
-        }
-
-    def inclusion_violations(self) -> tuple[str, ...]:
-        """Implications between the relations that must never fail."""
-        expected = (
-            ("rc=>mp", not self.rc or self.mp),
-            ("mp=>lc", not self.mp or self.lc),
-            ("mp=>mpr", not self.mp or self.mpr),
-            ("basic=>minimal", not self.basic or self.minimal),
-            ("minimal=>mp", not self.minimal or self.mp),
-        )
-        return tuple(name for name, ok in expected if not ok)
-
-
-def compare_all(kb: KnowledgeBase, query: Conditional) -> ClosureMatrix:
-    """Run all six engines on one query."""
+def compare_all(kb: KnowledgeBase, query: Conditional) -> dict[str, bool]:
+    """Run all six engines on one query: each method's answer, in
+    ``METHODS`` order."""
     rt = compute_ranking(kb)
-    return ClosureMatrix(
-        rc=rc_query(kb, rt, query),
-        mp=mp_query(kb, rt, query),
-        lc=lc_query(kb, rt, query),
-        basic=relevant_query(kb, rt, query, BASIC),
-        minimal=relevant_query(kb, rt, query, MINIMAL),
-        mpr=semantics.mpr_query(kb, rt, query),
+    return {method: closure_query(kb, rt, method)(query) for method in METHODS}
+
+
+# Implications between the relations that must never fail, as (name, weaker,
+# stronger): every query the weaker method answers yes, the stronger does too.
+_INCLUSIONS = (
+    ("rc=>mp", "rc", "mp"),
+    ("mp=>lc", "mp", "lc"),
+    ("mp=>mpr", "mp", "mpr"),
+    ("basic=>minimal", "basic-relevant", "minimal-relevant"),
+    ("minimal=>mp", "minimal-relevant", "mp"),
+)
+
+
+def inclusion_violations(answers: dict[str, bool]) -> tuple[str, ...]:
+    """The names of the inclusions that one query's ``compare_all`` answers
+    break."""
+    return tuple(
+        name for name, weaker, stronger in _INCLUSIONS if answers[weaker] and not answers[stronger]
     )
 
 
@@ -361,11 +339,9 @@ def cross_check(
     rows = []
     problems: list[str] = []
     for q in queries:
-        matrix = compare_all(kb, q)
-        rows.append((q.text(), matrix.as_dict()))
-        problems.extend(
-            f"inclusion {name} {q.text()!r}" for name in matrix.inclusion_violations()
-        )
+        answers = compare_all(kb, q)
+        rows.append((q.text(), answers))
+        problems.extend(f"inclusion {name} {q.text()!r}" for name in inclusion_violations(answers))
     model_problems, model_checks = _model_agreement_problems(kb, rt, queries)
     problems.extend(model_problems)
     return rows, problems, 5 * len(queries) + model_checks

@@ -63,9 +63,6 @@ OR = "or"
 IMPLIES = "implies"
 IFF = "iff"
 
-_BINARY = (AND, OR, IMPLIES, IFF)
-
-
 class Formula(NamedTuple):
     """Immutable propositional formula tree.
 
@@ -87,6 +84,7 @@ class Formula(NamedTuple):
 
 TRUE = Formula(TRUE_OP)
 FALSE = Formula(FALSE_OP)
+_CONSTANTS = {TRUE_OP: TRUE, FALSE_OP: FALSE}  # a constant's text is its op name
 
 
 def atom(name: str) -> Formula:
@@ -130,9 +128,11 @@ def atoms_of(f: Formula) -> tuple[str, ...]:
     return tuple(seen)
 
 
-# Precedence used by both the parser and the printer (low to high).
-_PREC = {IFF: 1, IMPLIES: 2, OR: 3, AND: 4, NOT: 5}
-_OP_TEXT = {IFF: "<->", IMPLIES: "->", OR: "|", AND: "&"}
+# The connectives' concrete syntax, read by the tokenizer, the parser and the
+# printer.  ``_PREC`` ranks the binary connectives from loosest to tightest;
+# ``!`` binds tighter than any of them.
+_OP_TEXT = {IFF: "<->", IMPLIES: "->", OR: "|", AND: "&", NOT: "!"}
+_PREC = {IFF: 1, IMPLIES: 2, OR: 3, AND: 4}
 _RIGHT_ASSOC = {IFF, IMPLIES}
 
 
@@ -140,22 +140,20 @@ def to_text(f: Formula) -> str:
     """Render a formula in the concrete grammar; parse(to_text(f)) == f."""
     if f.op == ATOM:
         return f.args[0]
-    if f.op == TRUE_OP:
-        return "true"
-    if f.op == FALSE_OP:
-        return "false"
+    if f.op in _CONSTANTS:
+        return f.op
     if f.op == NOT:
         (g,) = f.args
         inner = to_text(g)
-        if g.op in _BINARY:
+        if g.op in _PREC:
             inner = f"({inner})"
-        return f"!{inner}"
+        return _OP_TEXT[NOT] + inner
     left, right = f.args
     prec = _PREC[f.op]
 
     def wrap(g: Formula, tight: bool) -> str:
         text = to_text(g)
-        if g.op in _PREC and g.op != NOT:
+        if g.op in _PREC:
             gp = _PREC[g.op]
             if gp < prec or (gp == prec and tight):
                 return f"({text})"
@@ -312,19 +310,14 @@ class TruthTable:
 # ---------------------------------------------------------------------------
 # Parsing
 #
-# Grammar (precedence low to high):  <->   ->   |   &   !   primary
-# ``->`` and ``<->`` are right-associative; ``|`` and ``&`` left-associative.
-# Whitespace is insignificant.  ``|~`` separates the two sides of a
+# The binary connectives bind and associate as ``_PREC`` and ``_RIGHT_ASSOC``
+# say.  Whitespace is insignificant.  ``|~`` separates the two sides of a
 # conditional and may appear exactly once, at the top level only.
 # ---------------------------------------------------------------------------
 
 _TOKEN_SPEC = [
-    ("cond", r"\|~"),
-    ("iff", r"<->"),
-    ("implies", r"->"),
-    ("or", r"\|"),
-    ("and", r"&"),
-    ("not", r"!"),
+    ("cond", r"\|~"),  # before the connective "|", which is its prefix
+    *((op, re.escape(text)) for op, text in _OP_TEXT.items()),
     ("lparen", r"\("),
     ("rparen", r"\)"),
     ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
@@ -334,7 +327,7 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_SPEC))
 
 
 class _Token(NamedTuple):
-    kind: str
+    kind: str  # a connective's op name, or one of the other _TOKEN_SPEC kinds
     text: str
     pos: int
 
@@ -349,7 +342,7 @@ def _tokenize(text: str) -> list[_Token]:
         kind = m.lastgroup
         value = m.group()
         if kind != "ws":
-            if kind == "ident" and value in ("true", "false"):
+            if kind == "ident" and value in _CONSTANTS:
                 kind = value
             tokens.append(_Token(kind, value, pos))
         pos = m.end()
@@ -358,6 +351,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Precedence climbing over ``_PREC`` and ``_RIGHT_ASSOC``.
+
+    ``depth`` counts the open nesting levels: each connective and each
+    parenthesis opens one, and the levels of a chain of one connective
+    (``a & b & c`` opens two) stay open until the chain ends.  ``formula``
+    restores ``depth`` when a chain ends and when it returns, which closes
+    the levels its operands opened.
+    """
+
     def __init__(self, tokens: Sequence[_Token], sig: Signature):
         self.tokens = tokens
         self.sig = sig
@@ -377,74 +379,42 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", offset=tok.pos)
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.take()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", offset=tok.pos)
-        return tok
-
-    def formula(self) -> Formula:
-        return self.iff_level()
-
-    def iff_level(self) -> Formula:
-        left = self.implies_level()
-        if self.peek().kind == "iff":
-            self.nest(self.take())
-            left = iff(left, self.iff_level())
-            self.depth -= 1
-        return left
-
-    def implies_level(self) -> Formula:
-        left = self.or_level()
-        if self.peek().kind == "implies":
-            self.nest(self.take())
-            left = implies(left, self.implies_level())
-            self.depth -= 1
-        return left
-
-    def or_level(self) -> Formula:
-        start = self.depth
-        left = self.and_level()
-        while self.peek().kind == "or":
-            self.nest(self.take())
-            left = lor(left, self.and_level())
-        self.depth = start
-        return left
-
-    def and_level(self) -> Formula:
+    def formula(self, floor: int = 0) -> Formula:
+        """A unary, then every binary connective that binds at least as
+        tightly as ``floor`` (0 admits them all), each with its right
+        operand.  A left-associative connective's right operand holds only
+        tighter connectives; a right-associative one's holds its own too."""
         start = self.depth
         left = self.unary()
-        while self.peek().kind == "and":
+        chain = None
+        while (op := self.peek().kind) in _PREC and _PREC[op] >= floor:
+            if op != chain:  # the chain of a tighter connective has ended
+                chain = op
+                self.depth = start
             self.nest(self.take())
-            left = land(left, self.unary())
+            right_floor = _PREC[op] if op in _RIGHT_ASSOC else _PREC[op] + 1
+            left = Formula(op, (left, self.formula(right_floor)))
         self.depth = start
         return left
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.nest(self.take())
-            inner = self.unary()
-            self.depth -= 1
-            return lnot(inner)
-        return self.primary()
-
-    def primary(self) -> Formula:
+        """A negation, a parenthesized formula, a constant or an atom."""
         tok = self.take()
-        if tok.kind == "lparen":
-            self.nest(tok)
-            inner = self.formula()
-            self.expect("rparen", "')'")
-            self.depth -= 1
-            return inner
-        if tok.kind == "true":
-            return TRUE
-        if tok.kind == "false":
-            return FALSE
         if tok.kind == "ident":
             self.sig.add(tok.text)
             return Formula(ATOM, (tok.text,))
-        raise ParseError("expected a formula", offset=tok.pos)
+        if tok.kind in _CONSTANTS:
+            return _CONSTANTS[tok.kind]
+        if tok.kind not in (NOT, "lparen"):
+            raise ParseError("expected a formula", offset=tok.pos)
+        self.nest(tok)
+        if tok.kind == NOT:
+            return lnot(self.unary())
+        inner = self.formula()
+        closing = self.take()
+        if closing.kind != "rparen":
+            raise ParseError("expected ')'", offset=closing.pos)
+        return inner
 
 
 def _parse_to_end(tokens: list[_Token], sig: Signature) -> Formula:

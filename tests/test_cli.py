@@ -21,6 +21,7 @@ from conftest import (
     RESIDENCE_KB_TEXT,
     TAXES_KB_TEXT,
 )
+from test_acceptance import MODULAR_KB_TEXT
 
 UNSAT_KB_TEXT = "true |~ a\ntrue |~ !a\n"
 
@@ -235,6 +236,19 @@ class TestBases:
         )
         assert code == 0
         assert "infinite rank" in out
+
+    @pytest.mark.parametrize("method", ["mp", "lc"])
+    def test_bases_found_on_the_part_are_the_whole_kbs(self, kb_file, capsys, method):
+        # the part drops the taxonomies the antecedent does not mention, and
+        # their defaults join every base
+        path = kb_file(MODULAR_KB_TEXT)
+        whole = parse_kb(MODULAR_KB_TEXT)
+        for antecedent in ("Penguin", "Employee & Student", "Penguin & Student", "Fish"):
+            query, kb = whole.parse_query(f"{antecedent} |~ true")
+            bases = defq.enumerate_bases(kb, compute_ranking(kb), query.antecedent, method)
+            code, out, _ = run(capsys, "bases", path, antecedent, "--method", method, "--json")
+            assert code == 0
+            assert json.loads(out)["bases"] == [list(logic.mask_indices(b)) for b in bases]
 
 
 class TestModel:
@@ -459,6 +473,16 @@ class TestAtomCapOnQueryPart:
         code, _, err = run(capsys, "query", kb_file(CAP_KB_TEXT), "q |~ r", "--method", "mpr")
         assert code == 4
         assert "22 atoms exceeds the enumeration cap of 20" in err
+
+    def test_bases_check_the_cap_on_the_antecedents_part(self, kb_file, capsys):
+        path = kb_file(TAXES_KB_TEXT)
+        code, out, err = run(capsys, "bases", path, "Fresh", "--method", "mp", "--max-atoms", "4")
+        assert (code, out, err) == (0, "{0, 1, 2}\n", "")
+        code, _, err = run(
+            capsys, "bases", path, "Student & Fresh", "--method", "mp", "--max-atoms", "4"
+        )
+        assert code == 4
+        assert "5 atoms exceeds the enumeration cap of 4" in err
 
     @pytest.mark.parametrize("method", PART_METHODS + ("mpr",))
     def test_a_part_over_the_cap_is_refused(self, kb_file, capsys, method):

@@ -5,12 +5,12 @@ from itertools import product
 import pytest
 
 from defq import (
-    ClosureMatrix,
     KbGenerator,
     check_postulates,
     compare_all,
     compute_ranking,
     cross_check,
+    inclusion_violations,
     mp_query,
     oracle_mp_query,
     parse_formula,
@@ -18,6 +18,7 @@ from defq import (
 )
 from defq import harness, semantics
 from defq.harness import (
+    METHODS,
     PREFERENTIAL_POSTULATES,
     _model_agreement_problems,
     _ordering_problems,
@@ -29,7 +30,7 @@ from defq.logic import mask_indices
 
 def matrix(kb, text):
     query, kb = kb.parse_query(text)
-    return compare_all(kb, query).as_dict()
+    return compare_all(kb, query)
 
 
 class TestCompareAll:
@@ -60,10 +61,11 @@ class TestCompareAll:
         assert (e["lc"], e["mp"], e["mpr"]) == (True, False, False)
 
     def test_inclusion_violation_detection(self):
-        good = ClosureMatrix(rc=False, mp=True, lc=True, basic=False, minimal=False, mpr=True)
-        assert good.inclusion_violations() == ()
-        bad = ClosureMatrix(rc=True, mp=False, lc=True, basic=True, minimal=False, mpr=True)
-        assert set(bad.inclusion_violations()) == {"rc=>mp", "basic=>minimal"}
+        # answers in METHODS order: rc, mp, lc, basic, minimal, mpr
+        good = dict(zip(METHODS, (False, True, True, False, False, True)))
+        assert inclusion_violations(good) == ()
+        bad = dict(zip(METHODS, (True, False, True, True, False, True)))
+        assert set(inclusion_violations(bad)) == {"rc=>mp", "basic=>minimal"}
 
 
 class TestPostulates:
@@ -239,9 +241,9 @@ class TestOrderChecks:
         rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
         rows, problems, checks = cross_check(merry_kb, rt, [query])
-        assert rows == [(query.text(), compare_all(merry_kb, query).as_dict())]
+        assert rows == [(query.text(), compare_all(merry_kb, query))]
         assert (problems, checks) == ([], 5 + 4)
-        monkeypatch.setattr(ClosureMatrix, "inclusion_violations", lambda self: ("rc=>mp",))
+        monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>mp",))
         _, problems, _ = cross_check(merry_kb, rt, [query])
         assert problems == [f"inclusion rc=>mp {query.text()!r}"]
 

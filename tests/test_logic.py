@@ -20,6 +20,7 @@ from defq import (
     lnot,
     lor,
     parse_formula,
+    parse_kb,
     to_text,
 )
 from defq.logic import MAX_NESTING, mask_indices, parse_conditional_parts
@@ -86,6 +87,52 @@ class TestParser:
             parse_conditional_parts("p & q", Signature())
         with pytest.raises(ParseError):
             parse_conditional_parts("p |~ q |~ r", Signature())
+
+
+# (function, input, message, offset): the exact text of every parse error
+TOO_DEEP = "formula nests deeper than 100 levels"  # MAX_NESTING is 100
+PARSE_ERRORS = [
+    ("formula", "", "empty formula", 0),
+    ("formula", "   ", "empty formula", 0),
+    ("conditional", "  |~ b", "empty antecedent", 0),
+    ("conditional", "a |~  ", "empty consequent", 6),
+    ("conditional", "a & b", "expected '|~' between antecedent and consequent", 0),
+    ("conditional", "a |~ b |~ c", "more than one '|~'", 7),
+    ("formula", "a ? b", "unexpected character '?'", 2),
+    ("conditional", "a & |~ b", "expected a formula", 4),
+    ("formula", "a & )", "expected a formula", 4),
+    ("formula", "(a b", "expected ')'", 3),
+    ("conditional", "(a |~ b", "expected ')'", 3),
+    ("formula", "a b", "unexpected 'b'", 2),
+    ("formula", "a -> b)", "unexpected ')'", 6),
+    ("formula", "!" * (MAX_NESTING + 1) + "a", TOO_DEEP, 100),
+    ("formula", "(" * (MAX_NESTING + 1) + "a", TOO_DEEP, 100),
+    ("formula", " & ".join(["a"] * (MAX_NESTING + 2)), TOO_DEEP, 402),
+    ("formula", " -> ".join(["a"] * (MAX_NESTING + 2)), TOO_DEEP, 502),
+    ("formula", " <-> ".join(["a"] * (MAX_NESTING + 2)), TOO_DEEP, 602),
+]
+
+
+@pytest.mark.parametrize(
+    "function, text, message, offset",
+    PARSE_ERRORS,
+    ids=[f"{function}:{text[:12]}" for function, text, *_ in PARSE_ERRORS],
+)
+def test_parse_error_text(function, text, message, offset):
+    parse_fn = parse_formula if function == "formula" else parse_conditional_parts
+    with pytest.raises(ParseError) as exc:
+        parse_fn(text, Signature())
+    assert (str(exc.value), exc.value.offset, exc.value.line) == (
+        f"offset {offset}: {message}", offset, None,
+    )
+
+
+def test_kb_parse_error_text_names_the_line():
+    with pytest.raises(ParseError) as exc:
+        parse_kb("a |~ b\n# comment\n\n(a |~ b\n")
+    assert (str(exc.value), exc.value.offset, exc.value.line) == (
+        "line 4, offset 3: expected ')'", 3, 4,
+    )
 
 
 class TestNestingCap:

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from defq import logic
+from defq import logic, semantics
 from defq.cli import _query_evidence, main
 from defq.closures import closure_query
-from defq.harness import KbGenerator
-from defq.logic import Formula, TruthTable, to_text
+from defq.harness import KbGenerator, cross_check
+from defq.logic import Formula, TruthTable, mask_indices, to_text
 from defq.ranking import compute_ranking, parse_kb
 
 from test_acceptance import MODULAR_GOLDEN
@@ -170,3 +170,47 @@ def test_cli_answers_the_modular_goldens(query, capsys):
     for method, expected in zip(METHODS, MODULAR_GOLDEN[query]):
         assert main(["query", str(sample), query, "--method", method]) == 0
         assert capsys.readouterr().out == ("yes\n" if expected else "no\n"), method
+
+
+# mpr does not split: ``query_part`` drops ``u |~ v``, and that changes mpr's
+# answer.  On the part, the antecedent's worlds that violate {0, 1, 2} and
+# those that violate {0, 3, 4} tie at height 3.  The dropped rank-0 default
+# lengthens the chains below {0, 1, 2} (two rank-1 violations) more than those
+# below {0, 3, 4}, so on the whole KB only the {0, 3, 4} worlds are minimal.
+MPR_SPLIT_KB_TEXT = "s |~ !t\ns & t |~ g\ns & t |~ h\ns & t |~ k\nt |~ !s | m | k\nu |~ v\n"
+MPR_SPLIT_QUERY = "s & t & ((!g & !h & k) | (g & h & !k & !m)) |~ !k"
+
+
+def antecedent_heights(kb, rt, query):
+    """(height, violated defaults) of each violation class that holds an
+    antecedent world, in mpr's refined model."""
+    refined = semantics.preferential_refinement(semantics.minimal_canonical_model(kb, rt), kb)
+    heights = semantics.height_ranks(refined)
+    a = kb.truth.mask(query.antecedent)
+    return sorted(
+        (heights[c], tuple(mask_indices(refined.violations[c])))
+        for c, worlds in enumerate(refined.classes)
+        if worlds & a
+    )
+
+
+def test_mpr_on_the_part_differs_from_mpr_on_the_whole_kb(tmp_path, capsys):
+    whole = parse_kb(MPR_SPLIT_KB_TEXT)
+    query, whole = whole.parse_query(MPR_SPLIT_QUERY)
+    part, kept = whole.query_part(query)
+    assert kept == (0, 1, 2, 3, 4)
+    rt, part_rt = compute_ranking(whole), compute_ranking(part)
+    # METHODS order: rc, lc, mp, basic, minimal, mpr
+    assert [closure_query(whole, rt, m)(query) for m in METHODS] == [
+        False, True, False, False, False, True,
+    ]
+    assert [closure_query(part, part_rt, m)(query) for m in METHODS] == [
+        False, True, False, False, False, False,
+    ]
+    assert antecedent_heights(part, part_rt, query) == [(3, (0, 1, 2)), (3, (0, 3, 4))]
+    assert antecedent_heights(whole, rt, query)[:2] == [(4, (0, 3, 4)), (5, (0, 1, 2))]
+    assert cross_check(whole, rt, [query])[1] == []
+    path = tmp_path / "split.kb"
+    path.write_text(MPR_SPLIT_KB_TEXT)
+    assert main(["query", str(path), MPR_SPLIT_QUERY, "--method", "mpr"]) == 0
+    assert capsys.readouterr().out == "yes\n"
