@@ -96,16 +96,16 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "defaults": [
-                dict(index=c.index, conditional=c.text(), **_rank_json(rt.default_ranks[c.index]))
-                for c in kb.conditionals
+                dict(index=d, conditional=c.text(), **_rank_json(rt.default_ranks[d]))
+                for d, c in enumerate(kb.conditionals)
             ],
             "order_k": rt.order_k,
             "chain": [list(mask_indices(members)) for members in rt.chain],
         }
         _emit_json(payload)
         return EXIT_OK
-    for c in kb.conditionals:
-        print(f"{c.index}: rank {_rank_text(rt.default_ranks[c.index])}    {c.text()}")
+    for d, c in enumerate(kb.conditionals):
+        print(f"{d}: rank {_rank_text(rt.default_ranks[d])}    {c.text()}")
     print(f"order k: {rt.order_k}")
     print("chain:")
     for i, members in enumerate(rt.chain):
@@ -215,18 +215,18 @@ def cmd_model(args: argparse.Namespace) -> int:
     rt = compute_ranking(kb)
     canonical = semantics.minimal_canonical_model(kb, rt)
     refined = semantics.preferential_refinement(canonical, kb)
-    rc_rank = {j: r for r, stratum in enumerate(canonical.strata) for j in mask_indices(stratum)}
-    violated = [list(mask_indices(v)) for v in refined.violations]
-    rows = [
-        {
-            "atoms": _true_atoms(kb, j),
-            "rc_rank": rc_rank[j],
-            "fr_rank": height,
-            "violated": violated[c],
-        }
-        for c, height in enumerate(semantics.height_ranks(refined))
-        for j in mask_indices(refined.classes[c])
-    ]
+    rows = []
+    # a world's rc rank depends only on the defaults it violates, so a
+    # class's worlds share it: the first stratum that meets the class
+    for worlds, violations, height in zip(
+        refined.classes, refined.violations, semantics.layer_ranks(refined)
+    ):
+        rc = next(r for r, stratum in enumerate(canonical.strata) if stratum & worlds)
+        violated = list(mask_indices(violations))
+        rows.extend(
+            {"atoms": _true_atoms(kb, j), "rc_rank": rc, "fr_rank": height, "violated": violated}
+            for j in mask_indices(worlds)
+        )
     rows.sort(key=lambda row: row["atoms"])
     if args.json:
         _emit_json({"worlds": rows})

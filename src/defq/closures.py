@@ -13,11 +13,13 @@ Also here: inclusion-minimal refuting subsets (justifications), the basic and
 minimal relevant closures built on them, and the six engines by CLI method
 id.
 
-Both kinds of subset come from depth-first searches over the KB's default
-masks that cut every subtree which cannot hold an answer: the inclusion-
-maximal consistent sets, which the orderings then filter, and the minimal
-refuting sets.  Each search holds only its current path, so memory grows
-with the number of defaults, not with the number of subsets.
+All four closures read one family of default sets, those consistent with
+the antecedent, and one depth-first search over the KB's default masks
+lists its inclusion-maximal members.  The orderings filter them into bases;
+the justifications are the minimal sets outside the family, that is, the
+minimal hitting sets of their complements.  The search cuts every subtree
+that cannot hold an answer and holds only its current path, so memory
+grows with the number of defaults, not with the number of subsets.
 """
 
 from __future__ import annotations
@@ -70,31 +72,8 @@ def _index_order(members: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Base enumeration
+# Maximal consistent sets and bases
 # ---------------------------------------------------------------------------
-
-
-def _search_order(kb: KnowledgeBase, start: int) -> tuple[list[int], list[int], list[int]]:
-    """The order both subset searches decide the defaults in, as one-bit
-    default masks, with the defaults' truth masks in that order and their
-    suffix ANDs.
-
-    Defaults come by how few of the ``start`` worlds their mask keeps, so
-    the ones the antecedent triggers are decided first.  Past them the
-    suffix AND is usually consistent with the running mask and the cuts
-    fire near the root; in index order an antecedent whose conflicts sit at
-    the end of the file costs thousands of nodes.  Every pruning rule holds
-    for any fixed order.  ``suffix[i]`` is the AND of the masks at positions
-    >= i, and ``suffix[len(kb)]`` is the full mask.
-    """
-    default_masks = kb.default_masks
-    order = sorted(range(len(kb)), key=lambda d: (start & default_masks[d]).bit_count())
-    masks = [default_masks[d] for d in order]
-    suffix = [kb.truth.full]
-    for m in reversed(masks):
-        suffix.append(suffix[-1] & m)
-    suffix.reverse()
-    return [1 << d for d in order], masks, suffix
 
 
 def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[int]:
@@ -103,14 +82,20 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[int]:
 
     Every ordering-maximal set is inclusion-maximal (supersets dominate in
     both orderings), so the search space can be narrowed here.  The search
-    decides the defaults one by one (see ``_search_order``), carrying
-    ``chosen``, the default mask of the defaults included so far, and
-    ``mask``, the antecedent AND their truth masks; ``m_i`` is the truth
-    mask of the default at position i.  A set S is inclusion-maximal iff its
-    mask is nonzero and meets the mask of no default outside S.  Each rule
-    below drops only subtrees holding no such set, and at a leaf
-    (i = len(kb)) the third rule is exactly that test, so the leaves reached
-    are the inclusion-maximal sets:
+    decides the defaults one by one, by how few of the ``start`` worlds
+    their mask keeps, so the ones the antecedent triggers are decided
+    first.  Past them the suffix AND is usually consistent with the running
+    mask and the cuts fire near the root; in index order an antecedent whose
+    conflicts sit at the end of the file costs thousands of nodes.  The
+    search carries ``chosen``, the default mask of the defaults included so
+    far, and ``mask``, the antecedent AND their truth masks; ``m_i`` is the
+    truth mask of the default at position i, and ``suffix[i]`` the AND of
+    the masks at positions >= i (``suffix[len(kb)]`` is the full mask).  A
+    set S is inclusion-maximal iff its mask is nonzero and meets the mask of
+    no default outside S.  Each rule below holds for any fixed order and
+    drops only subtrees holding no such set, and at a leaf (i = len(kb))
+    the third rule is exactly that test, so the leaves reached are the
+    inclusion-maximal sets:
 
     - include i only when ``mask & m_i != 0``: the mask only shrinks along
       a path, so an empty mask stays empty;
@@ -127,7 +112,14 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[int]:
     """
     if not start:
         return []
-    bits, masks, suffix = _search_order(kb, start)
+    default_masks = kb.default_masks
+    order = sorted(range(len(kb)), key=lambda d: (start & default_masks[d]).bit_count())
+    bits = [1 << d for d in order]
+    masks = [default_masks[d] for d in order]
+    suffix = [kb.truth.full]
+    for m in reversed(masks):
+        suffix.append(suffix[-1] & m)
+    suffix.reverse()
     excluded: list[int] = []  # masks of the excluded defaults
     found: list[int] = []
 
@@ -226,24 +218,23 @@ def find_justifications(
     it.  ``a_mask`` is the antecedent's truth mask when the caller has
     already built it.
 
-    Depth-first over sets built in increasing search position (see
-    ``_search_order``), carrying ``members``, the default mask of the chosen
-    defaults, and ``mask``, the antecedent AND their truth masks; ``m_j`` is
-    the truth mask of the default at position j.
-    A minimal refuting set J is reached along the path that adds its
-    members in that order, and no rule below drops that path:
+    A set refutes the antecedent iff it lies inside no inclusion-maximal
+    consistent set, that is, iff it meets the complement of each, so the
+    justifications are the minimal hitting sets of those complements
+    (Reiter 1987).  They are built one complement at a time (Berge): a set
+    that meets the next complement stays, each other set grows by one
+    default of it, and a grown set is kept unless a set that stayed lies
+    inside it.  The sets before a step are minimal, so none holds another,
+    and no other test is needed:
 
-    - stop at ``mask == 0``: every superset of a refuting set refutes and is
-      not minimal; the leaf is kept when removing any one member leaves a
-      nonzero mask;
-    - add j only when ``mask & m_j != mask``: if j cuts nothing, any
-      refuting set grown from here still refutes without j, so it is not
-      minimal with j in it;
-    - cut when ``mask & suffix[i] != 0``: adding every remaining default
-      leaves that nonzero mask, so no extension refutes the antecedent.
+    - a set s that stayed never holds a grown set h + d: it would hold h,
+      and h is not s, since h misses the complement that s meets;
+    - a grown set h + d inside another, h' + d', has d = d', since h'
+      misses the complement that holds d; then h lies inside h', so h = h'
+      and the two are one set.
 
-    Only the current path is held, so memory grows with the number of
-    defaults, not with the number of subsets.
+    An unsatisfiable antecedent has no consistent set, so the empty set is
+    its one justification.
     """
     memo = kb.cache.setdefault("justifications", {})
     cached = memo.get(antecedent)
@@ -252,38 +243,15 @@ def find_justifications(
 
     if a_mask is None:
         a_mask = kb.truth.mask(antecedent)
-    bits, masks, suffix = _search_order(kb, a_mask)
-    chosen: list[int] = []  # search positions
-    path = [a_mask]  # path[t]: a_mask AND the masks of the first t chosen
-    minimal: list[int] = []
-
-    def each_member_needed() -> bool:
-        rest = kb.truth.full  # AND of the masks chosen after position t
-        for t in reversed(range(len(chosen))):
-            if path[t] & rest == 0:
-                return False
-            rest &= masks[chosen[t]]
-        return True
-
-    def descend(i: int, members: int) -> None:
-        mask = path[-1]
-        if mask == 0:
-            if each_member_needed():
-                minimal.append(members)
-            return
-        if mask & suffix[i]:
-            return
-        for j in range(i, len(masks)):
-            kept = mask & masks[j]
-            if kept != mask:
-                chosen.append(j)
-                path.append(kept)
-                descend(j + 1, members | bits[j])
-                path.pop()
-                chosen.pop()
-
-    descend(0, 0)
-    del descend  # empties its own closure cell: no cycle keeps ``suffix`` alive
+    everything = (1 << len(kb)) - 1
+    minimal = [0]
+    for consistent in _consistent_inclusion_maximal(kb, a_mask):
+        complement = everything & ~consistent
+        stayed = [h for h in minimal if h & complement]
+        grown = [
+            h | 1 << d for h in minimal if not h & complement for d in mask_indices(complement)
+        ]
+        minimal = stayed + [g for g in grown if not any(s & ~g == 0 for s in stayed)]
     result = tuple(sorted(minimal, key=_index_order))
     memo[antecedent] = result
     return result

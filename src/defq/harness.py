@@ -112,7 +112,7 @@ def _postulate_instance(
     """(premises hold, conclusion holds); conclusion is True when vacuous."""
 
     def ask(ant: Formula, cons: Formula) -> bool:
-        return q(Conditional(ant, cons, -1))
+        return q(Conditional(ant, cons))
 
     if name == "LLE":
         applicable = tt.is_tautology(iff(a, b)) and ask(a, c)
@@ -257,12 +257,12 @@ class KbGenerator(NamedTuple):
             n_defaults = rng.randint(1, self.max_defaults)
             sig = Signature()
             conditionals = []
-            for i in range(n_defaults):
+            for _ in range(n_defaults):
                 antecedent = random_formula(rng, names, self.depth - 1)
                 consequent = random_formula(rng, names, self.depth)
                 for name in atoms_of(antecedent) + atoms_of(consequent):
                     sig.add(name)
-                conditionals.append(Conditional(antecedent, consequent, i))
+                conditionals.append(Conditional(antecedent, consequent))
             kb = KnowledgeBase(conditionals, sig, max_defaults=max(self.max_defaults, 1))
             if kb_satisfiable(kb):
                 return kb
@@ -274,7 +274,6 @@ class KbGenerator(NamedTuple):
         return Conditional(
             random_formula(rng, atoms, self.depth - 1),
             random_formula(rng, atoms, self.depth),
-            -1,
         )
 
     def triple(

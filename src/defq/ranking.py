@@ -44,11 +44,10 @@ class UnsatisfiableKB(LogicError):
 
 
 class Conditional(NamedTuple):
-    """A default ``antecedent |~ consequent`` at a fixed KB position."""
+    """A default ``antecedent |~ consequent``; its index is its KB position."""
 
     antecedent: Formula
     consequent: Formula
-    index: int
 
     def materialization(self) -> Formula:
         return implies(self.antecedent, self.consequent)
@@ -87,9 +86,6 @@ class KnowledgeBase:
             raise SizeCapExceeded(
                 f"{len(conditionals)} defaults exceeds the cap of {max_defaults}"
             )
-        for i, c in enumerate(conditionals):
-            if c.index != i:
-                raise ValueError("conditional indices must be contiguous from 0")
         check_atom_cap(signature, max_atoms)
         self.conditionals: tuple[Conditional, ...] = tuple(conditionals)
         self.signature = signature
@@ -124,7 +120,7 @@ class KnowledgeBase:
         """Parse ``A |~ B``, which may mention atoms outside this KB's
         signature.  No KB is built, so no cap is checked."""
         antecedent, consequent = parse_conditional_parts(text, self.signature.copy())
-        return Conditional(antecedent, consequent, index=-1)
+        return Conditional(antecedent, consequent)
 
     def parse_query(self, text: str) -> tuple[Conditional, "KnowledgeBase"]:
         """Parse ``A |~ B``, extending the signature with new query atoms.
@@ -191,8 +187,7 @@ class KnowledgeBase:
         used = {name for d in kept for name in self.conditionals[d].atoms()}
         used.update(query.atoms())
         part = KnowledgeBase(
-            [Conditional(self.conditionals[d].antecedent, self.conditionals[d].consequent, i)
-             for i, d in enumerate(kept)],
+            [self.conditionals[d] for d in kept],
             Signature([*(a for a in self.signature.atoms if a in used), *new]),
             max_atoms=self.max_atoms,
             max_defaults=self.max_defaults,
@@ -229,7 +224,7 @@ def parse_kb(
             antecedent, consequent = parse_conditional_parts(line, sig)
         except ParseError as exc:
             raise ParseError(str(exc.args[0]).split(": ", 1)[-1], exc.offset, lineno) from None
-        conditionals.append(Conditional(antecedent, consequent, len(conditionals)))
+        conditionals.append(Conditional(antecedent, consequent))
     return KnowledgeBase(conditionals, sig, max_atoms=max_atoms, max_defaults=max_defaults)
 
 

@@ -195,7 +195,9 @@ def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:
     """Rank of each class as the length of a longest strictly descending
     chain below it (its worlds share their predecessors, so they share it).
     Under a strict order a class has more classes below it than any class
-    below it, so visiting classes by that count is a topological order."""
+    below it, so visiting classes by that count is a topological order.
+    The engines and ``defq model`` use ``layer_ranks``; ``harness`` checks
+    it against this."""
     heights = [0] * len(pref.below)
     for c in sorted(range(len(heights)), key=lambda c: pref.below[c].bit_count()):
         heights[c] = max((heights[p] + 1 for p in mask_indices(pref.below[c])), default=0)

@@ -51,8 +51,8 @@ def violated(kb, j: int) -> frozenset[int]:
     at the valuation with index j."""
     v = valuation(kb.signature.atoms, j)
     return frozenset(
-        c.index
-        for c in kb.conditionals
+        d
+        for d, c in enumerate(kb.conditionals)
         if evaluate(c.antecedent, v) and not evaluate(c.consequent, v)
     )
 

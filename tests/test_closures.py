@@ -360,6 +360,12 @@ def reference_justifications(kb, antecedent):
     return tuple(sorted(minimal, key=lambda bits: list(mask_indices(bits))))
 
 
+# Complementary pairs: each of the 8 atoms is defaulted both ways, so every
+# one of the 2^8 choices of one default per pair is a maximal consistent set
+# and the justifications are the 8 pairs.
+COMPLEMENTARY_PAIRS = "".join(f"true |~ p{i}\ntrue |~ !p{i}\n" for i in range(8))
+
+
 class TestSearchesMatchReference:
     """The pruned searches return exactly what the unpruned ones do."""
 
@@ -385,6 +391,19 @@ class TestSearchesMatchReference:
         for antecedent_text in antecedents:
             query, _ = kb.parse_query(f"{antecedent_text} |~ true")
             self.assert_match(kb, query.antecedent)
+
+    @pytest.mark.parametrize(
+        "antecedent_text, consistent, justifications",
+        [("true", 256, 8), ("p0 & !p1", 64, 8)],
+        ids=["true", "p0-and-not-p1"],
+    )
+    def test_complementary_pairs(self, antecedent_text, consistent, justifications):
+        kb = parse_kb(COMPLEMENTARY_PAIRS)
+        assert (len(kb.signature), len(kb)) == (8, 16)
+        query, _ = kb.parse_query(f"{antecedent_text} |~ true")
+        self.assert_match(kb, query.antecedent)
+        assert len(_consistent_inclusion_maximal(kb, kb.truth.mask(query.antecedent))) == consistent
+        assert len(find_justifications(kb, query.antecedent)) == justifications
 
 
 class TestSearchesFreeTheirState:

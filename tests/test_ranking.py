@@ -125,7 +125,7 @@ class TestRcQuery:
 
     def test_impossible_antecedent_accepts_anything(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
-        query = Conditional(FALSE, atom("Young"), -1)
+        query = Conditional(FALSE, atom("Young"))
         assert rc_query(taxes_kb, rt, query)
 
     def test_specific_subclass_pays(self, taxes_kb):
@@ -157,7 +157,7 @@ class TestRankingProperties:
         gen = KbGenerator(seed=8)
         for w in range(6):
             a = gen.query(kb, 0, w).antecedent
-            accepted = rc_query(kb, rt, Conditional(TRUE, lnot(a), -1))
+            accepted = rc_query(kb, rt, Conditional(TRUE, lnot(a)))
             rank_a = rank_of_formula(a, rt, kb)
             assert accepted == (rank_a >= 1 or rank_a == INF)
 
@@ -168,7 +168,7 @@ class TestRankingProperties:
         contradiction = land(atom(kb.signature.atoms[0]), lnot(atom(kb.signature.atoms[0]))) \
             if len(kb.signature) else FALSE
         assert rank_of_formula(contradiction, rt, kb) == INF
-        assert rc_query(kb, rt, Conditional(contradiction, FALSE, -1))
+        assert rc_query(kb, rt, Conditional(contradiction, FALSE))
 
     def test_pool_is_satisfiable_by_construction(self):
         assert all(kb_satisfiable(kb) for kb in self.POOL)

@@ -35,10 +35,7 @@ SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.kb
 
 def permuted(kb: KnowledgeBase, perm) -> KnowledgeBase:
     """The KB whose default i is ``kb``'s default ``perm[i]``."""
-    conditionals = [
-        Conditional(kb.conditionals[d].antecedent, kb.conditionals[d].consequent, i)
-        for i, d in enumerate(perm)
-    ]
+    conditionals = [kb.conditionals[d] for d in perm]
     return KnowledgeBase(conditionals, kb.signature.copy(), max_defaults=kb.max_defaults)
 
 
@@ -59,9 +56,9 @@ def sample_queries(kb: KnowledgeBase) -> list[Conditional]:
     two defaults' antecedents together against a third's consequent."""
     cs = kb.conditionals
     n = len(cs)
-    queries = [Conditional(c.antecedent, cs[(i + 1) % n].consequent, -1) for i, c in enumerate(cs)]
+    queries = [Conditional(c.antecedent, cs[(i + 1) % n].consequent) for i, c in enumerate(cs)]
     queries += [
-        Conditional(land(c.antecedent, cs[(i + 1) % n].antecedent), cs[(i + 2) % n].consequent, -1)
+        Conditional(land(c.antecedent, cs[(i + 1) % n].antecedent), cs[(i + 2) % n].consequent)
         for i, c in enumerate(cs)
     ]
     return queries
@@ -111,7 +108,7 @@ def test_generated_pool():
     for index in range(60):
         kb = gen.knowledge_base(index)
         queries = [gen.query(kb, index, w) for w in range(4)]
-        queries += [Conditional(c.antecedent, c.consequent, -1) for c in kb.conditionals]
+        queries += kb.conditionals
         for perm in permutations(len(kb), index):
             removing += assert_renumbering_changes_nothing(kb, perm, queries)
     assert removing > 0
