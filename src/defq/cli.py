@@ -133,7 +133,7 @@ def _query_evidence(
         evidence["bases"] = sorted(_whole_indices(b, kept, untouched) for b in bases)
     elif method in ("basic-relevant", "minimal-relevant") and rank_a != INF:
         variant = closures.BASIC if method == "basic-relevant" else closures.MINIMAL
-        trace = closures.relevant_trace(kb, rt, query, variant)  # the answer's trace, kept
+        trace = closures.relevant_trace(kb, rt, query, variant)  # from the kept justifications
         evidence["justifications"] = sorted(_whole_indices(j, kept) for j in trace.justifications)
         evidence["relevant"] = _whole_indices(trace.relevant, kept)
         evidence["removed"] = _whole_indices(trace.removed, kept)
@@ -256,9 +256,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     from . import harness
 
     if args.kb_file and not args.random:
-        # size flags bound generated KBs; a KB file loads under the normal caps
+        # a KB file loads under the size flags as caps, as in every other command
         with open(args.kb_file, encoding="utf-8") as handle:
-            kb = parse_kb(handle.read())
+            kb = parse_kb(
+                handle.read(),
+                max_atoms=args.max_atoms or DEFAULT_ATOM_CAP,
+                max_defaults=args.max_defaults or DEFAULT_KB_CAP,
+            )
         gen = harness.KbGenerator(args.seed, max_atoms=max(len(kb.signature), 1))
         queries = [gen.query(kb, 0, w) for w in range(args.count)]
         rows, problems, _ = harness.cross_check(kb, compute_ranking(kb), queries)
@@ -274,16 +278,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"summary queries={len(rows)} violations={len(problems)}")
         return EXIT_VIOLATIONS if problems else EXIT_OK
 
-    if args.max_atoms > 8 or args.max_defaults > 10:
+    max_atoms = args.max_atoms or 4
+    max_defaults = args.max_defaults or 6
+    if max_atoms > 8 or max_defaults > 10:
         raise SizeCapExceeded(
             "random checks enumerate all valuation and subset pairs; "
             "use --max-atoms <= 8 and --max-defaults <= 10"
         )
     results, summary = harness.run_random_suite(
-        seed=args.seed,
-        count=args.count,
-        max_atoms=args.max_atoms,
-        max_defaults=args.max_defaults,
+        seed=args.seed, count=args.count, max_atoms=max_atoms, max_defaults=max_defaults
     )
     if args.json:
         _emit_json({"trials": [t._asdict() for t in results], "summary": summary})
@@ -395,12 +398,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_check.add_argument("--seed", type=int, default=0)
         p_check.add_argument("--count", type=_int_at_least(0), default=20,
                              help="number of random KBs, or queries in file mode")
-        # here the size flags bound the *generated* KBs, and the exhaustive
-        # pairwise checks need them small
-        p_check.add_argument("--max-atoms", type=_int_at_least(1), default=4,
-                             help="atoms per generated KB (default %(default)s)")
-        p_check.add_argument("--max-defaults", type=_int_at_least(1), default=6,
-                             help="defaults per generated KB (default %(default)s)")
+        # in random mode the size flags bound the *generated* KBs, and the
+        # exhaustive pairwise checks need them small; a KB file takes them as
+        # the usual caps
+        p_check.add_argument("--max-atoms", type=_int_at_least(1), default=None,
+                             help="atoms per generated KB (default 4), or the signature "
+                             f"size cap of a KB file (default {DEFAULT_ATOM_CAP})")
+        p_check.add_argument("--max-defaults", type=_int_at_least(1), default=None,
+                             help="defaults per generated KB (default 6), or the size cap "
+                             f"of a KB file (default {DEFAULT_KB_CAP})")
         p_check.add_argument("--json", action="store_true", help="structured output")
         p_check.set_defaults(func=cmd_check)
 

@@ -143,19 +143,14 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[int]:
 
 
 def enumerate_bases(
-    kb: KnowledgeBase,
-    rt: RankingTable,
-    antecedent: Formula,
-    ordering: str,
-    a_mask: int | None = None,
+    kb: KnowledgeBase, rt: RankingTable, antecedent: Formula, ordering: str
 ) -> tuple[int, ...]:
     """All ordering-maximal default sets consistent with the antecedent, as
     default masks.
 
     The antecedent must have finite rank (callers decide rank-infinite
     queries without bases).  The result is never empty and is sorted by
-    index list for reproducible output.  ``a_mask`` is the antecedent's
-    truth mask when the caller has already built it.
+    index list for reproducible output.
     """
     if ordering not in (LC, MP):
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -164,12 +159,10 @@ def enumerate_bases(
     cached = memo.get(key)
     if cached is not None:
         return cached
-    if a_mask is None:
-        a_mask = kb.truth.mask(antecedent)
-    if rank_of_formula(antecedent, rt, kb, a_mask) == INF:
+    if rank_of_formula(antecedent, rt, kb) == INF:
         raise ValueError("antecedent has infinite rank; no bases exist")
 
-    candidates = _consistent_inclusion_maximal(kb, a_mask)
+    candidates = _consistent_inclusion_maximal(kb, kb.mask(antecedent))
     if ordering == LC:
         best = max(numeric_tuple(c, rt) for c in candidates)
         bases = [c for c in candidates if numeric_tuple(c, rt) == best]
@@ -183,13 +176,12 @@ def enumerate_bases(
 def _skeptical_over_bases(
     kb: KnowledgeBase, rt: RankingTable, query: Conditional, ordering: str
 ) -> bool:
-    a_mask = kb.truth.mask(query.antecedent)
-    if rank_of_formula(query.antecedent, rt, kb, a_mask) == INF:
+    if rank_of_formula(query.antecedent, rt, kb) == INF:
         return True
-    counter_models = a_mask & ~kb.truth.mask(query.consequent)
+    counter_models = kb.mask(query.antecedent) & ~kb.mask(query.consequent)
     return all(
         kb.members_mask(base) & counter_models == 0
-        for base in enumerate_bases(kb, rt, query.antecedent, ordering, a_mask)
+        for base in enumerate_bases(kb, rt, query.antecedent, ordering)
     )
 
 
@@ -210,13 +202,10 @@ def mp_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def find_justifications(
-    kb: KnowledgeBase, antecedent: Formula, a_mask: int | None = None
-) -> tuple[int, ...]:
+def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[int, ...]:
     """Inclusion-minimal default sets whose materialization refutes the
     antecedent, as default masks; empty iff the whole KB is consistent with
-    it.  ``a_mask`` is the antecedent's truth mask when the caller has
-    already built it.
+    it.
 
     A set refutes the antecedent iff it lies inside no inclusion-maximal
     consistent set, that is, iff it meets the complement of each, so the
@@ -241,11 +230,9 @@ def find_justifications(
     if cached is not None:
         return cached
 
-    if a_mask is None:
-        a_mask = kb.truth.mask(antecedent)
     everything = (1 << len(kb)) - 1
     minimal = [0]
-    for consistent in _consistent_inclusion_maximal(kb, a_mask):
+    for consistent in _consistent_inclusion_maximal(kb, kb.mask(antecedent)):
         complement = everything & ~consistent
         stayed = [h for h in minimal if h & complement]
         grown = [
@@ -270,18 +257,11 @@ class RelevantTrace(NamedTuple):
 
 
 def relevant_trace(
-    kb: KnowledgeBase,
-    rt: RankingTable,
-    query: Conditional,
-    variant: str,
-    a_mask: int | None = None,
+    kb: KnowledgeBase, rt: RankingTable, query: Conditional, variant: str
 ) -> RelevantTrace:
-    """Run the relevant-closure procedure and keep its intermediate sets
-    (``a_mask`` is the antecedent's truth mask when already built).  The
-    KB keeps the last trace, keyed by the query object and the variant, so
-    the evidence for the query just answered reuses it.  (Keying by the
-    formulas would cost a hash of both on every call, more than a trace of
-    a small KB.)
+    """Run the relevant-closure procedure and keep its intermediate sets.
+    Nothing here is memoized but the justifications, so tracing a query
+    again costs a few mask ANDs.
 
     The relevant set is the union of the justifications (basic variant) or of
     their lowest-rank slices (minimal variant: each justification ANDed with
@@ -299,16 +279,10 @@ def relevant_trace(
     """
     if variant not in (BASIC, MINIMAL):
         raise ValueError(f"unknown variant {variant!r}")
-    last = kb.cache.get("relevant_trace")
-    if last is not None and last[0] is query and last[1] == variant:
-        return last[2]
     antecedent = query.antecedent
-    tt = kb.truth
-    if a_mask is None:
-        a_mask = tt.mask(antecedent)
-    if rank_of_formula(antecedent, rt, kb, a_mask) == INF:
+    if rank_of_formula(antecedent, rt, kb) == INF:
         raise ValueError("antecedent has infinite rank; no relevant closure trace exists")
-    justifications = find_justifications(kb, antecedent, a_mask)
+    justifications = find_justifications(kb, antecedent)
     relevant = 0
     for j in justifications:
         if variant == BASIC:
@@ -316,14 +290,15 @@ def relevant_trace(
         else:
             relevant |= j & next(s for s in reversed(rt.slices) if s & j)
 
+    a = kb.mask(antecedent)
     remainder = (1 << len(kb)) - 1
     for s in reversed(rt.slices[1:]):  # the finite ranks, lowest first
-        if kb.members_mask(remainder) & a_mask:
+        if kb.members_mask(remainder) & a:
             break
         remainder &= ~(relevant & s)
 
-    answer = kb.members_mask(remainder) & a_mask & ~tt.mask(query.consequent) == 0
-    trace = RelevantTrace(
+    answer = kb.members_mask(remainder) & a & ~kb.mask(query.consequent) == 0
+    return RelevantTrace(
         variant=variant,
         justifications=justifications,
         relevant=relevant,
@@ -331,8 +306,6 @@ def relevant_trace(
         remainder=remainder,
         answer=answer,
     )
-    kb.cache["relevant_trace"] = (query, variant, trace)
-    return trace
 
 
 def relevant_query(
@@ -343,10 +316,9 @@ def relevant_query(
     Rank-infinite antecedents are accepted outright, mirroring the other
     closures on impossible antecedents.
     """
-    a_mask = kb.truth.mask(query.antecedent)
-    if rank_of_formula(query.antecedent, rt, kb, a_mask) == INF:
+    if rank_of_formula(query.antecedent, rt, kb) == INF:
         return True
-    return relevant_trace(kb, rt, query, variant, a_mask).answer
+    return relevant_trace(kb, rt, query, variant).answer
 
 
 def closure_query(

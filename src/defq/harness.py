@@ -493,16 +493,15 @@ def run_random_suite(
         checks += ordering_checks
 
         triples = [gen.triple(kb, index, w) for w in range(3)]
-        for record in check_postulates(kb, "mp", triples, PREFERENTIAL_POSTULATES):
-            checks += 1
-            postulate_applicable += record.applicable
-            if record.violated:
-                problems.append(f"mp-postulate {record.postulate} on ({record.a}, {record.b}, {record.c})")
-        for record in check_postulates(kb, "mpr", triples, ("RM",)):
-            checks += 1
-            postulate_applicable += record.applicable
-            if record.violated:
-                problems.append(f"mpr-postulate {record.postulate} on ({record.a}, {record.b}, {record.c})")
+        for method, postulates in (("mp", PREFERENTIAL_POSTULATES), ("mpr", ("RM",))):
+            for record in check_postulates(kb, method, triples, postulates):
+                checks += 1
+                postulate_applicable += record.applicable
+                if record.violated:
+                    problems.append(
+                        f"{method}-postulate {record.postulate} "
+                        f"on ({record.a}, {record.b}, {record.c})"
+                    )
 
         total_checks += checks
         total_queries += len(queries)

@@ -264,9 +264,9 @@ class TruthTable:
     """Truth masks of formulas over one signature, evaluated on demand.
 
     Bit j of ``mask(f)`` is the truth of ``f`` at valuation index j, and each
-    connective is one big-integer operation over the 2^n-bit space.  Nothing
-    is cached: each call walks ``f`` and builds the atom masks it meets, so
-    the table holds only ``full`` and callers keep the masks they reuse.
+    connective is one big-integer operation over the 2^n-bit space.  Each
+    call walks ``f`` and builds the atom masks it meets; the table holds
+    only ``full``.
     """
 
     def __init__(self, sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP):

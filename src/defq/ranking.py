@@ -26,8 +26,6 @@ from .logic import (
     atoms_of,
     check_atom_cap,
     implies,
-    land,
-    lnot,
     mask_indices,
     parse_conditional_parts,
     to_text,
@@ -67,12 +65,12 @@ class KnowledgeBase:
     """Immutable ordered sequence of defaults with its derived signature.
 
     Holds the truth mask of each default's materialization ``A -> B``
-    (``default_masks``, the table every engine works from and the only
-    2^n-bit state it keeps), a ``TruthTable`` for other formulas, and pure
-    memo caches (ranking, formula ranks, bases, justifications, the last
-    relevant trace, models); concurrent readers are safe because cache fills
-    are idempotent.  ``truth`` and ``default_masks`` are built the first time
-    they are read, so parsing builds no mask; both caps are checked here.
+    (``default_masks``, the table every engine works from), a ``TruthTable``
+    for other formulas, and pure memo caches (the masks of the formulas
+    ``mask`` is asked about, ranking, bases, justifications, models);
+    concurrent readers are safe because cache fills are idempotent.
+    ``truth`` and ``default_masks`` are built the first time they are read,
+    so parsing builds no mask; both caps are checked here.
     """
 
     def __init__(
@@ -106,6 +104,14 @@ class KnowledgeBase:
 
     def __iter__(self) -> Iterator[Conditional]:
         return iter(self.conditionals)
+
+    def mask(self, f: Formula) -> int:
+        """Truth mask of ``f``, built on the first request and kept."""
+        masks = self.cache.setdefault("masks", {})
+        result = masks.get(f)
+        if result is None:
+            result = masks[f] = self.truth.mask(f)
+        return result
 
     def members_mask(self, members: int) -> int:
         """Truth mask of the materialization of the defaults in the default
@@ -241,12 +247,14 @@ class RankingTable(NamedTuple):
     part is itself).  ``default_ranks[d]`` is the chain position where
     default d drops out, or ``INF`` when it never does.
     ``slices`` holds the rank slices as default masks, in comparison order
-    (see ``rank_slices``).
+    (see ``rank_slices``).  ``worlds[i]`` is the truth mask of the
+    materialization of ``chain[i]``.
     """
 
     chain: tuple[int, ...]
     default_ranks: tuple[Rank, ...]
     slices: tuple[int, ...]
+    worlds: tuple[int, ...]
 
     @property
     def order_k(self) -> int:
@@ -273,9 +281,11 @@ def compute_ranking(kb: KnowledgeBase) -> RankingTable:
 
     antecedents = [kb.truth.mask(c.antecedent) for c in kb.conditionals]
     chain = [(1 << len(kb)) - 1]
+    worlds = []
     while True:
         current = chain[-1]
         members = kb.members_mask(current)
+        worlds.append(members)
         nxt = sum(1 << d for d in mask_indices(current) if members & antecedents[d] == 0)
         if nxt == current:
             break
@@ -286,29 +296,22 @@ def compute_ranking(kb: KnowledgeBase) -> RankingTable:
         for d in mask_indices(members & ~chain[i + 1]):
             ranks[d] = i
 
-    table = RankingTable(tuple(chain), tuple(ranks), rank_slices(ranks, len(chain) - 1))
+    table = RankingTable(
+        tuple(chain), tuple(ranks), rank_slices(ranks, len(chain) - 1), tuple(worlds)
+    )
     kb.cache["ranking"] = table
     return table
 
 
-def rank_of_formula(
-    a: Formula, rt: RankingTable, kb: KnowledgeBase, a_mask: int | None = None
-) -> Rank:
-    """Least chain position whose materialization does not refute ``a``;
-    ``a_mask`` is ``a``'s truth mask when the caller has already built it."""
-    memo = kb.cache.setdefault("formula_ranks", {})
-    cached = memo.get(a)
-    if cached is not None:
-        return cached
-    if a_mask is None:
-        a_mask = kb.truth.mask(a)
-    result: Rank = INF
-    for i, members in enumerate(rt.chain):
-        if kb.members_mask(members) & a_mask:
-            result = i
-            break
-    memo[a] = result
-    return result
+def _mask_rank(a: int, rt: RankingTable) -> Rank:
+    """Least chain position whose materialization holds at some world of
+    the truth mask ``a``, or ``INF``."""
+    return next((i for i, worlds in enumerate(rt.worlds) if worlds & a), INF)
+
+
+def rank_of_formula(a: Formula, rt: RankingTable, kb: KnowledgeBase) -> Rank:
+    """Least chain position whose materialization does not refute ``a``."""
+    return _mask_rank(kb.mask(a), rt)
 
 
 def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
@@ -316,14 +319,14 @@ def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
 
     Accepts iff rank(A) < rank(A & !B), or rank(A) is infinite.  ``INF`` is
     never below itself, so the infinite case is decided by the explicit
-    clause alone.
+    clause alone.  Both ranks are taken on truth masks, so no formula is
+    built for A & !B.
     """
-    a_mask = kb.truth.mask(query.antecedent)
-    rank_a = rank_of_formula(query.antecedent, rt, kb, a_mask)
+    a = kb.mask(query.antecedent)
+    rank_a = _mask_rank(a, rt)
     if rank_a == INF:
         return True
-    conflict = land(query.antecedent, lnot(query.consequent))
-    return rank_a < rank_of_formula(conflict, rt, kb, a_mask & ~kb.truth.mask(query.consequent))
+    return rank_a < _mask_rank(a & ~kb.mask(query.consequent), rt)
 
 
 def kb_satisfiable(kb: KnowledgeBase) -> bool:

@@ -58,7 +58,7 @@ class RankedModel:
 
     def formula_rank(self, f: Formula) -> int | None:
         """Least rank of a world satisfying ``f``; None when no world does."""
-        a = self.kb.truth.mask(f)
+        a = self.kb.mask(f)
         return next((r for r, stratum in enumerate(self.strata) if stratum & a), None)
 
     def minimal(self, a: int) -> int:
@@ -106,11 +106,11 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
     if cached is not None:
         return cached
     rt = rt or compute_ranking(kb)
-    chain_masks = [kb.members_mask(members) for members in rt.chain]
-    if chain_masks[-1] == 0:
+    worlds = rt.worlds
+    if worlds[-1] == 0:
         raise UnsatisfiableKB("no valuation satisfies the knowledge base")
-    strata = [chain_masks[0]]
-    strata.extend(mask & ~prev for prev, mask in zip(chain_masks, chain_masks[1:]))
+    strata = [worlds[0]]
+    strata.extend(mask & ~prev for prev, mask in zip(worlds, worlds[1:]))
     if not strata[-1]:
         strata.pop()
     model = RankedModel(kb, strata)
@@ -181,14 +181,14 @@ def preferential_refinement(model: RankedModel, kb: KnowledgeBase) -> Preferenti
 def minimal_worlds(model: Model, f: Formula) -> int:
     """Mask of the worlds satisfying ``f`` with no strictly lower
     ``f``-world."""
-    return model.minimal(model.kb.truth.mask(f))
+    return model.minimal(model.kb.mask(f))
 
 
 def satisfies(model: Model, query: Conditional) -> bool:
     """Conditional satisfaction: the consequent holds at every minimal
     antecedent world (vacuously true when the antecedent has no world)."""
     minimal = minimal_worlds(model, query.antecedent)
-    return minimal & ~model.kb.truth.mask(query.consequent) == 0
+    return minimal & ~model.kb.mask(query.consequent) == 0
 
 
 def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:

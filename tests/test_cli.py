@@ -331,6 +331,29 @@ class TestCheck:
         assert sum(line.startswith("query ") for line in lines) == 4
         assert lines[-1].startswith("summary queries=4 violations=0")
 
+    def test_file_mode_atom_flag_caps_the_file(self, kb_file, capsys):
+        code, out, err = run(capsys, "check", kb_file(TAXES_KB_TEXT), "--max-atoms", "2")
+        assert (code, out) == (4, "")
+        assert "4 atoms exceeds the enumeration cap of 2" in err
+
+    def test_file_mode_default_flag_caps_the_file(self, kb_file, capsys):
+        code, out, err = run(capsys, "check", kb_file(TAXES_KB_TEXT), "--max-defaults", "2")
+        assert (code, out) == (4, "")
+        assert "3 defaults exceeds the cap of 2" in err
+
+    def test_file_mode_output_without_size_flags(self, kb_file, capsys):
+        code, out, err = run(capsys, "check", kb_file(TAXES_KB_TEXT), "--count", "3", "--seed", "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "query 'Employee |~ !Pay_Taxes <-> (Employee <-> Student) <-> Employee <-> Student'"
+            " rc=0 mp=0 lc=0 basic-relevant=0 minimal-relevant=0 mpr=0",
+            "query 'Student |~ Student | Employee'"
+            " rc=1 mp=1 lc=1 basic-relevant=1 minimal-relevant=1 mpr=1",
+            "query '(Young -> !Young) | !Employee |~ !!Pay_Taxes'"
+            " rc=0 mp=0 lc=0 basic-relevant=0 minimal-relevant=0 mpr=0",
+            "summary queries=3 violations=0",
+        ]
+
     def test_file_mode_json(self, kb_file, capsys):
         path = kb_file(CONFLICT_KB_TEXT)
         code, out, _ = run(capsys, "check", path, "--count", "4", "--json")
@@ -621,8 +644,9 @@ class TestAntecedentOnce:
 
 
 class TestEvidenceReusesTheTrace:
-    """``--json`` evidence of a relevant query reuses the answer's trace, so
-    it builds no atom mask the plain answer did not."""
+    """``--json`` evidence of a relevant query retraces the answer from the
+    KB's kept formula masks and justifications, so it builds no atom mask
+    the plain answer did not."""
 
     @pytest.mark.parametrize("method", ("basic-relevant", "minimal-relevant"))
     def test_json_builds_no_more_masks_than_the_plain_answer(

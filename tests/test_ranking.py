@@ -15,8 +15,10 @@ from defq import (
     rank_of_formula,
     rc_query,
 )
+from defq import logic
 from defq.logic import FALSE, TRUE, atom, mask_indices
 from defq.ranking import Conditional
+from conftest import TAXES_KB_TEXT
 from reference import default_mask, is_exceptional
 
 
@@ -111,6 +113,21 @@ class TestFormulaRank:
         assert rank_of_formula(query.antecedent, rt, extended) == 0
 
 
+class TestFormulaMasks:
+    def test_mask_is_built_once_and_kept(self, monkeypatch):
+        kb = parse_kb(TAXES_KB_TEXT)
+        f = parse_formula("Employee & !Student | Young", kb.signature.copy())
+        expected = kb.truth.mask(f)
+        built = []
+        atom_mask = logic._atom_mask
+        monkeypatch.setattr(logic, "_atom_mask", lambda i, n: built.append(i) or atom_mask(i, n))
+        assert kb.mask(f) == expected
+        assert sorted(built) == sorted(kb.signature.index(a) for a in ("Employee", "Student", "Young"))
+        built.clear()
+        assert kb.mask(f) == expected
+        assert built == []
+
+
 class TestRcQuery:
     def test_italian_students_dont_pay(self, taxes_kb):
         query, kb = taxes_kb.parse_query("Student & Italian |~ !Pay_Taxes")
@@ -169,6 +186,24 @@ class TestRankingProperties:
             if len(kb.signature) else FALSE
         assert rank_of_formula(contradiction, rt, kb) == INF
         assert rc_query(kb, rt, Conditional(contradiction, FALSE))
+
+    @pytest.mark.parametrize("kb_index", range(25))
+    def test_world_masks_and_formula_ranks_follow_the_chain(self, kb_index):
+        kb = self.POOL[kb_index]
+        rt = compute_ranking(kb)
+        assert len(rt.worlds) == len(rt.chain)
+        for i, members in enumerate(rt.chain):
+            assert rt.worlds[i] == kb.members_mask(members)
+        gen = KbGenerator(seed=9)
+        for w in range(6):
+            q = gen.query(kb, 0, w)
+            for f in (q.antecedent, land(q.antecedent, lnot(q.consequent)), TRUE, FALSE):
+                first = (
+                    i
+                    for i, members in enumerate(rt.chain)
+                    if not is_exceptional(f, mask_indices(members), kb)
+                )
+                assert rank_of_formula(f, rt, kb) == next(first, INF)
 
     def test_pool_is_satisfiable_by_construction(self):
         assert all(kb_satisfiable(kb) for kb in self.POOL)
