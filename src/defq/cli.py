@@ -11,21 +11,22 @@ methods, 4 size cap exceeded or memory limit reached.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from typing import Any, Callable, Iterable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 # Each command imports what it alone needs (json, harness, semantics) where
-# it runs, so a query loads only the engine it asks for.
+# it runs, so a query loads only the engine it asks for; argparse loads only
+# for help, usage errors and unusual spellings (see read_argv).
 from . import closures
 from .logic import (
     DEFAULT_ATOM_CAP,
     ParseError,
+    TRUE,
     SizeCapExceeded,
-    land,
-    lnot,
     mask_indices,
+    parse_formula,
     to_text,
 )
 from .ranking import (
@@ -36,15 +37,23 @@ from .ranking import (
     Rank,
     UnsatisfiableKB,
     compute_ranking,
+    mask_rank,
     parse_kb,
     rank_of_formula,
 )
+
+if TYPE_CHECKING:
+    from argparse import ArgumentParser, Namespace
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_UNSAT = 3
 EXIT_CAP = 4
+
+# the size of a random check's generated KBs when no size flag is given
+RANDOM_ATOMS = 4
+RANDOM_DEFAULTS = 6
 
 
 def _rank_text(r: Rank) -> str:
@@ -63,7 +72,7 @@ def _emit_json(payload: Any) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_kb(args: argparse.Namespace) -> KnowledgeBase:
+def _load_kb(args: Namespace) -> KnowledgeBase:
     with open(args.kb_file, encoding="utf-8") as handle:
         text = handle.read()
     return parse_kb(text, max_atoms=args.max_atoms, max_defaults=args.max_defaults)
@@ -90,7 +99,7 @@ def _whole_indices(members: int, kept: Sequence[int], plus: Sequence[int] = ()) 
 # ---------------------------------------------------------------------------
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: Namespace) -> int:
     kb = _load_kb(args)
     rt = compute_ranking(kb)
     if args.json:
@@ -125,9 +134,9 @@ def _query_evidence(
     evidence: dict[str, Any] = {}
     rank_a = rank_of_formula(query.antecedent, rt, kb)
     evidence["antecedent_rank"] = _rank_json(rank_a)
-    if method == "rc":
-        conflict = land(query.antecedent, lnot(query.consequent))
-        evidence["conflict_rank"] = _rank_json(rank_of_formula(conflict, rt, kb))
+    if method == "rc":  # the rank of A & !B, from the masks the answer kept
+        conflict = kb.mask(query.antecedent) & ~kb.mask(query.consequent)
+        evidence["conflict_rank"] = _rank_json(mask_rank(conflict, rt))
     elif method in ("mp", "lc") and rank_a != INF:
         bases = closures.enumerate_bases(kb, rt, query.antecedent, method)
         evidence["bases"] = sorted(_whole_indices(b, kept, untouched) for b in bases)
@@ -147,7 +156,7 @@ def _query_evidence(
     return evidence
 
 
-def cmd_query(args: argparse.Namespace) -> int:
+def cmd_query(args: Namespace) -> int:
     kb = _load_kb(args)
     size = len(kb)
     if args.method == "mpr":  # mpr's heights depend on every default
@@ -181,13 +190,12 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bases(args: argparse.Namespace) -> int:
+def cmd_bases(args: Namespace) -> int:
     whole = _load_kb(args)
-    # the placeholder consequent adds no atoms, so the part is the antecedent's;
-    # the atom cap applies to it, as in cmd_query
-    query = whole.read_query(f"{args.antecedent} |~ true")
-    kb, kept = whole.query_part(query)
-    antecedent = query.antecedent
+    antecedent = parse_formula(args.antecedent, whole.signature.copy())
+    # the consequent true adds no atoms, so the part is the antecedent's; the
+    # atom cap applies to it, as in cmd_query
+    kb, kept = whole.query_part(Conditional(antecedent, TRUE))
     rt = compute_ranking(kb)
     if rank_of_formula(antecedent, rt, kb) == INF:
         if args.json:
@@ -208,7 +216,7 @@ def cmd_bases(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_model(args: argparse.Namespace) -> int:
+def cmd_model(args: Namespace) -> int:
     from . import semantics
 
     kb = _load_kb(args)
@@ -238,7 +246,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: Namespace) -> int:
     from . import harness
 
     kb = _load_kb(args)
@@ -252,7 +260,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: Namespace) -> int:
     from . import harness
 
     if args.kb_file and not args.random:
@@ -278,8 +286,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"summary queries={len(rows)} violations={len(problems)}")
         return EXIT_VIOLATIONS if problems else EXIT_OK
 
-    max_atoms = args.max_atoms or 4
-    max_defaults = args.max_defaults or 6
+    max_atoms = args.max_atoms or RANDOM_ATOMS
+    max_defaults = args.max_defaults or RANDOM_DEFAULTS
     if max_atoms > 8 or max_defaults > 10:
         raise SizeCapExceeded(
             "random checks enumerate all valuation and subset pairs; "
@@ -307,118 +315,151 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser and entry point
+# Arguments, parser and entry point
 # ---------------------------------------------------------------------------
-
-
-COMMANDS = ("rank", "query", "bases", "model", "compare", "check")
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
     """Argument type: an integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
+        from argparse import ArgumentTypeError  # check's flags go through argparse only
+
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
     return parse
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``defq`` parser.  When ``command`` names a subcommand only its
-    subparser is built; the output (help, usage, errors) stays the same."""
-    wanted = (command,) if command in COMMANDS else COMMANDS
+_JSON = ("--json", {"action": "store_true", "help": "structured output"})
+_CAPS = (
+    ("--max-atoms", {"type": int, "default": DEFAULT_ATOM_CAP,
+                     "help": "signature size cap (default %(default)s)"}),
+    ("--max-defaults", {"type": int, "default": DEFAULT_KB_CAP,
+                        "help": "knowledge-base size cap (default %(default)s)"}),
+    _JSON,
+)
+
+# Each subcommand's summary, function and arguments, in help order.  An
+# argument is an ``add_argument`` name and its keywords; flags start with
+# "-".  ``build_parser`` and ``read_argv`` both read this table.
+ARGUMENTS: dict[str, tuple[str, Callable[[Namespace], int], tuple[tuple[str, dict], ...]]] = {
+    "rank": ("default ranks and the exceptionality chain", cmd_rank, (("kb_file", {}), *_CAPS)),
+    "query": ("answer a defeasible query", cmd_query, (
+        ("kb_file", {}),
+        ("query", {"help": "conditional, e.g. 'a & b |~ c'"}),
+        ("--method", {"choices": closures.METHODS, "required": True,
+                      "help": "which consequence relation to use"}),
+        ("--explain", {"action": "store_true", "help": "include the evidence behind the answer"}),
+        *_CAPS,
+    )),
+    "bases": ("maximally serious consistent bases", cmd_bases, (
+        ("kb_file", {}),
+        ("antecedent", {}),
+        ("--method", {"choices": (closures.MP, closures.LC), "required": True}),
+        *_CAPS,
+    )),
+    "model": ("dump the canonical model's worlds", cmd_model, (("kb_file", {}), *_CAPS)),
+    "compare": ("run all six engines on one query", cmd_compare,
+                (("kb_file", {}), ("query", {}), *_CAPS)),
+    "check": ("consistency checks across the engines", cmd_check, (
+        ("kb_file", {"nargs": "?", "default": None}),
+        ("--random", {"action": "store_true",
+                      "help": "generate random KBs instead of reading one"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--count", {"type": _int_at_least(0), "default": 20,
+                     "help": "number of random KBs, or queries in file mode"}),
+        # in random mode the size flags bound the *generated* KBs, and the
+        # exhaustive pairwise checks need them small; a KB file takes them as
+        # the usual caps
+        ("--max-atoms", {"type": _int_at_least(1), "default": None,
+                         "help": f"atoms per generated KB (default {RANDOM_ATOMS}), or the "
+                         f"signature size cap of a KB file (default {DEFAULT_ATOM_CAP})"}),
+        ("--max-defaults", {"type": _int_at_least(1), "default": None,
+                            "help": f"defaults per generated KB (default {RANDOM_DEFAULTS}), or "
+                            f"the size cap of a KB file (default {DEFAULT_KB_CAP})"}),
+        _JSON,
+    )),
+}
+COMMANDS = tuple(ARGUMENTS)
+
+
+def build_parser() -> ArgumentParser:
+    """The ``defq`` argparse parser, built from ``ARGUMENTS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="defq",
         description="Defeasible entailment over propositional conditional knowledge bases.",
     )
-    # a lone subparser would shrink the usage line's choices, so spell them all
-    metavar = None if len(wanted) > 1 else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add_caps(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-atoms", type=int, default=DEFAULT_ATOM_CAP,
-                       help="signature size cap (default %(default)s)")
-        p.add_argument("--max-defaults", type=int, default=DEFAULT_KB_CAP,
-                       help="knowledge-base size cap (default %(default)s)")
-        p.add_argument("--json", action="store_true", help="structured output")
-
-    if "rank" in wanted:
-        p_rank = sub.add_parser("rank", help="default ranks and the exceptionality chain")
-        p_rank.add_argument("kb_file")
-        add_caps(p_rank)
-        p_rank.set_defaults(func=cmd_rank)
-
-    if "query" in wanted:
-        p_query = sub.add_parser("query", help="answer a defeasible query")
-        p_query.add_argument("kb_file")
-        p_query.add_argument("query", help="conditional, e.g. 'a & b |~ c'")
-        p_query.add_argument(
-            "--method",
-            choices=closures.METHODS,
-            required=True,
-            help="which consequence relation to use",
-        )
-        p_query.add_argument("--explain", action="store_true",
-                             help="include the evidence behind the answer")
-        add_caps(p_query)
-        p_query.set_defaults(func=cmd_query)
-
-    if "bases" in wanted:
-        p_bases = sub.add_parser("bases", help="maximally serious consistent bases")
-        p_bases.add_argument("kb_file")
-        p_bases.add_argument("antecedent")
-        p_bases.add_argument("--method", choices=(closures.MP, closures.LC), required=True)
-        add_caps(p_bases)
-        p_bases.set_defaults(func=cmd_bases)
-
-    if "model" in wanted:
-        p_model = sub.add_parser("model", help="dump the canonical model's worlds")
-        p_model.add_argument("kb_file")
-        add_caps(p_model)
-        p_model.set_defaults(func=cmd_model)
-
-    if "compare" in wanted:
-        p_compare = sub.add_parser("compare", help="run all six engines on one query")
-        p_compare.add_argument("kb_file")
-        p_compare.add_argument("query")
-        add_caps(p_compare)
-        p_compare.set_defaults(func=cmd_compare)
-
-    if "check" in wanted:
-        p_check = sub.add_parser("check", help="consistency checks across the engines")
-        p_check.add_argument("kb_file", nargs="?", default=None)
-        p_check.add_argument("--random", action="store_true",
-                             help="generate random KBs instead of reading one")
-        p_check.add_argument("--seed", type=int, default=0)
-        p_check.add_argument("--count", type=_int_at_least(0), default=20,
-                             help="number of random KBs, or queries in file mode")
-        # in random mode the size flags bound the *generated* KBs, and the
-        # exhaustive pairwise checks need them small; a KB file takes them as
-        # the usual caps
-        p_check.add_argument("--max-atoms", type=_int_at_least(1), default=None,
-                             help="atoms per generated KB (default 4), or the signature "
-                             f"size cap of a KB file (default {DEFAULT_ATOM_CAP})")
-        p_check.add_argument("--max-defaults", type=_int_at_least(1), default=None,
-                             help="defaults per generated KB (default 6), or the size cap "
-                             f"of a KB file (default {DEFAULT_KB_CAP})")
-        p_check.add_argument("--json", action="store_true", help="structured output")
-        p_check.set_defaults(func=cmd_check)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, func, arguments) in ARGUMENTS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
+
+
+def read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes ``build_parser().parse_args(argv)`` would set, read
+    without argparse, for an ``argv`` in canonical form: the command, its
+    positionals, then exact long flags, each value a word of its own that
+    does not start with "-".  Returns None for anything else (help, "--",
+    "=" forms, abbreviations, unknown flags, missing or extra words, bad
+    values, optional positionals), which argparse answers or rejects."""
+    if not argv or argv[0] not in ARGUMENTS:
+        return None
+    _, func, arguments = ARGUMENTS[argv[0]]
+    values: dict[str, Any] = {"command": argv[0], "func": func}
+    flags: dict[str, tuple[str, dict]] = {}  # flag -> its attribute and keywords
+    words = iter(argv[1:])
+    for name, keywords in arguments:
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            flags[name] = dest, keywords
+            switch = keywords.get("action") == "store_true"
+            values[dest] = False if switch else keywords.get("default")
+            continue
+        word = next(words, "-")  # a missing word declines like a flag
+        if "nargs" in keywords or word.startswith("-"):
+            return None
+        values[name] = word
+    missing = {name for name, (_, keywords) in flags.items() if keywords.get("required")}
+    for word in words:
+        if word not in flags:
+            return None
+        dest, keywords = flags[word]
+        missing.discard(word)
+        if keywords.get("action") == "store_true":
+            value: Any = True
+        else:
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+        values[dest] = value
+    return None if missing else SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
-    if args.command == "check" and not args.random and args.kb_file is None:
-        parser.error("check needs a KB file or --random")
+    args = read_argv(argv)
+    if args is None:  # help, usage errors and unusual spellings
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "check" and not args.random and args.kb_file is None:
+            parser.error("check needs a KB file or --random")
     try:
         return args.func(args)
     except (ParseError, UnicodeDecodeError) as exc:  # a KB file that is not UTF-8 text

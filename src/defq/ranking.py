@@ -303,7 +303,7 @@ def compute_ranking(kb: KnowledgeBase) -> RankingTable:
     return table
 
 
-def _mask_rank(a: int, rt: RankingTable) -> Rank:
+def mask_rank(a: int, rt: RankingTable) -> Rank:
     """Least chain position whose materialization holds at some world of
     the truth mask ``a``, or ``INF``."""
     return next((i for i, worlds in enumerate(rt.worlds) if worlds & a), INF)
@@ -311,7 +311,7 @@ def _mask_rank(a: int, rt: RankingTable) -> Rank:
 
 def rank_of_formula(a: Formula, rt: RankingTable, kb: KnowledgeBase) -> Rank:
     """Least chain position whose materialization does not refute ``a``."""
-    return _mask_rank(kb.mask(a), rt)
+    return mask_rank(kb.mask(a), rt)
 
 
 def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
@@ -323,10 +323,10 @@ def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
     built for A & !B.
     """
     a = kb.mask(query.antecedent)
-    rank_a = _mask_rank(a, rt)
+    rank_a = mask_rank(a, rt)
     if rank_a == INF:
         return True
-    return rank_a < _mask_rank(a & ~kb.mask(query.consequent), rt)
+    return rank_a < mask_rank(a & ~kb.mask(query.consequent), rt)
 
 
 def kb_satisfiable(kb: KnowledgeBase) -> bool:

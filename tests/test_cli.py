@@ -1,5 +1,7 @@
 """Command-line interface: formats, flags, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -9,10 +11,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defq
 from defq import logic
-from defq.cli import COMMANDS, build_parser, main
+from defq.cli import ARGUMENTS, COMMANDS, build_parser, main, read_argv
 from defq.harness import METHODS, closure_query
 from defq.ranking import compute_ranking, parse_kb
 
@@ -249,6 +253,20 @@ class TestBases:
             code, out, _ = run(capsys, "bases", path, antecedent, "--method", method, "--json")
             assert code == 0
             assert json.loads(out)["bases"] == [list(logic.mask_indices(b)) for b in bases]
+
+    @pytest.mark.parametrize(
+        "antecedent, message",
+        [
+            ("Student &", "offset 9: expected a formula"),
+            ("Student |~ Young", "offset 8: unexpected '|~'"),
+            ("", "offset 0: empty formula"),
+        ],
+    )
+    def test_parse_errors_describe_the_antecedent_as_typed(
+        self, kb_file, capsys, antecedent, message
+    ):
+        code, out, err = run(capsys, "bases", kb_file(TAXES_KB_TEXT), antecedent, "--method", "mp")
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
 
 class TestModel:
@@ -556,6 +574,10 @@ class TestBoundedMemory:
         assert "Traceback" not in done.stderr
 
 
+# argparse and what its messages pull in; a canonical command line loads none
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
 class TestStartup:
     def test_import_leaves_dataclasses_and_inspect_out(self):
         probe = "import defq.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
@@ -568,13 +590,15 @@ class TestStartup:
 
     @pytest.mark.parametrize(
         "method, absent",
-        [("mp", ["defq.harness", "defq.semantics", "json"]), ("mpr", ["defq.harness", "json"])],
+        [("mp", ["defq.harness", "defq.semantics", "json", *PARSER_MODULES]),
+         ("mpr", ["defq.harness", "json", *PARSER_MODULES])],
     )
     def test_query_imports_only_its_engine(self, method, absent):
         probe = (
             "import sys, defq.cli\n"
             "code = defq.cli.main(sys.argv[1:])\n"
-            "print(sorted(m for m in sys.modules if m == 'json' or m.startswith('defq')))\n"
+            f"print(sorted(m for m in sys.modules if m in {PARSER_MODULES + ('json',)} "
+            "or m.startswith('defq')))\n"
             "sys.exit(code)\n"
         )
         taxes = Path(__file__).resolve().parent.parent / "samples" / "taxes.kb"
@@ -594,17 +618,22 @@ USAGE = "usage: defq [-h] {rank,query,bases,model,compare,check} ...\n"
 
 
 class TestParser:
-    """Building only the named subcommand's parser changes no output."""
+    """Help and usage errors come from the argparse parser that
+    ``build_parser`` makes of the whole argument table."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_one_subparser_prints_the_same_help_and_usage(self, capsys, command):
+        parser = build_parser()
+        assert parser.format_usage() == USAGE
         printed = []
-        for parser in (build_parser(command), build_parser()):
-            with pytest.raises(SystemExit):
-                parser.parse_args([command, "--help"])
-            printed.append((capsys.readouterr().out, parser.format_usage()))
+        for parse in (main, parser.parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([command, "--help"])
+            assert exc.value.code == 0
+            printed.append(capsys.readouterr())
         assert printed[0] == printed[1]
-        assert printed[0][1] == USAGE
+        assert printed[0].out.startswith(f"usage: defq {command} [-h]")
+        assert printed[0].err == ""
 
     @pytest.mark.parametrize(
         "argv, messages",
@@ -628,6 +657,144 @@ class TestParser:
         assert capsys.readouterr().err in [f"{USAGE}defq: error: {m}\n" for m in messages]
 
 
+PARSER = build_parser()
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+# The spellings a command line is made of: each command's flags, exact and
+# abbreviated, in "=" form and with good and bad values, plus help, "--" and
+# words that look like flags or negative numbers.
+FLAG_WORDS = sorted({name for _, _, arguments in ARGUMENTS.values()
+                     for name, _ in arguments if name.startswith("-")})
+VALUES = st.sampled_from(["mp", "lc", "rc", "mpr", "basic-relevant", "bogus", "0", "4", "-1",
+                          " 5", "5_0", "1e3", "x", "", "-", "-x", "--", "kb.txt", "a |~ b"])
+WORDS = st.one_of(
+    st.sampled_from(FLAG_WORDS),
+    st.sampled_from(FLAG_WORDS).map(lambda flag: flag[: len(flag) // 2 + 2]),
+    st.tuples(st.sampled_from(FLAG_WORDS), VALUES).map("=".join),
+    st.sampled_from(["-h", "--help", "--bogus"]),
+    VALUES,
+    st.text(alphabet="-=ab4 |~", max_size=4),
+)
+
+
+@st.composite
+def command_lines(draw, canonical=False):
+    """A command, its positionals, then its flags, each with a value when it
+    takes one.  Unless ``canonical``, a word or value is at times some other
+    spelling, and one word may be added, dropped or moved."""
+
+    def mostly(good):
+        if canonical or draw(st.integers(0, 3)):
+            return draw(good)
+        return draw(WORDS)
+
+    command = draw(st.sampled_from(COMMANDS))
+    arguments = dict(ARGUMENTS[command][2])
+    count = sum(not name.startswith("-") for name in arguments)
+    argv = [command, *(mostly(st.sampled_from(["kb.txt", "a |~ b", "true", "!a"]))
+                       for _ in range(count))]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from([name for name in arguments if name.startswith("-")]))
+        keywords = arguments[flag]
+        if keywords.get("action") == "store_true":
+            argv.append(flag)
+        elif "choices" in keywords:
+            argv += [flag, mostly(st.sampled_from(keywords["choices"]))]
+        else:
+            argv += [flag, mostly(st.integers(0, 30).map(str))]
+    if not canonical and draw(st.integers(0, 3)) == 0:  # a stray, missing or moved word
+        at = draw(st.integers(1, len(argv)))
+        if draw(st.booleans()) or at == len(argv):
+            argv.insert(at, draw(WORDS))
+        else:
+            argv.insert(draw(st.integers(1, len(argv) - 1)), argv.pop(at))
+    return argv
+
+
+def _parse(argv):
+    """``PARSER.parse_args(argv)``, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return PARSER.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+class TestReadArgv:
+    """``read_argv`` reads a subset of what argparse accepts, to the same
+    namespace, and that subset holds every command line the benchmark and
+    CI time."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    def test_what_it_reads_argparse_reads_the_same(self, argv):
+        args = read_argv(argv)
+        if args is not None:
+            parsed = _parse(argv)
+            assert parsed is not None, argv
+            assert vars(args) == vars(parsed), argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(command_lines(canonical=True))
+    def test_canonical_command_lines_are_read(self, argv):
+        parsed = _parse(argv)
+        if argv[0] != "check" and parsed is not None:  # check is left to argparse
+            args = read_argv(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(parsed), argv
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--json"], ["--explain"], ["--explain", "--json"], ["--max-atoms", "20"],
+         ["--max-defaults", "16", "--json"],
+         ["--json", "--max-atoms", "12", "--max-defaults", "8"]],
+    )
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_timed_query_is_read(self, method, extra):
+        for query in ("Employee & Student |~ Young", "!p3 & p4 |~ p6 -> p7", "(a) |~ b <-> c"):
+            argv = ["query", str(SAMPLES / "taxes.kb"), query, "--method", method, *extra]
+            args = read_argv(argv)
+            assert args is not None and vars(args) == vars(PARSER.parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "kb"], ["rank", "kb", "--json"], ["model", "kb"], ["model", "kb", "--json"],
+            ["bases", "kb", "true", "--method", "mp"], ["bases", "kb", "Fresh", "--method", "lc",
+                                                        "--max-atoms", "4", "--json"],
+            ["compare", "kb", "true |~ true"], ["compare", "kb", "a |~ b", "--json"],
+        ],
+    )
+    def test_other_canonical_commands_are_read(self, argv):
+        args = read_argv(argv)
+        assert args is not None and vars(args) == vars(PARSER.parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["bogus"], ["rank"], ["rank", "kb", "extra"], ["rank", "-h"],
+            ["rank", "kb", "--help"],
+            ["rank", "--json", "kb"], ["rank", "kb", "--js"], ["rank", "kb", "--max-atoms=4"],
+            ["rank", "kb", "--max-atoms", "-1"], ["rank", "kb", "--max-atoms", "x"],
+            ["rank", "kb", "--max-atoms"], ["rank", "--", "kb"], ["rank", "-kb"],
+            ["query", "kb", "a |~ b"], ["query", "kb", "a |~ b", "--method", "bogus"],
+            ["query", "kb", "a |~ b", "--meth", "mp"], ["query", "kb", "a |~ b", "--method=mp"],
+            ["bases", "kb", "a", "--method", "rc"], ["check", "--random"], ["check", "kb"],
+        ],
+    )
+    def test_other_spellings_are_left_to_argparse(self, argv):
+        assert read_argv(argv) is None
+
+    def test_unusual_spellings_still_answer(self, capsys):
+        taxes = str(SAMPLES / "taxes.kb")
+        for argv in (
+            ["query", taxes, "Student |~ Young", "--meth", "mp"],
+            ["query", taxes, "Student |~ Young", "--method=mp"],
+            ["query", "--method", "mp", taxes, "Student |~ Young"],
+        ):
+            assert run(capsys, *argv) == (0, "yes\n", "")
+
+
 class TestAntecedentOnce:
     """A query builds the atom masks of its antecedent and consequent once
     each; the default masks and the ranking are built before counting."""
@@ -644,11 +811,11 @@ class TestAntecedentOnce:
 
 
 class TestEvidenceReusesTheTrace:
-    """``--json`` evidence of a relevant query retraces the answer from the
-    KB's kept formula masks and justifications, so it builds no atom mask
-    the plain answer did not."""
+    """``--json`` evidence of a query works from the KB's kept formula masks
+    (and, for the relevant closures, the kept justifications), so it builds
+    no atom mask the plain answer did not."""
 
-    @pytest.mark.parametrize("method", ("basic-relevant", "minimal-relevant"))
+    @pytest.mark.parametrize("method", METHODS)
     def test_json_builds_no_more_masks_than_the_plain_answer(
         self, monkeypatch, capsys, tmp_path, method
     ):
