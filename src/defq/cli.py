@@ -67,9 +67,16 @@ def _rank_json(r: Rank) -> dict[str, Any]:
 
 
 def _emit_json(payload: Any) -> None:
+    """Write ``payload`` as indented JSON and a newline, in batches of
+    encoder chunks, so the whole text is never held at once (one write per
+    chunk would be slower still)."""
     import json
+    from itertools import islice
 
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while batch := "".join(islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _load_kb(args: Namespace) -> KnowledgeBase:
@@ -140,9 +147,8 @@ def _query_evidence(
     elif method in ("mp", "lc") and rank_a != INF:
         bases = closures.enumerate_bases(kb, rt, query.antecedent, method)
         evidence["bases"] = sorted(_whole_indices(b, kept, untouched) for b in bases)
-    elif method in ("basic-relevant", "minimal-relevant") and rank_a != INF:
-        variant = closures.BASIC if method == "basic-relevant" else closures.MINIMAL
-        trace = closures.relevant_trace(kb, rt, query, variant)  # from the kept justifications
+    elif method in (closures.BASIC, closures.MINIMAL) and rank_a != INF:
+        trace = closures.relevant_trace(kb, rt, query, method)  # from the kept justifications
         evidence["justifications"] = sorted(_whole_indices(j, kept) for j in trace.justifications)
         evidence["relevant"] = _whole_indices(trace.relevant, kept)
         evidence["removed"] = _whole_indices(trace.removed, kept)
@@ -195,19 +201,16 @@ def cmd_bases(args: Namespace) -> int:
     antecedent = parse_formula(args.antecedent, whole.signature.copy())
     # the consequent true adds no atoms, so the part is the antecedent's; the
     # atom cap applies to it, as in cmd_query
-    kb, kept = whole.query_part(Conditional(antecedent, TRUE))
+    query = Conditional(antecedent, TRUE)
+    kb, kept = whole.query_part(query)
     rt = compute_ranking(kb)
-    if rank_of_formula(antecedent, rt, kb) == INF:
+    bases = _query_evidence(kb, rt, args.method, query, kept, len(whole)).get("bases")
+    if bases is None:  # the antecedent has infinite rank
         if args.json:
             _emit_json({"antecedent": to_text(antecedent), "bases": None, "infinite_rank": True})
         else:
             print("antecedent has infinite rank: no bases")
         return EXIT_OK
-    untouched = sorted(set(range(len(whole))).difference(kept))  # they join every base
-    bases = sorted(
-        _whole_indices(b, kept, untouched)
-        for b in closures.enumerate_bases(kb, rt, antecedent, args.method)
-    )
     if args.json:
         _emit_json({"antecedent": to_text(antecedent), "method": args.method, "bases": bases})
         return EXIT_OK
@@ -263,7 +266,7 @@ def cmd_compare(args: Namespace) -> int:
 def cmd_check(args: Namespace) -> int:
     from . import harness
 
-    if args.kb_file and not args.random:
+    if args.kb_file is not None:
         # a KB file loads under the size flags as caps, as in every other command
         with open(args.kb_file, encoding="utf-8") as handle:
             kb = parse_kb(
@@ -271,7 +274,7 @@ def cmd_check(args: Namespace) -> int:
                 max_atoms=args.max_atoms or DEFAULT_ATOM_CAP,
                 max_defaults=args.max_defaults or DEFAULT_KB_CAP,
             )
-        gen = harness.KbGenerator(args.seed, max_atoms=max(len(kb.signature), 1))
+        gen = harness.KbGenerator(args.seed)
         queries = [gen.query(kb, 0, w) for w in range(args.count)]
         rows, problems, _ = harness.cross_check(kb, compute_ranking(kb), queries)
         if args.json:
@@ -460,6 +463,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "check" and not args.random and args.kb_file is None:
             parser.error("check needs a KB file or --random")
+        if args.command == "check" and args.random and args.kb_file is not None:
+            parser.error("check takes a KB file or --random, not both")
     try:
         return args.func(args)
     except (ParseError, UnicodeDecodeError) as exc:  # a KB file that is not UTF-8 text

@@ -39,10 +39,10 @@ from .ranking import (
 LC = "lc"
 MP = "mp"
 
-BASIC = "basic"
-MINIMAL = "minimal"
+BASIC = "basic-relevant"
+MINIMAL = "minimal-relevant"
 
-METHODS = ("rc", "mp", "lc", "basic-relevant", "minimal-relevant", "mpr")
+METHODS = ("rc", MP, LC, BASIC, MINIMAL, "mpr")
 
 
 def numeric_tuple(members: int, rt: RankingTable) -> tuple[int, ...]:
@@ -259,9 +259,10 @@ class RelevantTrace(NamedTuple):
 def relevant_trace(
     kb: KnowledgeBase, rt: RankingTable, query: Conditional, variant: str
 ) -> RelevantTrace:
-    """Run the relevant-closure procedure and keep its intermediate sets.
-    Nothing here is memoized but the justifications, so tracing a query
-    again costs a few mask ANDs.
+    """Run the relevant-closure procedure of ``variant``, the method id
+    ``BASIC`` or ``MINIMAL``, and keep its intermediate sets.  Nothing here
+    is memoized but the justifications, so tracing a query again costs a
+    few mask ANDs.
 
     The relevant set is the union of the justifications (basic variant) or of
     their lowest-rank slices (minimal variant: each justification ANDed with
@@ -331,10 +332,8 @@ def closure_query(
         return lambda q: mp_query(kb, rt, q)
     if method == "lc":
         return lambda q: lc_query(kb, rt, q)
-    if method == "basic-relevant":
-        return lambda q: relevant_query(kb, rt, q, BASIC)
-    if method == "minimal-relevant":
-        return lambda q: relevant_query(kb, rt, q, MINIMAL)
+    if method in (BASIC, MINIMAL):
+        return lambda q: relevant_query(kb, rt, q, method)
     if method == "mpr":
         from .semantics import mpr_query  # the model engine loads only when asked for
 

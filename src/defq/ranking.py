@@ -149,15 +149,16 @@ class KnowledgeBase:
         """The KB that rc, lc, mp and the relevant closures answer ``query``
         on, and the index in this KB of each default it keeps.
 
-        The defaults fall into groups joined by shared atoms; an atom-free
-        default is a group of its own.  The part keeps the groups that share
-        an atom with the query and every group whose materialization is
-        unsatisfiable.  Each dropped group is satisfiable and shares no atom
-        with the kept groups or the query, so it makes no formula over
-        their atoms exceptional: the kept defaults keep their ranks, every
-        base (and every relevant remainder) of the whole KB is one of the
-        part's plus every dropped default, the justifications are the
-        part's, and the answers agree (the relevance half of syntax
+        The defaults fall into groups joined by shared atoms, found by
+        merging each default's atom set into every group whose atoms it
+        meets; an atom-free default is a group of its own.  The part keeps
+        the groups whose atoms meet the query's and every group whose
+        materialization is unsatisfiable.  Each dropped group is satisfiable
+        and shares no atom with the kept groups or the query, so it makes no
+        formula over their atoms exceptional: the kept defaults keep their
+        ranks, every base (and every relevant remainder) of the whole KB is
+        one of the part's plus every dropped default, the justifications are
+        the part's, and the answers agree (the relevance half of syntax
         splitting).  An unsatisfiable group refutes the materialization of
         the first chain position, so every rank is infinite, and it is kept
         for that.  ``query`` may mention atoms outside this KB's signature
@@ -165,33 +166,30 @@ class KnowledgeBase:
         signature, and the atom cap is checked on the part.  Returns this
         KB itself when it drops nothing and the query adds no atom.
         """
-        n = len(self.conditionals)
-        parent = list(range(n + 1))  # union-find over the defaults, then the query
-
-        def root(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        holder: dict[str, int] = {}  # atom -> first node that mentions it
-        for node, c in enumerate(self.conditionals + (query,)):
-            for name in c.atoms():
-                parent[root(node)] = root(holder.setdefault(name, node))
-        groups: dict[int, list[int]] = {}
-        for d in range(n):
-            groups.setdefault(root(d), []).append(d)
-        query_group = root(n)
-        kept = sorted(
-            d
-            for g, members in groups.items()
-            if g == query_group or not self._satisfiable(members)
-            for d in members
-        )
+        groups: list[tuple[set[str], list[int]]] = []  # each group's atoms and defaults
+        for d, c in enumerate(self.conditionals):
+            atoms, members, apart = set(c.atoms()), [d], []
+            for group in groups:
+                if atoms.isdisjoint(group[0]):
+                    apart.append(group)
+                else:
+                    atoms |= group[0]
+                    members += group[1]
+            groups = [*apart, (atoms, members)]
+        asked = set(query.atoms())
+        used = set(asked)  # the part's atoms
+        kept: list[int] = []
+        for atoms, members in groups:
+            if asked.isdisjoint(atoms):  # dropped if satisfiable, decided over its own atoms
+                table = TruthTable(Signature(atoms), self.max_atoms)
+                if table.conjunction_mask(self.conditionals[d].materialization() for d in members):
+                    continue
+            kept += members
+            used |= atoms
+        kept.sort()
         new = [name for name in query.atoms() if name not in self.signature]
-        if len(kept) == n and not new:
+        if len(kept) == len(self.conditionals) and not new:
             return self, tuple(kept)
-        used = {name for d in kept for name in self.conditionals[d].atoms()}
-        used.update(query.atoms())
         part = KnowledgeBase(
             [self.conditionals[d] for d in kept],
             Signature([*(a for a in self.signature.atoms if a in used), *new]),
@@ -199,15 +197,6 @@ class KnowledgeBase:
             max_defaults=self.max_defaults,
         )
         return part, tuple(kept)
-
-    def _satisfiable(self, members: Sequence[int]) -> bool:
-        """Whether the selected defaults' materializations hold together,
-        decided over their own atoms only."""
-        chosen = [self.conditionals[d] for d in members]
-        sig = Signature(name for c in chosen for name in c.atoms())
-        return TruthTable(sig, self.max_atoms).conjunction_mask(
-            c.materialization() for c in chosen
-        ) != 0
 
 
 def parse_kb(

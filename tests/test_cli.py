@@ -648,6 +648,8 @@ class TestParser:
                 "rank, query, bases, model, compare, check)",
             ]),
             (["check"], ["check needs a KB file or --random"]),
+            (["check", "/nonexistent.kb", "--random", "--count", "1"],
+             ["check takes a KB file or --random, not both"]),
         ],
     )
     def test_top_level_errors(self, capsys, argv, messages):

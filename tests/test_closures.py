@@ -466,7 +466,7 @@ class TestRelevantClosure:
         trace = relevant_trace(kb, rt, query, MINIMAL)
         assert trace.relevant == default_mask({0, 1})
 
-    @pytest.mark.parametrize("variant", [BASIC, MINIMAL])
+    @pytest.mark.parametrize("variant", [BASIC, MINIMAL], ids=["basic", "minimal"])
     def test_remainder_is_consistent_on_random_pool(self, variant):
         gen = KbGenerator(seed=626262, max_atoms=6, max_defaults=10)
         for index in range(100):

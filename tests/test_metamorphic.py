@@ -1,0 +1,112 @@
+"""Metamorphic relations over whole KBs.
+
+Renaming the atoms through a bijection, with the new names in another
+signature order so that the valuation indices move, changes no answer of
+any method and no evidence: the default indices stay, and mpr's minimal
+worlds map back name for name.  Appending an exact copy of a default changes
+no answer of rc, mp, the two relevant closures or mpr; lc counts the copy
+twice, so its answers may change (see ``REDUNDANT_KB_TEXT`` in
+``conftest``)."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from defq import (
+    Conditional,
+    Formula,
+    KbGenerator,
+    KnowledgeBase,
+    Signature,
+    closure_query,
+    compute_ranking,
+    parse_kb,
+)
+from defq.cli import _query_evidence
+from defq.closures import METHODS
+
+from test_renumbering import sample_queries
+
+SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.kb"))
+
+# every method whose answers an exact copy of a default leaves alone
+COPY_METHODS = tuple(m for m in METHODS if m != "lc")
+
+
+def generated_pool():
+    """KBs and queries past tier-1's 4 atoms x 6 defaults: 60 generated
+    KBs of up to 6 atoms x 10 defaults, each with four generated queries,
+    its own defaults and the queries ``sample_queries`` mixes from them."""
+    gen = KbGenerator(seed=515151, max_atoms=6, max_defaults=10)
+    for index in range(60):
+        kb = gen.knowledge_base(index)
+        queries = [gen.query(kb, index, w) for w in range(4)]
+        yield kb, [*queries, *kb.conditionals, *sample_queries(kb)]
+
+
+def sample_pool():
+    for path in SAMPLES:
+        kb = parse_kb(path.read_text())
+        yield kb, sample_queries(kb)
+
+
+POOLS = {"samples": sample_pool, "generated": generated_pool}
+
+
+def renamed(f: Formula, names: dict) -> Formula:
+    if f.op == "atom":
+        return Formula("atom", (names[f.args[0]],))
+    return Formula(f.op, tuple(renamed(g, names) for g in f.args))
+
+
+def renamed_conditional(c: Conditional, names: dict) -> Conditional:
+    return Conditional(renamed(c.antecedent, names), renamed(c.consequent, names))
+
+
+def evidence(kb: KnowledgeBase, method: str, query: Conditional) -> dict:
+    """The answer and the whole-KB evidence ``defq query --json`` gives."""
+    rt = compute_ranking(kb)
+    found = _query_evidence(kb, rt, method, query, range(len(kb)), len(kb))
+    return {"answer": closure_query(kb, rt, method)(query), **found}
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_renaming_atoms_changes_no_answer_or_evidence(pool):
+    rng = random.Random(f"rename:{pool}")
+    for kb, queries in POOLS[pool]():
+        atoms = kb.signature.atoms
+        fresh = [f"r{i}" for i in range(len(atoms))]
+        rng.shuffle(fresh)
+        names = dict(zip(atoms, fresh))  # old name -> new name
+        back = {new: old for old, new in names.items()}
+        # the new signature lists the atoms in reverse: atom i of kb is
+        # atom n - 1 - i here, so the valuation indices move
+        new = KnowledgeBase(
+            [renamed_conditional(c, names) for c in kb],
+            Signature(names[a] for a in reversed(atoms)),
+        )
+        assert compute_ranking(new).chain == compute_ranking(kb).chain
+        for q in queries:
+            for method in METHODS:
+                expected = evidence(kb, method, q)
+                got = evidence(new, method, renamed_conditional(q, names))
+                if method == "mpr":
+                    got["minimal_worlds"] = sorted(
+                        sorted(back[a] for a in world) for world in got["minimal_worlds"]
+                    )
+                assert got == expected, (pool, q.text(), method)
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_a_copied_default_changes_no_answer_but_lc(pool):
+    for kb, queries in POOLS[pool]():
+        for d, c in enumerate(kb):
+            copied = KnowledgeBase([*kb, c], kb.signature.copy())
+            rt, copied_rt = compute_ranking(kb), compute_ranking(copied)
+            assert copied_rt.default_ranks == (*rt.default_ranks, rt.default_ranks[d])
+            for q in queries:
+                for method in COPY_METHODS:
+                    expected = closure_query(kb, rt, method)(q)
+                    got = closure_query(copied, copied_rt, method)(q)
+                    assert got == expected, (pool, d, q.text(), method)
