@@ -5,16 +5,20 @@ text files with one ``A |~ B`` default per line; ``#`` starts a comment and
 line order assigns the 0-based default indices used in all output.
 
 Exit codes: 0 success (query answers are ``yes``/``no`` on stdout), 1 check
-suite found violations, 2 parse error, 3 unsatisfiable KB for model-based
-methods, 4 size cap exceeded or memory limit reached.
+suite found violations, 2 parse error or usage error, a KB file that cannot
+be read, or output that cannot be written, 3 unsatisfiable KB for
+model-based methods, 4 size cap exceeded or memory limit reached.  They hold
+whether or not stderr can take the error message.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
+from itertools import chain, islice
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 # Each command imports what it alone needs (json, harness, semantics) where
 # it runs, so a query loads only the engine it asks for; argparse loads only
@@ -66,17 +70,41 @@ def _rank_json(r: Rank) -> dict[str, Any]:
     return {"rank": int(r), "infinite": False}
 
 
-def _emit_json(payload: Any) -> None:
-    """Write ``payload`` as indented JSON and a newline, in batches of
-    encoder chunks, so the whole text is never held at once (one write per
-    chunk would be slower still)."""
-    import json
-    from itertools import islice
+def _write(pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to stdout in batches of 4,096, so a long output is
+    never held whole (one write per piece would be slower).  A closed stdout
+    takes nothing, as with ``print``.  Batches go to the byte stream under
+    stdout when it has one, and a short write is retried: an unbuffered
+    stdout (``python -u``) drops what a short write leaves over, and a pipe
+    whose reader has gone gives one before its broken-pipe error."""
+    out = sys.stdout
+    if out is None:
+        return
+    binary = getattr(out, "buffer", None)
+    out.flush()  # text printed earlier goes first
+    pieces = iter(pieces)
+    while batch := "".join(islice(pieces, 4096)):
+        if binary is None:
+            out.write(batch)
+            continue
+        data = memoryview(batch.encode(out.encoding))
+        while data:
+            data = data[binary.write(data):]
 
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    while batch := "".join(islice(chunks, 4096)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+
+def _emit_json(payload: Any) -> None:
+    """Write ``payload`` as indented JSON and a newline, from the encoder's
+    chunks."""
+    import json
+
+    _write(chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), ["\n"]))
+
+
+def _json_list(items: Iterable[str]) -> str:
+    """A list of JSON texts laid out as json's ``indent=2`` lays out a list
+    three levels deep, as each field of a ``model`` row is."""
+    inner = ",\n        ".join(items)
+    return f"[\n        {inner}\n      ]" if inner else "[]"
 
 
 def _load_kb(args: Namespace) -> KnowledgeBase:
@@ -219,33 +247,56 @@ def cmd_bases(args: Namespace) -> int:
     return EXIT_OK
 
 
+def _worlds_by_name(atoms: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Every valuation index over ``atoms`` with the sorted names of its true
+    atoms, in the order of those name lists: a depth-first walk that adds
+    atoms in name order, so a list comes before its extensions and after
+    every list with a smaller name at the first place they differ."""
+    order = sorted(range(len(atoms)), key=atoms.__getitem__)
+    stack = [(0, 0, ())]
+    while stack:
+        j, start, names = stack.pop()
+        yield j, names
+        for k in reversed(range(start, len(order))):  # the smallest name pops first
+            stack.append((j | 1 << order[k], k + 1, (*names, atoms[order[k]])))
+
+
 def cmd_model(args: Namespace) -> int:
+    from array import array
+
     from . import semantics
 
     kb = _load_kb(args)
     rt = compute_ranking(kb)
     canonical = semantics.minimal_canonical_model(kb, rt)
     refined = semantics.preferential_refinement(canonical, kb)
-    rows = []
+    classes = range(len(refined.classes))
+    # one entry per valuation: its world's class, or -1 off the model
+    class_of = array("i", [-1]) * (1 << len(kb.signature))
+    for c in classes:
+        for j in mask_indices(refined.classes[c]):
+            class_of[j] = c
     # a world's rc rank depends only on the defaults it violates, so a
     # class's worlds share it: the first stratum that meets the class
-    for worlds, violations, height in zip(
-        refined.classes, refined.violations, semantics.layer_ranks(refined)
-    ):
-        rc = next(r for r, stratum in enumerate(canonical.strata) if stratum & worlds)
-        violated = list(mask_indices(violations))
-        rows.extend(
-            {"atoms": _true_atoms(kb, j), "rc_rank": rc, "fr_rank": height, "violated": violated}
-            for j in mask_indices(worlds)
-        )
-    rows.sort(key=lambda row: row["atoms"])
+    rc = [next(r for r, stratum in enumerate(canonical.strata) if stratum & refined.classes[c])
+          for c in classes]
+    fr = semantics.layer_ranks(refined)
+    violated = [list(mask_indices(v)) for v in refined.violations]
+    worlds = ((class_of[j], names) for j, names in _worlds_by_name(kb.signature.atoms)
+              if class_of[j] >= 0)
     if args.json:
-        _emit_json({"worlds": rows})
+        # the text of {"worlds": rows} under json's indent=2 and sort_keys,
+        # one row at a time; a satisfiable KB has a world, so rows is not empty
+        tails = [f'"fr_rank": {fr[c]},\n      "rc_rank": {rc[c]},\n      '
+                 f'"violated": {_json_list(map(str, violated[c]))}\n    }}' for c in classes]
+        quote = '"{}"'.format  # atom names are ASCII identifiers: JSON escapes none
+        rows = (f'\n    {{\n      "atoms": {_json_list(map(quote, names))},\n      {tails[c]}'
+                for c, names in worlds)
+        _write(chain(['{\n  "worlds": [', next(rows)], (f",{row}" for row in rows), ["\n  ]\n}\n"]))
         return EXIT_OK
-    for row in rows:
-        atoms = "{" + ", ".join(row["atoms"]) + "}"
-        violated = _index_set_text(row["violated"])
-        print(f"{atoms}  rc={row['rc_rank']}  fr={row['fr_rank']}  violated={violated}")
+    tails = [f"  rc={rc[c]}  fr={fr[c]}  violated={_index_set_text(violated[c])}\n"
+             for c in classes]
+    _write("{" + ", ".join(names) + "}" + tails[c] for c, names in worlds)
     return EXIT_OK
 
 
@@ -468,22 +519,57 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, UnicodeDecodeError) as exc:  # a KB file that is not UTF-8 text
-        print(f"parse error: {exc}", file=sys.stderr)
+        _report(f"parse error: {exc}")
         return EXIT_PARSE
     except UnsatisfiableKB as exc:
-        print(f"unsatisfiable knowledge base: {exc}", file=sys.stderr)
+        _report(f"unsatisfiable knowledge base: {exc}")
         return EXIT_UNSAT
     except SizeCapExceeded as exc:
-        print(f"size cap exceeded: {exc}", file=sys.stderr)
+        _report(f"size cap exceeded: {exc}")
         return EXIT_CAP
     except MemoryError:
-        print("memory limit reached: the process ran out of memory before an answer; "
-              "use a smaller KB or raise the memory limit", file=sys.stderr)
+        _report("memory limit reached: the process ran out of memory before an answer; "
+                "use a smaller KB or raise the memory limit")
         return EXIT_CAP
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a KB file that cannot be read, or output that cannot be written
+        _report(f"error: {exc}")
         return EXIT_PARSE
+
+
+def _report(message: str) -> None:
+    """Print an error message on stderr.  A closed or unwritable stderr
+    loses it, and the exit code still says what went wrong."""
+    if sys.stderr is None:
+        return
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
+def run() -> NoReturn:
+    """The ``defq`` program, for ``python -m defq`` and the console script:
+    ``main`` on the command line, then an exit that skips the interpreter's
+    teardown.  Freeing every module and object costs a query about 10 ms,
+    more than its engine work, and a finished process needs none of it.
+    Buffered output is flushed first; output that cannot be written exits 2,
+    as it does inside ``main``.  ``main`` itself returns normally, for tests
+    and library callers."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's help (0) and usage errors (2)
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # closed when the process started
+            continue
+        try:
+            stream.flush()
+        except OSError as exc:
+            if code in (EXIT_OK, EXIT_VIOLATIONS):  # main has reported no error
+                _report(f"error: {exc}")
+                code = EXIT_PARSE
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -10,7 +10,6 @@ size keeps the enumeration desk-scale.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_ATOM_CAP = 20
@@ -21,7 +20,10 @@ DEFAULT_ATOM_CAP = 20
 # Python's recursion limit.
 MAX_NESTING = 100
 
-_ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+def _is_atom_name(name: str) -> bool:
+    """An ASCII identifier: ``[A-Za-z_][A-Za-z0-9_]*``."""
+    return name.isascii() and name.isidentifier()
 
 
 class LogicError(Exception):
@@ -88,7 +90,7 @@ _CONSTANTS = {TRUE_OP: TRUE, FALSE_OP: FALSE}  # a constant's text is its op nam
 
 
 def atom(name: str) -> Formula:
-    if not _ATOM_NAME.match(name):
+    if not _is_atom_name(name):
         raise ValueError(f"invalid atom name: {name!r}")
     return Formula(ATOM, (name,))
 
@@ -190,7 +192,7 @@ class Signature:
         """Register an atom; returns its index (existing or new)."""
         idx = self._index.get(name)
         if idx is None:
-            if not _ATOM_NAME.match(name):
+            if not _is_atom_name(name):
                 raise ValueError(f"invalid atom name: {name!r}")
             idx = len(self._names)
             self._names.append(name)
@@ -315,38 +317,48 @@ class TruthTable:
 # conditional and may appear exactly once, at the top level only.
 # ---------------------------------------------------------------------------
 
-_TOKEN_SPEC = [
-    ("cond", r"\|~"),  # before the connective "|", which is its prefix
-    *((op, re.escape(text)) for op, text in _OP_TEXT.items()),
-    ("lparen", r"\("),
-    ("rparen", r"\)"),
-    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
-    ("ws", r"[ \t\r\n]+"),
-]
-_TOKEN_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_SPEC))
+# Each symbol and its token kind, "|~" before the connective "|", which is
+# its prefix.  Identifiers and whitespace are scanned character by character.
+_SYMBOLS = (
+    ("|~", "cond"),
+    *((text, op) for op, text in _OP_TEXT.items()),
+    ("(", "lparen"),
+    (")", "rparen"),
+)
+_WHITESPACE = frozenset(" \t\r\n")
+# an identifier's characters, [A-Za-z0-9_]; its first is no digit
+_WORD_CHARS = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 class _Token(NamedTuple):
-    kind: str  # a connective's op name, or one of the other _TOKEN_SPEC kinds
+    kind: str  # a connective's op name, a constant, or a kind from _SYMBOLS, "ident" or "end"
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", offset=pos)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            if kind == "ident" and value in _CONSTANTS:
-                kind = value
-            tokens.append(_Token(kind, value, pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    pos, end = 0, len(text)
+    while pos < end:
+        c = text[pos]
+        if c in _WHITESPACE:
+            pos += 1
+        elif c in _WORD_CHARS and not c.isdigit():
+            start = pos
+            pos += 1
+            while pos < end and text[pos] in _WORD_CHARS:
+                pos += 1
+            word = text[start:pos]
+            tokens.append(_Token(word if word in _CONSTANTS else "ident", word, start))
+        else:
+            for symbol, kind in _SYMBOLS:
+                if text.startswith(symbol, pos):
+                    tokens.append(_Token(kind, symbol, pos))
+                    pos += len(symbol)
+                    break
+            else:
+                raise ParseError(f"unexpected character {c!r}", offset=pos)
+    tokens.append(_Token("end", "", end))
     return tokens
 
 

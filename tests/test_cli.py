@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import defq
 from defq import logic
+from defq.logic import mask_indices
 from defq.cli import ARGUMENTS, COMMANDS, build_parser, main, read_argv
 from defq.harness import METHODS, closure_query
 from defq.ranking import compute_ranking, parse_kb
@@ -295,6 +297,39 @@ class TestModel:
         )
         assert "rc=1" in line and "fr=2" in line and "violated={0, 1}" in line
 
+    @pytest.mark.parametrize(
+        "name", ["taxes", "conflict", "merry", "residence", "modular", "ladder 12x8"]
+    )
+    def test_rows_match_a_sorted_row_list(self, kb_file, capsys, name):
+        """Streamed in name order, the rows equal the sorted list of one row
+        dict per world, in text and in JSON."""
+        from defq import semantics
+
+        text = LADDER_12X8_KB_TEXT if name == "ladder 12x8" else (SAMPLES / f"{name}.kb").read_text()
+        kb = parse_kb(text)
+        canonical = semantics.minimal_canonical_model(kb)
+        refined = semantics.preferential_refinement(canonical, kb)
+        rows = []
+        for worlds, violations, height in zip(
+            refined.classes, refined.violations, semantics.layer_ranks(refined)
+        ):
+            rc = next(r for r, stratum in enumerate(canonical.strata) if stratum & worlds)
+            rows.extend(
+                {"atoms": sorted(a for i, a in enumerate(kb.signature.atoms) if j >> i & 1),
+                 "rc_rank": rc, "fr_rank": height, "violated": list(mask_indices(violations))}
+                for j in mask_indices(worlds)
+            )
+        rows.sort(key=lambda row: row["atoms"])
+        lines = "".join(
+            f"{{{', '.join(row['atoms'])}}}  rc={row['rc_rank']}  fr={row['fr_rank']}  "
+            f"violated={{{', '.join(map(str, row['violated']))}}}\n"
+            for row in rows
+        )
+        path = kb_file(text)
+        assert run(capsys, "model", path) == (0, lines, "")
+        dumped = json.dumps({"worlds": rows}, indent=2, sort_keys=True) + "\n"
+        assert run(capsys, "model", path, "--json") == (0, dumped, "")
+
     def test_unsatisfiable_kb_exits_3(self, kb_file, capsys):
         code, _, err = run(capsys, "model", kb_file(UNSAT_KB_TEXT))
         assert code == 3
@@ -471,6 +506,19 @@ p1 & p2 |~ !p3
 WORST_CASE_KB_TEXT = "".join(f"true |~ p{i}\n" for i in range(12)) + "".join(
     f"p{i} |~ p{i + 1}\n" for i in (12, 14, 16, 18)
 )
+
+# bench/ladder.py's ladder_kb(12, 8, 0): 4,096 worlds, whose ``model --json``
+# (835,506 bytes) is many times a pipe's buffer
+LADDER_12X8_KB_TEXT = """\
+p8 |~ p10
+p0 & p1 |~ !p2
+p9 & p10 |~ !p11
+p1 & p2 |~ !p3
+p6 |~ p8
+p5 & p6 |~ !p7
+p9 |~ p11
+p3 & p4 |~ !p5
+"""
 
 CHILD_ADDRESS_SPACE = 1 << 30
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(defq.__file__).resolve().parent.parent))
@@ -833,3 +881,136 @@ class TestEvidenceReusesTheTrace:
             counts.append(len(built))
         capsys.readouterr()
         assert counts[0] == counts[1]
+
+
+ELAPSED_MS = re.compile(r'"elapsed_ms": [0-9.]+')
+# stdout buffered, as a user's shell runs it, so output the entry flushes
+# itself would be lost if it did not
+BUFFERED_ENV = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _entry(argv, env=BUFFERED_ENV, **streams):
+    """``python -m defq argv`` in a child: its exit code, stdout and stderr
+    (``elapsed_ms`` masked).  ``streams`` replace the captured ones."""
+    done = subprocess.run(
+        [sys.executable, "-m", "defq", *argv], text=True, env=env, timeout=120,
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams},
+    )
+    return done.returncode, ELAPSED_MS.sub("", done.stdout or ""), done.stderr
+
+
+def _in_process(capsys, argv):
+    """``main(argv)`` in this process, its argparse exit taken as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, ELAPSED_MS.sub("", captured.out), captured.err
+
+
+def _kb_paths(argv, tmp_path):
+    """``argv`` with "unsat.kb" as an unsatisfiable KB file and any other
+    word ending in ".kb" as that sample."""
+    (tmp_path / "unsat.kb").write_text(UNSAT_KB_TEXT)
+    return [str(tmp_path / w) if w == "unsat.kb" else str(SAMPLES / w) if w.endswith(".kb") else w
+            for w in argv]
+
+
+class TestEntry:
+    """``python -m defq`` ends through ``cli.run``, which flushes, keeps
+    main's exit code and skips the interpreter's teardown: it prints what
+    ``main`` prints, and output that cannot be written still exits 2."""
+
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--explain"]])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_query_matches_main(self, capsys, method, extra):
+        argv = ["query", str(SAMPLES / "taxes.kb"), "Employee & Student |~ Young",
+                "--method", method, *extra]
+        assert _entry(argv) == _in_process(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["rank", "taxes.kb"], 0),
+            (["rank", "residence.kb", "--json"], 0),
+            (["bases", "conflict.kb", "Employee & Student", "--method", "mp"], 0),
+            (["bases", "conflict.kb", "Employee & Student", "--method", "lc", "--json"], 0),
+            (["--help"], 0),
+            (["query", "--help"], 0),
+            (["query", "taxes.kb"], 2),  # usage error
+            (["query", "taxes.kb", "Student |~", "--method", "mp"], 2),  # parse error
+            (["query", "unsat.kb", "a |~ a", "--method", "mpr"], 3),
+            (["query", "taxes.kb", "Student |~ Young", "--method", "mp", "--max-atoms", "1"], 4),
+        ],
+    )
+    def test_commands_and_exits_match_main(self, capsys, tmp_path, argv, code):
+        argv = _kb_paths(argv, tmp_path)
+        got = _entry(argv)
+        assert got == _in_process(capsys, argv)
+        assert got[0] == code
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])  # PYTHONUNBUFFERED off and on
+    def test_a_large_output_arrives_whole(self, capsys, tmp_path, unbuffered):
+        path = tmp_path / "ladder.kb"
+        path.write_text(LADDER_12X8_KB_TEXT)
+        got = _entry(["model", str(path), "--json"], env=dict(CHILD_ENV, PYTHONUNBUFFERED=unbuffered))
+        assert got == _in_process(capsys, ["model", str(path), "--json"])
+        assert len(json.loads(got[1])["worlds"]) == 4096
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_main_writes_to_a_text_only_stdout(self, capsys, tmp_path, extra):
+        """A caller may swap stdout for a stream with no byte buffer."""
+        path = tmp_path / "ladder.kb"
+        path.write_text(LADDER_12X8_KB_TEXT)
+        _, expected, _ = _in_process(capsys, ["model", str(path), *extra])
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["model", str(path), *extra]) == 0
+        assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])  # PYTHONUNBUFFERED off and on
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_a_broken_pipe_exits_2_with_one_error_line(self, tmp_path, extra, unbuffered):
+        path = tmp_path / "ladder.kb"
+        path.write_text(LADDER_12X8_KB_TEXT)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "defq", "model", str(path), *extra],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(CHILD_ENV, PYTHONUNBUFFERED=unbuffered),
+        )
+        child.stdout.read(10)
+        child.stdout.close()  # the reader goes before the output, several pipe buffers, is written
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 2
+        assert err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_a_full_device_exits_2(self, extra):
+        argv = ["query", str(SAMPLES / "taxes.kb"), "Student |~ Young", "--method", "mp", *extra]
+        with open("/dev/full", "w") as full:
+            code, _, err = _entry(argv, stdout=full)
+        assert (code, err) == (2, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_a_closed_stdout_exits_0(self, extra):
+        argv = ["query", str(SAMPLES / "taxes.kb"), "Student |~ Young", "--method", "mp", *extra]
+        code, _, err = _entry(argv, stdout=None, preexec_fn=lambda: os.close(1))
+        assert (code, err) == (0, "")
+
+    def test_a_closed_stderr_keeps_a_parse_errors_exit(self):
+        argv = ["query", str(SAMPLES / "taxes.kb"), "Student |~", "--method", "mp"]
+        code, out, _ = _entry(argv, stderr=None, preexec_fn=lambda: os.close(2))
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["query", "taxes.kb", "Student |~", "--method", "mp"], 2),
+         (["query", "unsat.kb", "a |~ a", "--method", "mpr"], 3),
+         (["query", "taxes.kb", "Student |~ Young", "--method", "mp", "--max-atoms", "1"], 4)],
+    )
+    def test_an_unwritable_stderr_keeps_each_exit(self, tmp_path, argv, code):
+        argv = _kb_paths(argv, tmp_path)
+        with open(tmp_path / "unsat.kb") as read_only:  # writes to it fail
+            got, out, _ = _entry(argv, stderr=read_only)
+        assert (got, out) == (code, "")

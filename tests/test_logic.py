@@ -1,5 +1,7 @@
 """Propositional core: parsing, truth masks against the reference evaluation, entailment."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,13 @@ from defq import (
     parse_kb,
     to_text,
 )
-from defq.logic import MAX_NESTING, mask_indices, parse_conditional_parts
+from defq.logic import (
+    MAX_NESTING,
+    _is_atom_name,
+    _tokenize,
+    mask_indices,
+    parse_conditional_parts,
+)
 from reference import entails, evaluate, is_consistent, valuation
 
 
@@ -87,6 +95,59 @@ class TestParser:
             parse_conditional_parts("p & q", Signature())
         with pytest.raises(ParseError):
             parse_conditional_parts("p |~ q |~ r", Signature())
+
+
+# The grammar's tokens as one regular expression, the tokenizer's reference:
+# alternatives are tried in order, so "|~" comes before the connective "|".
+REFERENCE_TOKENS = re.compile(
+    r"(?P<cond>\|~)|(?P<iff><->)|(?P<implies>->)|(?P<or>\|)|(?P<and>&)|(?P<not>!)"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<ws>[ \t\r\n]+)"
+)
+
+
+def reference_tokens(text):
+    """(kind, text, pos) of each token, then the end token; or the offset of
+    the first character no token matches."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = REFERENCE_TOKENS.match(text, pos)
+        if m is None:
+            return pos
+        if m.lastgroup != "ws":
+            kind = m.group() if m.group() in ("true", "false") else m.lastgroup
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    return [*tokens, ("end", "", len(text))]
+
+
+# every symbol's characters, symbol prefixes, digits, non-ASCII letters and
+# digits, and whitespace the grammar does and does not skip
+TOKEN_ALPHABET = "ab_Z09|~-<>!&() \t\r\n\x0b?éℌ٣"
+
+
+class TestTokenizer:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=TOKEN_ALPHABET, max_size=24) | st.sampled_from(["true", "false1", "|~|", "<-", "<->>"]))
+    def test_matches_the_regular_expression(self, text):
+        expected = reference_tokens(text)
+        if isinstance(expected, int):
+            with pytest.raises(ParseError) as exc:
+                _tokenize(text)
+            assert exc.value.offset == expected
+            assert str(exc.value) == f"offset {expected}: unexpected character {text[expected]!r}"
+        else:
+            assert [tuple(t) for t in _tokenize(text)] == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=TOKEN_ALPHABET, max_size=6))
+    def test_atom_names_are_ascii_identifiers(self, name):
+        assert _is_atom_name(name) == bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name))
+
+    def test_logic_holds_no_regular_expression(self):
+        from defq import logic
+
+        assert "re" not in vars(logic)
+        assert not [v for v in vars(logic).values() if isinstance(v, re.Pattern)]
 
 
 # (function, input, message, offset): the exact text of every parse error
