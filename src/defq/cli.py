@@ -76,7 +76,8 @@ def _write(pieces: Iterable[str]) -> None:
     takes nothing, as with ``print``.  Batches go to the byte stream under
     stdout when it has one, and a short write is retried: an unbuffered
     stdout (``python -u``) drops what a short write leaves over, and a pipe
-    whose reader has gone gives one before its broken-pipe error."""
+    whose reader has gone gives one before its broken-pipe error.  It
+    flushes before it returns, so an unwritable stdout raises here."""
     out = sys.stdout
     if out is None:
         return
@@ -90,6 +91,7 @@ def _write(pieces: Iterable[str]) -> None:
         data = memoryview(batch.encode(out.encoding))
         while data:
             data = data[binary.write(data):]
+    out.flush()
 
 
 def _emit_json(payload: Any) -> None:
@@ -108,9 +110,14 @@ def _json_list(items: Iterable[str]) -> str:
 
 
 def _load_kb(args: Namespace) -> KnowledgeBase:
+    """The KB file under the size flags as caps; an unset flag keeps the usual cap."""
     with open(args.kb_file, encoding="utf-8") as handle:
         text = handle.read()
-    return parse_kb(text, max_atoms=args.max_atoms, max_defaults=args.max_defaults)
+    return parse_kb(
+        text,
+        max_atoms=DEFAULT_ATOM_CAP if args.max_atoms is None else args.max_atoms,
+        max_defaults=DEFAULT_KB_CAP if args.max_defaults is None else args.max_defaults,
+    )
 
 
 def _true_atoms(kb: KnowledgeBase, j: int) -> list[str]:
@@ -148,12 +155,12 @@ def cmd_rank(args: Namespace) -> int:
         }
         _emit_json(payload)
         return EXIT_OK
-    for d, c in enumerate(kb.conditionals):
-        print(f"{d}: rank {_rank_text(rt.default_ranks[d])}    {c.text()}")
-    print(f"order k: {rt.order_k}")
-    print("chain:")
-    for i, members in enumerate(rt.chain):
-        print(f"  C{i}: {_index_set_text(mask_indices(members))}")
+    _write(chain(
+        (f"{d}: rank {_rank_text(rt.default_ranks[d])}    {c.text()}\n"
+         for d, c in enumerate(kb.conditionals)),
+        [f"order k: {rt.order_k}\nchain:\n"],
+        (f"  C{i}: {_index_set_text(mask_indices(m))}\n" for i, m in enumerate(rt.chain)),
+    ))
     return EXIT_OK
 
 
@@ -217,10 +224,10 @@ def cmd_query(args: Namespace) -> int:
             }
         )
         return EXIT_OK
-    print("yes" if answer else "no")
+    lines = ["yes\n" if answer else "no\n"]
     if args.explain:
-        for key, value in sorted(evidence.items()):
-            print(f"{key}: {value}")
+        lines += (f"{key}: {value}\n" for key, value in sorted(evidence.items()))
+    _write(lines)
     return EXIT_OK
 
 
@@ -237,13 +244,12 @@ def cmd_bases(args: Namespace) -> int:
         if args.json:
             _emit_json({"antecedent": to_text(antecedent), "bases": None, "infinite_rank": True})
         else:
-            print("antecedent has infinite rank: no bases")
+            _write(["antecedent has infinite rank: no bases\n"])
         return EXIT_OK
     if args.json:
         _emit_json({"antecedent": to_text(antecedent), "method": args.method, "bases": bases})
         return EXIT_OK
-    for base in bases:
-        print(_index_set_text(base))
+    _write(f"{_index_set_text(base)}\n" for base in bases)
     return EXIT_OK
 
 
@@ -309,8 +315,7 @@ def cmd_compare(args: Namespace) -> int:
     if args.json:
         _emit_json({"query": query.text(), "matrix": answers})
         return EXIT_OK
-    for method, answer in answers.items():
-        print(f"{method}: {'yes' if answer else 'no'}")
+    _write(f"{method}: {'yes' if answer else 'no'}\n" for method, answer in answers.items())
     return EXIT_OK
 
 
@@ -318,13 +323,7 @@ def cmd_check(args: Namespace) -> int:
     from . import harness
 
     if args.kb_file is not None:
-        # a KB file loads under the size flags as caps, as in every other command
-        with open(args.kb_file, encoding="utf-8") as handle:
-            kb = parse_kb(
-                handle.read(),
-                max_atoms=args.max_atoms or DEFAULT_ATOM_CAP,
-                max_defaults=args.max_defaults or DEFAULT_KB_CAP,
-            )
+        kb = _load_kb(args)
         gen = harness.KbGenerator(args.seed)
         queries = [gen.query(kb, 0, w) for w in range(args.count)]
         rows, problems, _ = harness.cross_check(kb, compute_ranking(kb), queries)
@@ -332,12 +331,12 @@ def cmd_check(args: Namespace) -> int:
             summary = {"queries": len(rows), "violations": len(problems)}
             _emit_json({"queries": rows, "problems": problems, "summary": summary})
         else:
-            for q_text, matrix_dict in rows:
-                cells = " ".join(f"{k}={int(v)}" for k, v in matrix_dict.items())
-                print(f"query {q_text!r} {cells}")
-            for problem in problems:
-                print(f"violation {problem}")
-            print(f"summary queries={len(rows)} violations={len(problems)}")
+            _write(chain(
+                (f"query {q_text!r} {' '.join(f'{k}={int(v)}' for k, v in matrix.items())}\n"
+                 for q_text, matrix in rows),
+                (f"violation {problem}\n" for problem in problems),
+                [f"summary queries={len(rows)} violations={len(problems)}\n"],
+            ))
         return EXIT_VIOLATIONS if problems else EXIT_OK
 
     max_atoms = args.max_atoms or RANDOM_ATOMS
@@ -353,18 +352,15 @@ def cmd_check(args: Namespace) -> int:
     if args.json:
         _emit_json({"trials": [t._asdict() for t in results], "summary": summary})
         return EXIT_VIOLATIONS if summary["violations"] else EXIT_OK
+    lines = []
     for trial in results:
-        print(
-            f"trial={trial.index} seed={trial.seed} atoms={trial.atoms} "
-            f"defaults={trial.defaults} checks={trial.checks} "
-            f"violations={len(trial.problems)}"
-        )
-        for problem in trial.problems:
-            print(f"violation trial={trial.index} {problem}")
-    print(
-        "summary trials={trials} queries={queries} checks={checks} "
-        "violations={violations}".format(**summary)
-    )
+        lines.append(f"trial={trial.index} seed={trial.seed} atoms={trial.atoms} "
+                     f"defaults={trial.defaults} checks={trial.checks} "
+                     f"violations={len(trial.problems)}\n")
+        lines += (f"violation trial={trial.index} {problem}\n" for problem in trial.problems)
+    lines.append("summary trials={trials} queries={queries} checks={checks} "
+                 "violations={violations}\n".format(**summary))
+    _write(lines)
     return EXIT_VIOLATIONS if summary["violations"] else EXIT_OK
 
 
@@ -444,10 +440,17 @@ COMMANDS = tuple(ARGUMENTS)
 
 
 def build_parser() -> ArgumentParser:
-    """The ``defq`` argparse parser, built from ``ARGUMENTS``."""
+    """The ``defq`` argparse parser, built from ``ARGUMENTS``.  Help goes
+    through ``_write``: argparse's writer drops an unwritable stdout's error."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file: Any = None) -> None:
+            if file is not None:
+                return super().print_help(file)
+            _write([self.format_help()])
+
+    parser = Parser(
         prog="defq",
         description="Defeasible entailment over propositional conditional knowledge bases.",
     )
@@ -508,15 +511,15 @@ def read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = read_argv(argv)
-    if args is None:  # help, usage errors and unusual spellings
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "check" and not args.random and args.kb_file is None:
-            parser.error("check needs a KB file or --random")
-        if args.command == "check" and args.random and args.kb_file is not None:
-            parser.error("check takes a KB file or --random, not both")
     try:
+        args = read_argv(argv)
+        if args is None:  # help, usage errors and unusual spellings
+            parser = build_parser()
+            args = parser.parse_args(argv)
+            if args.command == "check" and not args.random and args.kb_file is None:
+                parser.error("check needs a KB file or --random")
+            if args.command == "check" and args.random and args.kb_file is not None:
+                parser.error("check takes a KB file or --random, not both")
         return args.func(args)
     except (ParseError, UnicodeDecodeError) as exc:  # a KB file that is not UTF-8 text
         _report(f"parse error: {exc}")
@@ -552,22 +555,13 @@ def run() -> NoReturn:
     ``main`` on the command line, then an exit that skips the interpreter's
     teardown.  Freeing every module and object costs a query about 10 ms,
     more than its engine work, and a finished process needs none of it.
-    Buffered output is flushed first; output that cannot be written exits 2,
-    as it does inside ``main``.  ``main`` itself returns normally, for tests
-    and library callers."""
+    Nothing is left to flush: ``_write`` flushes stdout, and stderr takes
+    whole lines, which Python flushes as they come.  ``main`` itself returns
+    normally, for tests and library callers."""
     try:
         code = main()
     except SystemExit as exc:  # argparse's help (0) and usage errors (2)
         code = exc.code
-    for stream in (sys.stdout, sys.stderr):
-        if stream is None:  # closed when the process started
-            continue
-        try:
-            stream.flush()
-        except OSError as exc:
-            if code in (EXIT_OK, EXIT_VIOLATIONS):  # main has reported no error
-                _report(f"error: {exc}")
-                code = EXIT_PARSE
     os._exit(code)
 
 

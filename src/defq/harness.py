@@ -152,11 +152,11 @@ def check_postulates(
     q = closure_query(kb, rt, method)
     records = []
     for a, b, c in triples:
-        for name in postulates:
-            applicable, holds = _postulate_instance(name, a, b, c, q, kb.truth)
-            records.append(
-                PostulateRecord(name, to_text(a), to_text(b), to_text(c), applicable, holds)
-            )
+        texts = to_text(a), to_text(b), to_text(c)
+        records += (
+            PostulateRecord(name, *texts, *_postulate_instance(name, a, b, c, q, kb.truth))
+            for name in postulates
+        )
     return tuple(records)
 
 
@@ -172,17 +172,18 @@ def oracle_mp_query(kb: KnowledgeBase, query: Conditional) -> bool:
     set-ordering-maximal ones by pairwise comparison over the full candidate
     list (no inclusion-maximality shortcut), and checks the consequent on
     each.  The ordering comparator is inlined so this path shares nothing
-    with the optimized engine beyond the ranking itself.
+    with the optimized engine beyond the ranking itself: the antecedent's
+    rank is infinite when no chain entry's worlds meet its own mask.
     """
     if len(kb) > 16:
         raise SizeCapExceeded("oracle is limited to 16 defaults")
     rt = compute_ranking(kb)
-    if rank_of_formula(query.antecedent, rt, kb) == INF:
+    tt = TruthTable(kb.signature, kb.max_atoms)
+    a_mask = tt.mask(query.antecedent)
+    if not any(worlds & a_mask for worlds in rt.worlds):
         return True
 
-    tt = TruthTable(kb.signature, kb.max_atoms)
     imps = [tt.mask(c.materialization()) for c in kb.conditionals]
-    a_mask = tt.mask(query.antecedent)
     counter_models = a_mask & ~tt.mask(query.consequent)
     k = len(kb)
 
@@ -230,7 +231,7 @@ def random_formula(rng: random.Random, atoms: Sequence[str], depth: int) -> Form
     if depth <= 0 or rng.random() < 0.5:
         if not atoms or rng.random() < 0.05:
             return TRUE if rng.random() < 0.5 else FALSE
-        leaf = Formula("atom", (rng.choice(list(atoms)),))
+        leaf = Formula("atom", (rng.choice(atoms),))
         return lnot(leaf) if rng.random() < 0.5 else leaf
     if rng.random() < 0.2:
         return lnot(random_formula(rng, atoms, depth - 1))

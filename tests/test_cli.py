@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defq
-from defq import logic
+from defq import cli, logic
 from defq.logic import mask_indices
 from defq.cli import ARGUMENTS, COMMANDS, build_parser, main, read_argv
 from defq.harness import METHODS, closure_query
@@ -992,6 +992,17 @@ class TestEntry:
             code, _, err = _entry(argv, stdout=full)
         assert (code, err) == (2, "error: [Errno 28] No space left on device\n")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])  # PYTHONUNBUFFERED off and on
+    @pytest.mark.parametrize("argv", [["--help"], ["query", "--help"]])
+    def test_help_on_a_full_device_exits_2(self, argv, unbuffered):
+        """argparse's own help writer drops the write's error; help goes
+        through ``_write`` instead, so it exits as any other output does."""
+        with open("/dev/full", "w") as full:
+            code, _, err = _entry(argv, env=dict(CHILD_ENV, PYTHONUNBUFFERED=unbuffered),
+                                  stdout=full)
+        assert (code, err) == (2, "error: [Errno 28] No space left on device\n")
+
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     def test_a_closed_stdout_exits_0(self, extra):
         argv = ["query", str(SAMPLES / "taxes.kb"), "Student |~ Young", "--method", "mp", *extra]
@@ -1014,3 +1025,48 @@ class TestEntry:
         with open(tmp_path / "unsat.kb") as read_only:  # writes to it fail
             got, out, _ = _entry(argv, stderr=read_only)
         assert (got, out) == (code, "")
+
+
+class _NoWrites(io.StringIO):
+    def write(self, text):
+        raise AssertionError(f"stdout written outside _write: {text!r}")
+
+
+class TestOneWriter:
+    """Every command, and help, writes stdout only through ``cli._write``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "taxes.kb"],
+            ["rank", "taxes.kb", "--json"],
+            ["query", "modular.kb", "Penguin |~ Wings", "--method", "mp", "--explain"],
+            ["query", "modular.kb", "Penguin |~ Wings", "--method", "mpr", "--json"],
+            ["bases", "conflict.kb", "Employee & Student", "--method", "mp"],
+            ["bases", "conflict.kb", "Employee & Student", "--method", "lc", "--json"],
+            ["bases", "unsat.kb", "true", "--method", "mp"],  # infinite rank
+            ["model", "taxes.kb"],
+            ["model", "taxes.kb", "--json"],
+            ["compare", "taxes.kb", "Student |~ Young"],
+            ["compare", "taxes.kb", "Student |~ Young", "--json"],
+            ["check", "taxes.kb", "--count", "3"],
+            ["check", "taxes.kb", "--count", "3", "--json"],
+            ["check", "--random", "--count", "2"],
+            ["check", "--random", "--count", "2", "--json"],
+            ["--help"],
+            ["check", "--help"],
+        ],
+    )
+    def test_stdout_goes_through_write(self, capsys, monkeypatch, tmp_path, argv):
+        argv = _kb_paths(argv, tmp_path)
+        expected = _in_process(capsys, argv)
+        pieces = []
+        monkeypatch.setattr(cli, "_write", pieces.extend)
+        monkeypatch.setattr(sys, "stdout", _NoWrites())
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        got = code, ELAPSED_MS.sub("", "".join(pieces)), capsys.readouterr().err
+        assert got == expected
+        assert got[1]

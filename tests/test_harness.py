@@ -14,6 +14,7 @@ from defq import (
     mp_query,
     oracle_mp_query,
     parse_formula,
+    parse_kb,
     run_random_suite,
 )
 from defq import harness, semantics
@@ -26,6 +27,7 @@ from defq.harness import (
     _subset_less,
 )
 from defq.logic import mask_indices
+from defq.ranking import KnowledgeBase
 
 
 def matrix(kb, text):
@@ -141,6 +143,27 @@ class TestOracle:
             for w in range(4):
                 q = gen.query(kb, index, w)
                 assert oracle_mp_query(kb, q) == mp_query(kb, rt, q)
+
+    def test_reads_no_engine_mask_memo(self, monkeypatch):
+        """The oracle decides an infinite-rank antecedent from its own mask
+        and the ranking's worlds, not from ``KnowledgeBase.mask``."""
+        gen = KbGenerator(seed=919191)
+        pool = []
+        for index in range(10):
+            kb = gen.knowledge_base(index)
+            pool += [(kb, gen.query(kb, index, w)) for w in range(4)]
+        clash = parse_kb("a |~ b\na |~ !b\n")  # a has infinite rank
+        for text in ("a |~ !b", "a & b |~ c", "true |~ !a", "!a |~ b"):
+            query, kb = clash.parse_query(text)
+            pool.append((kb, query))
+        expected = [mp_query(kb, compute_ranking(kb), q) for kb, q in pool]
+        assert expected[-4:] == [True, True, True, False]
+
+        def refuse(self, f):
+            raise AssertionError("the oracle read KnowledgeBase.mask")
+
+        monkeypatch.setattr(KnowledgeBase, "mask", refuse)
+        assert [oracle_mp_query(kb, q) for kb, q in pool] == expected
 
 
 class TestSyntaxSensitivity:
