@@ -191,7 +191,7 @@ def _query_evidence(
     elif method == "mpr":
         from . import semantics
 
-        model = semantics.mpr_model(kb, rt)
+        model = semantics.mpr_model(kb)
         minimal = semantics.minimal_worlds(model, query.antecedent)
         evidence["minimal_worlds"] = sorted(_true_atoms(kb, j) for j in mask_indices(minimal))
     return evidence
@@ -235,7 +235,7 @@ def cmd_bases(args: Namespace) -> int:
     whole = _load_kb(args)
     antecedent = parse_formula(args.antecedent, whole.signature.copy())
     # the consequent true adds no atoms, so the part is the antecedent's; the
-    # atom cap applies to it, as in cmd_query
+    # atom cap applies to its truth table, as in cmd_query
     query = Conditional(antecedent, TRUE)
     kb, kept = whole.query_part(query)
     rt = compute_ranking(kb)
@@ -274,8 +274,7 @@ def cmd_model(args: Namespace) -> int:
 
     kb = _load_kb(args)
     rt = compute_ranking(kb)
-    canonical = semantics.minimal_canonical_model(kb, rt)
-    refined = semantics.preferential_refinement(canonical, kb)
+    refined = semantics.preferential_refinement(kb)
     classes = range(len(refined.classes))
     # one entry per valuation: its world's class, or -1 off the model
     class_of = array("i", [-1]) * (1 << len(kb.signature))
@@ -283,9 +282,8 @@ def cmd_model(args: Namespace) -> int:
         for j in mask_indices(refined.classes[c]):
             class_of[j] = c
     # a world's rc rank depends only on the defaults it violates, so a
-    # class's worlds share it: the first stratum that meets the class
-    rc = [next(r for r, stratum in enumerate(canonical.strata) if stratum & refined.classes[c])
-          for c in classes]
+    # class's worlds share it: the first chain position that admits the class
+    rc = [mask_rank(worlds, rt) for worlds in refined.classes]
     fr = semantics.layer_ranks(refined)
     violated = [list(mask_indices(v)) for v in refined.violations]
     worlds = ((class_of[j], names) for j, names in _worlds_by_name(kb.signature.atoms)

@@ -357,7 +357,7 @@ def _model_agreement_problems(
     problems: list[str] = []
     checks = 0
     canonical = semantics.minimal_canonical_model(kb, rt)
-    refined = semantics.preferential_refinement(canonical, kb)
+    refined = semantics.preferential_refinement(kb)
     for q in queries:
         checks += 2
         if rc_query(kb, rt, q) != semantics.satisfies(canonical, q):

@@ -5,7 +5,7 @@ signature.  Entailment is decided by exhaustive valuation enumeration,
 realized as truth-table bitmasks: a formula's semantics over an n-atom
 signature is an integer whose bit j records its truth at valuation index j
 (atom i true at index j iff bit i of j is set).  A hard cap on the signature
-size keeps the enumeration desk-scale.
+size, checked when a truth table is made, keeps the enumeration desk-scale.
 """
 
 from __future__ import annotations
@@ -225,12 +225,6 @@ class Signature:
         return f"Signature({self._names!r})"
 
 
-def check_atom_cap(sig: Signature, max_atoms: int) -> None:
-    """Raise ``SizeCapExceeded`` when ``sig`` has more than ``max_atoms`` atoms."""
-    if len(sig) > max_atoms:
-        raise SizeCapExceeded(f"{len(sig)} atoms exceeds the enumeration cap of {max_atoms}")
-
-
 # ---------------------------------------------------------------------------
 # Truth-table kernel
 # ---------------------------------------------------------------------------
@@ -268,11 +262,13 @@ class TruthTable:
     Bit j of ``mask(f)`` is the truth of ``f`` at valuation index j, and each
     connective is one big-integer operation over the 2^n-bit space.  Each
     call walks ``f`` and builds the atom masks it meets; the table holds
-    only ``full``.
+    only ``full``.  Making one is where the atom cap is checked: a
+    signature of more than ``max_atoms`` atoms raises ``SizeCapExceeded``.
     """
 
     def __init__(self, sig: Signature, max_atoms: int = DEFAULT_ATOM_CAP):
-        check_atom_cap(sig, max_atoms)
+        if len(sig) > max_atoms:
+            raise SizeCapExceeded(f"{len(sig)} atoms exceeds the enumeration cap of {max_atoms}")
         self.signature = sig
         self.n = n = len(sig)
         self.full = (1 << (1 << n)) - 1

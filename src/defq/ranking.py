@@ -24,7 +24,6 @@ from .logic import (
     SizeCapExceeded,
     TruthTable,
     atoms_of,
-    check_atom_cap,
     implies,
     mask_indices,
     parse_conditional_parts,
@@ -70,7 +69,9 @@ class KnowledgeBase:
     ``mask`` is asked about, ranking, bases, justifications, models);
     concurrent readers are safe because cache fills are idempotent.
     ``truth`` and ``default_masks`` are built the first time they are read,
-    so parsing builds no mask; both caps are checked here.
+    so parsing builds no mask.  The default cap is checked here; the atom
+    cap (``max_atoms``) when ``truth`` is built, so a KB of any signature
+    size loads and a query's part can answer under the cap.
     """
 
     def __init__(
@@ -84,7 +85,6 @@ class KnowledgeBase:
             raise SizeCapExceeded(
                 f"{len(conditionals)} defaults exceeds the cap of {max_defaults}"
             )
-        check_atom_cap(signature, max_atoms)
         self.conditionals: tuple[Conditional, ...] = tuple(conditionals)
         self.signature = signature
         self.max_atoms = max_atoms
@@ -163,8 +163,11 @@ class KnowledgeBase:
         the first chain position, so every rank is infinite, and it is kept
         for that.  ``query`` may mention atoms outside this KB's signature
         (see ``read_query``); they follow the kept atoms in the part's
-        signature, and the atom cap is checked on the part.  Returns this
-        KB itself when it drops nothing and the query adds no atom.
+        signature.  Building the part checks no cap: the atom cap applies
+        where truth tables are made, over the atoms of each group that the
+        satisfiability test reads and over the part's signature when the
+        part's masks are first built.  Returns this KB itself when it drops
+        nothing and the query adds no atom.
         """
         groups: list[tuple[set[str], list[int]]] = []  # each group's atoms and defaults
         for d, c in enumerate(self.conditionals):
@@ -235,9 +238,11 @@ class RankingTable(NamedTuple):
     d for default d); the last entry is the stable one (its exceptional
     part is itself).  ``default_ranks[d]`` is the chain position where
     default d drops out, or ``INF`` when it never does.
-    ``slices`` holds the rank slices as default masks, in comparison order
-    (see ``rank_slices``).  ``worlds[i]`` is the truth mask of the
-    materialization of ``chain[i]``.
+    ``slices`` holds the rank slices as default masks, in the order the
+    seriousness orderings compare them: the infinite slice first, then the
+    finite ranks from ``order_k - 1`` down to 0.  Every per-rank view of the
+    defaults (the closures' orderings, the MP refinement) reads them here.
+    ``worlds[i]`` is the truth mask of the materialization of ``chain[i]``.
     """
 
     chain: tuple[int, ...]
@@ -250,16 +255,6 @@ class RankingTable(NamedTuple):
         """One past the highest finite rank in use.  Consecutive chain
         entries always differ, so this is the index of the stable entry."""
         return len(self.chain) - 1
-
-
-def rank_slices(default_ranks: Sequence[Rank], top: int) -> tuple[int, ...]:
-    """Masks of the rank slices of ranks below ``top``, in the order the
-    seriousness orderings compare them: the infinite slice first, then the
-    finite ranks from ``top - 1`` down to 0."""
-    slices = [0] * (top + 1)
-    for d, r in enumerate(default_ranks):
-        slices[0 if r == INF else top - int(r)] |= 1 << d
-    return tuple(slices)
 
 
 def compute_ranking(kb: KnowledgeBase) -> RankingTable:
@@ -280,14 +275,16 @@ def compute_ranking(kb: KnowledgeBase) -> RankingTable:
             break
         chain.append(nxt)
 
+    top = len(chain) - 1
     ranks: list[Rank] = [INF] * len(kb)  # the stable entry's members keep INF
-    for i, members in enumerate(chain[:-1]):
-        for d in mask_indices(members & ~chain[i + 1]):
+    slices = [chain[top]] + [0] * top  # the stable entry is the infinite slice
+    for i in range(top):
+        dropped = chain[i] & ~chain[i + 1]
+        slices[top - i] = dropped
+        for d in mask_indices(dropped):
             ranks[d] = i
 
-    table = RankingTable(
-        tuple(chain), tuple(ranks), rank_slices(ranks, len(chain) - 1), tuple(worlds)
-    )
+    table = RankingTable(tuple(chain), tuple(ranks), tuple(slices), tuple(worlds))
     kb.cache["ranking"] = table
     return table
 

@@ -5,8 +5,9 @@ never-retracted default); a set of worlds is a truth mask over the KB's
 valuation indices, as everywhere else in defq.  The minimal canonical ranked
 model puts each world at the lowest chain position whose materialization it
 satisfies, so its strata are the differences of consecutive chain masks.
-Refining it by the set-seriousness ordering compares worlds only through
-their violation sets, so the refined order is a relation on violation classes
+Refining it by the set-seriousness ordering over the rational closure's rank
+slices (``RankingTable.slices``) compares worlds only through their
+violation sets, so the refined order is a relation on violation classes
 (the worlds with one violation set, split off the compatible mask default by
 default), stored as one mask per class of the class ids below it.  That
 order is strict inclusion at the first differing rank slice, so it is built
@@ -26,15 +27,7 @@ from operator import or_
 from typing import Sequence
 
 from .logic import Formula, mask_indices
-from .ranking import (
-    INF,
-    Conditional,
-    KnowledgeBase,
-    Rank,
-    RankingTable,
-    compute_ranking,
-    rank_slices,
-)
+from .ranking import Conditional, KnowledgeBase, RankingTable, compute_ranking
 from .ranking import UnsatisfiableKB  # defined in ranking: the CLI catches it without this module
 
 
@@ -118,13 +111,6 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
     return model
 
 
-def _model_default_ranks(model: RankedModel, kb: KnowledgeBase) -> tuple[Rank, ...]:
-    """Rank of each default's antecedent inside the model (INF when the
-    antecedent holds at no world)."""
-    ranks = (model.formula_rank(c.antecedent) for c in kb.conditionals)
-    return tuple(INF if r is None else r for r in ranks)
-
-
 def _violation_classes(kb: KnowledgeBase, worlds: int) -> list[tuple[int, int]]:
     """Split a world mask into its violation classes: (class mask, violation
     mask) pairs, one per violation set that some world has; bit d of the
@@ -143,22 +129,24 @@ def _violation_classes(kb: KnowledgeBase, worlds: int) -> list[tuple[int, int]]:
     return parts
 
 
-def preferential_refinement(model: RankedModel, kb: KnowledgeBase) -> PreferentialModel:
-    """Refine a ranked model: order worlds by the seriousness of their
-    violation sets (set ordering over the rank slices of the model's own
-    default ranks).
+def preferential_refinement(kb: KnowledgeBase) -> PreferentialModel:
+    """Refine the minimal canonical model of a satisfiable KB: order its
+    worlds by the seriousness of their violation sets, the set ordering over
+    the rank slices of the rational closure (``RankingTable.slices``).
 
     Class x is below class y when, at the first slice where their violation
     sets differ, x's part is a strict subset of y's.  Classes that agree on
     the slices before i are grouped and split by their slice i: each
     subgroup lies below every subgroup whose slice strictly contains its
-    own, and each subgroup is split again on slice i + 1.  On the minimal
-    canonical model the model ranks coincide with the computed default
-    ranks, so this is the violation-set ordering used by the MP closure; the
-    refined order extends the rank order and stays a model of the KB.
+    own, and each subgroup is split again on slice i + 1.  This is the
+    violation-set ordering used by the MP closure.  It extends the canonical
+    model's rank order (a world's rank is one past the highest rank it
+    violates), and the refined model still models the KB.  Raises
+    ``UnsatisfiableKB`` when the KB has no model.
     """
-    slices = rank_slices(_model_default_ranks(model, kb), len(model.strata))
-    parts = _violation_classes(kb, model.world_mask)
+    worlds = minimal_canonical_model(kb).world_mask
+    slices = compute_ranking(kb).slices
+    parts = _violation_classes(kb, worlds)
     below = [0] * len(parts)
     groups = [(0, list(range(len(parts))))]
     while groups:
@@ -233,17 +221,16 @@ def rank_by_height(pref: PreferentialModel) -> RankedModel:
     return RankedModel(pref.kb, strata)
 
 
-def mpr_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:
+def mpr_model(kb: KnowledgeBase) -> RankedModel:
     """Ranked model defining the rational extension of the MP closure."""
     cached = kb.cache.get("mpr_model")
     if cached is not None:
         return cached
-    base = minimal_canonical_model(kb, rt)
-    model = rank_by_height(preferential_refinement(base, kb))
+    model = rank_by_height(preferential_refinement(kb))
     kb.cache["mpr_model"] = model
     return model
 
 
 def mpr_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
     """Membership in the rational extension of the MP closure."""
-    return satisfies(mpr_model(kb, rt), query)
+    return satisfies(mpr_model(kb), query)

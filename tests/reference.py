@@ -11,7 +11,7 @@ calls.
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from defq import INF, Formula, preferential_refinement, rank_by_height
+from defq import INF, Formula, minimal_canonical_model, preferential_refinement, rank_by_height
 
 
 def valuation(atoms: Sequence[str], j: int) -> dict[str, bool]:
@@ -124,7 +124,7 @@ def is_exceptional(a: Formula, members: Iterable[int], kb) -> bool:
     return not is_consistent(tt, formulas + [a])
 
 
-def is_refinement_fixed_point(model, kb) -> bool:
-    """True iff refining and collapsing by height reproduces the model's own
-    strata."""
-    return rank_by_height(preferential_refinement(model, kb)).strata == model.strata
+def is_refinement_fixed_point(kb) -> bool:
+    """True iff refining the KB's minimal canonical model and collapsing by
+    height reproduces the canonical model's own strata."""
+    return rank_by_height(preferential_refinement(kb)).strata == minimal_canonical_model(kb).strata

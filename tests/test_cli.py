@@ -30,6 +30,7 @@ from conftest import (
 from test_acceptance import MODULAR_KB_TEXT
 
 UNSAT_KB_TEXT = "true |~ a\ntrue |~ !a\n"
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 @pytest.fixture
@@ -308,7 +309,7 @@ class TestModel:
         text = LADDER_12X8_KB_TEXT if name == "ladder 12x8" else (SAMPLES / f"{name}.kb").read_text()
         kb = parse_kb(text)
         canonical = semantics.minimal_canonical_model(kb)
-        refined = semantics.preferential_refinement(canonical, kb)
+        refined = semantics.preferential_refinement(kb)
         rows = []
         for worlds, violations, height in zip(
             refined.classes, refined.violations, semantics.layer_ranks(refined)
@@ -448,6 +449,12 @@ class TestCheck:
         keys = {"index", "seed", "kb_lines", "atoms", "defaults", "queries", "checks", "problems"}
         assert all(set(trial) == keys for trial in payload["trials"])
 
+    @pytest.mark.parametrize("flag, value", [("--max-atoms", "9"), ("--max-defaults", "11")])
+    def test_random_mode_refuses_sizes_past_its_pair_checks(self, capsys, flag, value):
+        code, out, err = run(capsys, "check", "--random", flag, value)
+        assert (code, out) == (4, "")
+        assert "random checks enumerate all valuation and subset pairs" in err
+
     def test_check_requires_file_or_random(self, capsys):
         with pytest.raises(SystemExit):
             main(["check"])
@@ -548,8 +555,10 @@ def _answers_under_one_gigabyte(tmp_path, kb_text, query, methods):
 
 
 class TestAtomCapOnQueryPart:
-    """rc, lc, mp and the relevant closures check ``--max-atoms`` on the
-    query's part; mpr answers on the whole KB and checks it there."""
+    """A KB loads whatever its signature size: the atom cap is checked where
+    a truth table is made.  rc, lc, mp and the relevant closures (and
+    ``bases``) build theirs on the query's part; mpr and the other commands
+    build theirs on the whole KB."""
 
     PART_METHODS = ("rc", "lc", "mp", "basic-relevant", "minimal-relevant")
 
@@ -580,6 +589,98 @@ class TestAtomCapOnQueryPart:
         )
         assert code == 4
         assert "21 atoms exceeds the enumeration cap of 20" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--explain"], ["--json"]])
+    @pytest.mark.parametrize("method", PART_METHODS)
+    def test_an_eight_atom_kb_answers_on_its_four_atom_part(self, kb_file, capsys, method, extra):
+        argv = ["query", kb_file(MODULAR_KB_TEXT), "Penguin |~ Wings", "--method", method, *extra]
+        outputs = []
+        for caps in ([], ["--max-atoms", "4"]):
+            code, out, err = run(capsys, *argv, *caps)
+            assert (code, err) == (0, ""), caps
+            if extra == ["--json"]:
+                out = json.loads(out)
+                del out["elapsed_ms"]
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_bases_on_an_eight_atom_kb_answer_on_the_antecedents_part(self, kb_file, capsys):
+        path = kb_file(MODULAR_KB_TEXT)
+        code, out, err = run(capsys, "bases", path, "Penguin", "--method", "mp", "--max-atoms", "4")
+        assert (code, out, err) == (0, "{1, 2, 3, 4, 5, 6}\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rank"], ["model"], ["compare", "Penguin |~ Wings"], ["check"],
+         ["query", "Penguin |~ Wings", "--method", "mpr"]],
+        ids=["rank", "model", "compare", "check", "mpr"],
+    )
+    def test_whole_kb_commands_check_the_cap_on_the_whole_kb(self, kb_file, capsys, argv):
+        command, *rest = argv
+        code, out, err = run(capsys, command, kb_file(MODULAR_KB_TEXT), *rest, "--max-atoms", "4")
+        assert (code, out) == (4, "")
+        assert "8 atoms exceeds the enumeration cap of 4" in err
+
+
+# bench/ladder.py's ladder_kb(8, 8, 0)
+LADDER_8X8_KB_TEXT = """\
+p1 & p2 |~ !p3
+p7 & p0 |~ !p1
+p0 |~ p2
+p3 & p4 |~ !p5
+p5 |~ p7
+p4 & p5 |~ !p6
+p5 & p6 |~ !p7
+p1 |~ p3
+"""
+
+# each sample KB's text and a query on it, whose antecedent ``bases`` takes
+SWEEP_QUERIES = {
+    "conflict": "Employee & Student |~ Busy",
+    "merry": "Student & Adult |~ Young",
+    "modular": "Penguin |~ Wings",
+    "residence": "Italian & German |~ Has_Residence",
+    "taxes": "Employee & Student |~ Young",
+}
+SWEEP_KBS = {
+    **{path.stem: (path.read_text(), SWEEP_QUERIES[path.stem]) for path in SAMPLES.glob("*.kb")},
+    "ladder 8x8": (LADDER_8X8_KB_TEXT, "p0 & p1 |~ p2"),
+    "ladder 12x8": (LADDER_12X8_KB_TEXT, "p0 & p1 |~ p2"),
+}
+
+
+class TestExitCodeSweep:
+    """Every command on every sample KB and two ladder KBs exits with a
+    documented code and raises nothing: at the default caps, and with
+    ``--max-atoms`` or ``--max-defaults`` one below what the command needs
+    (its largest truth table, or the KB's defaults), where it exits 4."""
+
+    @pytest.mark.parametrize("name", SWEEP_KBS)
+    def test_every_command_exits_0_to_4(self, kb_file, capsys, monkeypatch, name):
+        text, query = SWEEP_KBS[name]
+        path = kb_file(text)
+        antecedent = query.split("|~")[0].strip()
+        commands = [
+            ["rank", path], ["model", path], ["compare", path, query], ["check", path],
+            *(["query", path, query, "--method", m] for m in METHODS),
+            *(["bases", path, antecedent, "--method", m] for m in ("mp", "lc")),
+        ]
+        assert {argv[0] for argv in commands} == set(COMMANDS)
+        sizes = []  # the atom count of every truth table made
+        init = logic.TruthTable.__init__
+
+        def counting_init(self, sig, *args):
+            sizes.append(len(sig))
+            init(self, sig, *args)
+
+        monkeypatch.setattr(logic.TruthTable, "__init__", counting_init)
+        defaults = len(parse_kb(text))
+        for argv in commands:
+            sizes.clear()
+            assert main(argv) in range(5), argv
+            for flag, need in (("--max-atoms", max(sizes)), ("--max-defaults", defaults)):
+                assert main([*argv, flag, str(need - 1)]) == 4, (argv, flag)
+            capsys.readouterr()
 
 
 class TestBoundedMemory:
@@ -708,7 +809,6 @@ class TestParser:
 
 
 PARSER = build_parser()
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 # The spellings a command line is made of: each command's flags, exact and
 # abbreviated, in "=" form and with good and bad values, plus help, "--" and

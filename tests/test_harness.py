@@ -235,8 +235,8 @@ class TestOrderChecks:
     def test_agreement_check_reports_a_broken_refined_order(self, merry_kb, monkeypatch):
         refine = semantics.preferential_refinement
 
-        def broken(model, kb):
-            pref = refine(model, kb)
+        def broken(kb):
+            pref = refine(kb)
             y = next(c for c, lower in enumerate(pref.below) if lower)
             x = next(mask_indices(pref.below[y]))
             below = list(pref.below)

@@ -6,7 +6,10 @@ any method and no evidence: the default indices stay, and mpr's minimal
 worlds map back name for name.  Appending an exact copy of a default changes
 no answer of rc, mp, the two relevant closures or mpr; lc counts the copy
 twice, so its answers may change (see ``REDUNDANT_KB_TEXT`` in
-``conftest``)."""
+``conftest``).  Appending a satisfiable module over atoms of its own changes
+no answer of the methods that answer on the query's part, to a query over
+the first module; mpr's heights depend on every default, so it is left out
+(``tests/test_query_part.py`` pins a query whose answer moves)."""
 
 import random
 from pathlib import Path
@@ -32,6 +35,8 @@ SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.kb
 
 # every method whose answers an exact copy of a default leaves alone
 COPY_METHODS = tuple(m for m in METHODS if m != "lc")
+# every method that answers on the query's part
+PART_METHODS = tuple(m for m in METHODS if m != "mpr")
 
 
 def generated_pool():
@@ -110,3 +115,28 @@ def test_a_copied_default_changes_no_answer_but_lc(pool):
                     expected = closure_query(kb, rt, method)(q)
                     got = closure_query(copied, copied_rt, method)(q)
                     assert got == expected, (pool, d, q.text(), method)
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_an_independent_module_changes_no_answer_but_mprs(pool):
+    """The union's atom cap is below its signature size, so it builds no
+    truth table of its own: each answer comes from the query's part."""
+    modules = KbGenerator(seed=535353, max_atoms=6, max_defaults=10)
+    for index, (kb, queries) in enumerate(POOLS[pool]()):
+        module = modules.knowledge_base(index)
+        names = {a: f"{a}_m" for a in module.signature}
+        union = KnowledgeBase(
+            [*kb, *(renamed_conditional(c, names) for c in module)],
+            Signature([*kb.signature, *names.values()]),
+            max_atoms=max(len(kb.signature), len(module.signature)),
+            max_defaults=len(kb) + len(module),
+        )
+        assert union.max_atoms < len(union.signature)
+        rt = compute_ranking(kb)
+        for q in queries:
+            part, _ = union.query_part(q)
+            part_rt = compute_ranking(part)
+            for method in PART_METHODS:
+                expected = closure_query(kb, rt, method)(q)
+                got = closure_query(part, part_rt, method)(q)
+                assert got == expected, (pool, index, q.text(), method)

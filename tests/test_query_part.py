@@ -109,8 +109,9 @@ def test_read_query_atoms_join_the_part_and_its_cap():
     kb = parse_kb(CAP_KB_TEXT)
     query = kb.read_query("p17 & zz |~ yy")
     assert len(kb.signature) == 20  # the KB is not extended
+    part, kept = kb.query_part(query)  # nothing dropped: 22 atoms
     with pytest.raises(logic.SizeCapExceeded):
-        kb.query_part(query)  # nothing dropped: 22 atoms
+        compute_ranking(part)  # the cap is checked by the part's first truth table
     part, kept = kb.query_part(kb.read_query("q |~ r"))
     assert (kept, part.signature.atoms) == ((), ("q", "r"))
     kb = parse_kb(CAP_KB_TEXT, max_atoms=22)
@@ -181,10 +182,10 @@ MPR_SPLIT_KB_TEXT = "s |~ !t\ns & t |~ g\ns & t |~ h\ns & t |~ k\nt |~ !s | m | 
 MPR_SPLIT_QUERY = "s & t & ((!g & !h & k) | (g & h & !k & !m)) |~ !k"
 
 
-def antecedent_heights(kb, rt, query):
+def antecedent_heights(kb, query):
     """(height, violated defaults) of each violation class that holds an
     antecedent world, in mpr's refined model."""
-    refined = semantics.preferential_refinement(semantics.minimal_canonical_model(kb, rt), kb)
+    refined = semantics.preferential_refinement(kb)
     heights = semantics.height_ranks(refined)
     a = kb.truth.mask(query.antecedent)
     return sorted(
@@ -207,8 +208,8 @@ def test_mpr_on_the_part_differs_from_mpr_on_the_whole_kb(tmp_path, capsys):
     assert [closure_query(part, part_rt, m)(query) for m in METHODS] == [
         False, True, False, False, False, False,
     ]
-    assert antecedent_heights(part, part_rt, query) == [(3, (0, 1, 2)), (3, (0, 3, 4))]
-    assert antecedent_heights(whole, rt, query)[:2] == [(4, (0, 3, 4)), (5, (0, 1, 2))]
+    assert antecedent_heights(part, query) == [(3, (0, 1, 2)), (3, (0, 3, 4))]
+    assert antecedent_heights(whole, query)[:2] == [(4, (0, 3, 4)), (5, (0, 1, 2))]
     assert cross_check(whole, rt, [query])[1] == []
     path = tmp_path / "split.kb"
     path.write_text(MPR_SPLIT_KB_TEXT)

@@ -168,7 +168,7 @@ class TestViolations:
         # one class per violation set, each holding the worlds that violate it
         for kb in (taxes_kb, merry_kb, residence_kb):
             model = minimal_canonical_model(kb)
-            refined = preferential_refinement(model, kb)
+            refined = preferential_refinement(kb)
             for w, c in class_ids(refined).items():
                 assert frozenset(mask_indices(refined.violations[c])) == violated(kb, w)
             assert len(refined.classes) == len({violated(kb, w) for w in model.worlds})
@@ -177,7 +177,7 @@ class TestViolations:
 class TestRefinement:
     def test_order_extends_the_rank_order(self, taxes_kb):
         model = minimal_canonical_model(taxes_kb)
-        refined = preferential_refinement(model, taxes_kb)
+        refined = preferential_refinement(taxes_kb)
         for x in model.worlds:
             for y in model.worlds:
                 if rank_of(model, x) < rank_of(model, y):
@@ -185,7 +185,7 @@ class TestRefinement:
 
     def test_strictly_finer_on_equal_rank_worlds(self, taxes_kb):
         model = minimal_canonical_model(taxes_kb)
-        refined = preferential_refinement(model, taxes_kb)
+        refined = preferential_refinement(taxes_kb)
         w = world_with(model, "Student", "Employee", "Pay_Taxes", "Young")
         z = world_with(model, "Student", "Employee", "Pay_Taxes")
         assert rank_of(model, w) == rank_of(model, z)
@@ -194,14 +194,12 @@ class TestRefinement:
 
     def test_irreflexive(self, taxes_kb):
         model = minimal_canonical_model(taxes_kb)
-        refined = preferential_refinement(model, taxes_kb)
+        refined = preferential_refinement(taxes_kb)
         for w in model.worlds:
             assert not below(refined, w, w)
 
     def test_refined_model_still_models_the_kb(self, conflict_kb):
-        refined = preferential_refinement(
-            minimal_canonical_model(conflict_kb), conflict_kb
-        )
+        refined = preferential_refinement(conflict_kb)
         for c in conflict_kb.conditionals:
             assert satisfies(refined, c)
 
@@ -209,13 +207,13 @@ class TestRefinement:
 class TestConditionalSatisfaction:
     def test_refined_model_decides_employed_students_young(self, taxes_kb):
         model = minimal_canonical_model(taxes_kb)
-        refined = preferential_refinement(model, taxes_kb)
+        refined = preferential_refinement(taxes_kb)
         query, _ = taxes_kb.parse_query("Employee & Student |~ Young")
         assert satisfies(model, query) is False  # two minimal worlds disagree
         assert satisfies(refined, query) is True  # refinement leaves only one
 
     def test_unique_minimal_world_in_refinement(self, taxes_kb):
-        refined = preferential_refinement(minimal_canonical_model(taxes_kb), taxes_kb)
+        refined = preferential_refinement(taxes_kb)
         query, _ = taxes_kb.parse_query("Employee & Student |~ Young")
         minimal = minimal_worlds(refined, query.antecedent)
         assert {true_atoms(taxes_kb, j) for j in mask_indices(minimal)} == {
@@ -253,7 +251,7 @@ class TestClassOrderReference:
         deep = 0  # KBs with a view holding two or more nonempty finite slices
         for kb in self.pool():
             model = minimal_canonical_model(kb)
-            refined = preferential_refinement(model, kb)
+            refined = preferential_refinement(kb)
             views = model_views(model, kb)
             deep += any(sum(map(bool, view[1:])) >= 2 for view in views.values())
             world_pairs = {
@@ -298,20 +296,20 @@ class TestHeightCollapse:
 
     def test_both_height_formulations_agree(self, merry_kb, conflict_kb, residence_kb):
         for kb in (merry_kb, conflict_kb, residence_kb):
-            refined = preferential_refinement(minimal_canonical_model(kb), kb)
+            refined = preferential_refinement(kb)
             assert height_ranks(refined) == layer_ranks(refined)
 
     def test_layer_peel_refuses_a_cycle(self, merry_kb):
         # classes 0 and 1 below each other: no layer is minimal, so the
         # peel raises instead of looping
-        refined = preferential_refinement(minimal_canonical_model(merry_kb), merry_kb)
+        refined = preferential_refinement(merry_kb)
         below = [0b10, 0b01] + [0] * (len(refined.classes) - 2)
         with pytest.raises(ValueError):
             layer_ranks(PreferentialModel(merry_kb, refined.classes, below, refined.violations))
 
     def test_collapse_extends_the_preferential_order(self, merry_kb):
         model = minimal_canonical_model(merry_kb)
-        refined = preferential_refinement(model, merry_kb)
+        refined = preferential_refinement(merry_kb)
         collapsed = rank_by_height(refined)
         for x in model.worlds:
             for y in model.worlds:
@@ -328,7 +326,7 @@ class TestHeightCollapse:
         # pointwise >= the height collapse; checked by bounded enumeration
         kb = parse_kb("a |~ b\na & !b |~ c\n")
         model = minimal_canonical_model(kb)
-        refined = preferential_refinement(model, kb)
+        refined = preferential_refinement(kb)
         worlds = model.worlds
         ids = class_ids(refined)
         class_heights = height_ranks(refined)
@@ -386,7 +384,7 @@ class TestCanonicalMinimality:
         for index in range(10):
             kb = gen.knowledge_base(index)
             model = minimal_canonical_model(kb)
-            refined = preferential_refinement(model, kb)
+            refined = preferential_refinement(kb)
             collapsed = rank_by_height(refined)
             for x in model.worlds:
                 for y in model.worlds:
@@ -426,13 +424,13 @@ class TestMprQueries:
 class TestFixedPoint:
     def test_empty_kb_model_is_fixed(self):
         kb = parse_kb("")
-        assert is_refinement_fixed_point(minimal_canonical_model(kb), kb)
+        assert is_refinement_fixed_point(kb)
 
     def test_flat_model_is_fixed(self):
         kb = parse_kb("a |~ a\nb |~ b\n")
         model = minimal_canonical_model(kb)
         assert set(ranks(model)) == {0}
-        assert is_refinement_fixed_point(model, kb)
+        assert is_refinement_fixed_point(kb)
 
     def test_last_chain_position_admitting_no_world_is_fixed(self):
         # the chain ({0, 1, 2}, {1, 2}) has equal masks: its last position
@@ -442,18 +440,17 @@ class TestFixedPoint:
         model = minimal_canonical_model(kb)
         assert len(model.worlds) == 4
         assert set(ranks(model)) == {0}
-        assert is_refinement_fixed_point(model, kb)
+        assert is_refinement_fixed_point(kb)
 
     def test_merry_kb_canonical_model_is_not_fixed(self, merry_kb):
         # the serious-student world climbs under refinement, so ranks move
-        model = minimal_canonical_model(merry_kb)
-        assert is_refinement_fixed_point(model, merry_kb) is False
+        assert is_refinement_fixed_point(merry_kb) is False
 
     def test_collapse_of_fixed_point_is_itself(self):
         kb = parse_kb("a |~ b\n")
         model = minimal_canonical_model(kb)
-        if is_refinement_fixed_point(model, kb):
-            refined = preferential_refinement(model, kb)
+        if is_refinement_fixed_point(kb):
+            refined = preferential_refinement(kb)
             assert ranks(rank_by_height(refined)) == ranks(model)
 
     def test_fixed_points_satisfy_the_specificity_condition(self):
@@ -463,7 +460,7 @@ class TestFixedPoint:
         found = 0
         for kb in pool:
             model = minimal_canonical_model(kb)
-            if not is_refinement_fixed_point(model, kb):
+            if not is_refinement_fixed_point(kb):
                 continue
             found += 1
             views = model_views(model, kb)
@@ -484,7 +481,7 @@ class TestEngineAgreement:
             kb = gen.knowledge_base(index)
             rt = compute_ranking(kb)
             canonical = minimal_canonical_model(kb, rt)
-            refined = preferential_refinement(canonical, kb)
+            refined = preferential_refinement(kb)
             for w in range(5):
                 q = gen.query(kb, index, w)
                 assert rc_query(kb, rt, q) == satisfies(canonical, q)
