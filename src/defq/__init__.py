@@ -26,7 +26,7 @@ _EXPORTS = {
     "compute_ranking kb_satisfiable parse_kb rank_of_formula rc_query",
     "semantics": "PreferentialModel RankedModel height_ranks layer_ranks "
     "minimal_canonical_model minimal_worlds mpr_model mpr_query preferential_refinement "
-    "rank_by_height satisfies",
+    "rank_by_height satisfies violation_classes violation_heights",
 }
 # export name -> defining module
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

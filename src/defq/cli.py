@@ -274,18 +274,20 @@ def cmd_model(args: Namespace) -> int:
 
     kb = _load_kb(args)
     rt = compute_ranking(kb)
-    refined = semantics.preferential_refinement(kb)
-    classes = range(len(refined.classes))
     # one entry per valuation: its world's class, or -1 off the model
     class_of = array("i", [-1]) * (1 << len(kb.signature))
-    for c in classes:
-        for j in mask_indices(refined.classes[c]):
+    violations, rc = [], []
+    for c, (violation, worlds) in enumerate(semantics.violation_classes(kb)):
+        violations.append(violation)
+        # a world's rc rank depends only on the defaults it violates, so a
+        # class's worlds share it: the first chain position that admits the class
+        rc.append(mask_rank(worlds, rt))
+        for j in mask_indices(worlds):
             class_of[j] = c
-    # a world's rc rank depends only on the defaults it violates, so a
-    # class's worlds share it: the first chain position that admits the class
-    rc = [mask_rank(worlds, rt) for worlds in refined.classes]
-    fr = semantics.layer_ranks(refined)
-    violated = [list(mask_indices(v)) for v in refined.violations]
+    classes = range(len(violations))
+    heights = semantics.violation_heights(kb, violations)
+    fr = [heights[v] for v in violations]
+    violated = [list(mask_indices(v)) for v in violations]
     worlds = ((class_of[j], names) for j, names in _worlds_by_name(kb.signature.atoms)
               if class_of[j] >= 0)
     if args.json:

@@ -351,9 +351,11 @@ def _model_agreement_problems(
     kb: KnowledgeBase, rt: RankingTable, queries: Sequence[Conditional]
 ) -> tuple[list[str], int]:
     """Syntactic engines vs their model-based counterparts, the strict-order
-    check on the refined class order and the two height formulations, on one
-    KB.  Heights are undefined on a relation that is not a strict order, so
-    they are compared only when the order check passes."""
+    check on the reference refined class order, its two height formulations,
+    and mpr's strata against the reference collapse, on one KB.  Heights are
+    undefined on a relation that is not a strict order, so they are compared
+    only when the order check passes, and the strata only when the reference
+    heights also agree."""
     problems: list[str] = []
     checks = 0
     canonical = semantics.minimal_canonical_model(kb, rt)
@@ -364,12 +366,14 @@ def _model_agreement_problems(
             problems.append(f"rc-vs-canonical-model {q.text()!r}")
         if mp_query(kb, rt, q) != semantics.satisfies(refined, q):
             problems.append(f"mp-vs-refined-model {q.text()!r}")
-    checks += 2
+    checks += 3
     order_problem = _strict_order_problem(refined.below)
     if order_problem is not None:
         problems.append(order_problem)
     elif semantics.height_ranks(refined) != semantics.layer_ranks(refined):
         problems.append("height-vs-layer-ranks")
+    elif semantics.mpr_model(kb).strata != semantics.rank_by_height(refined).strata:
+        problems.append("mpr-vs-refined-strata")
     return problems, checks
 
 

@@ -5,26 +5,41 @@ never-retracted default); a set of worlds is a truth mask over the KB's
 valuation indices, as everywhere else in defq.  The minimal canonical ranked
 model puts each world at the lowest chain position whose materialization it
 satisfies, so its strata are the differences of consecutive chain masks.
-Refining it by the set-seriousness ordering over the rational closure's rank
-slices (``RankingTable.slices``) compares worlds only through their
-violation sets, so the refined order is a relation on violation classes
-(the worlds with one violation set, split off the compatible mask default by
-default), stored as one mask per class of the class ids below it.  That
-order is strict inclusion at the first differing rank slice, so it is built
-slice by slice on groups of classes that agree so far.  Collapsing it by
-height (longest descending chain on the class graph) ORs the classes into
-strata again, and that ranked model's consequences form the rational
-extension of the MP closure.  Queries are mask operations: the minimal
-antecedent worlds, then one test against the consequent.  Worlds are listed
-one by one only for output.  The checks on these constructions (strict
-order, two height formulations) run in ``harness``, not here.
+
+The MP closure compares worlds only through their violation sets, by strict
+inclusion at the first rank slice of the rational closure
+(``RankingTable.slices``) where they differ, so its order is a relation on
+violation classes: the worlds with one violation set, split off the
+compatible mask default by default (``violation_classes``).  The rational
+extension (mpr) ranks each class by its height in that order, the length of
+a longest chain of classes below it, and ORs the classes into strata.  The
+heights are found on violation masks alone (``violation_heights``): classes
+that agree on the slices before i are grouped and split by their part of
+slice i.  Inside such a group, the classes below c are exactly those whose
+slice-i part is a strict subset of c's part, plus those in c's own subgroup
+that lie below c on later slices.  So a longest chain below c runs through
+subgroups of growing parts, then inside c's subgroup, and c's height is its
+subgroup's offset (the largest offset + span, the number of heights it
+covers, of a subgroup whose part is a strict subset of c's) plus its height
+inside the subgroup, found the same way on slice i + 1.  Heights therefore
+add across slices, and no world mask, predecessor relation or layer is held
+per class.  Queries are mask operations: the minimal antecedent worlds, then
+one test against the consequent.  Worlds are listed one by one only for
+output.
+
+``PreferentialModel``, ``preferential_refinement``, ``height_ranks``,
+``layer_ranks`` and ``rank_by_height`` are the reference construction, off
+the engine path: the refined order as one predecessor mask per class, and
+its heights by longest chain and by peeling minimal layers.  ``harness``
+checks the order and compares mpr's strata with theirs; they stay in this
+module because the benchmark's tracer times them here.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .logic import Formula, mask_indices
 from .ranking import Conditional, KnowledgeBase, RankingTable, compute_ranking
@@ -62,7 +77,8 @@ class PreferentialModel:
     """Finite preferential interpretation whose strict order is stored on
     violation classes: ``classes[c]`` is the world mask of class c,
     ``violations[c]`` the default mask of the defaults its worlds violate,
-    and bit p of ``below[c]`` is set when class p is strictly below class c."""
+    and bit p of ``below[c]`` is set when class p is strictly below class c.
+    Reference only (module docstring): it holds a world mask per class."""
 
     def __init__(
         self,
@@ -111,22 +127,62 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
     return model
 
 
-def _violation_classes(kb: KnowledgeBase, worlds: int) -> list[tuple[int, int]]:
-    """Split a world mask into its violation classes: (class mask, violation
-    mask) pairs, one per violation set that some world has; bit d of the
-    violation mask is set when the class's worlds violate default d."""
-    parts = [(worlds, 0)]
-    for d, mask in enumerate(kb.default_masks):
-        split = []
-        while parts:  # consumed as it is split, so one copy of the worlds is held
-            part, violated = parts.pop()
-            kept = part & mask
-            if kept:
-                split.append((kept, violated))
-            if kept != part:
-                split.append((part ^ kept, violated | 1 << d))
-        parts = split
-    return parts
+def violation_classes(kb: KnowledgeBase) -> Iterator[tuple[int, int]]:
+    """The violation classes of a satisfiable KB's compatible worlds, as
+    (violation mask, world mask) leaves of a depth-first split by each
+    default's mask; bit d of the violation mask is set when the class's
+    worlds violate default d.  Only the current path and one pending branch
+    per default are held.  Raises ``UnsatisfiableKB`` when the KB has no
+    model."""
+    masks = kb.default_masks
+    path = [(0, 0, minimal_canonical_model(kb).world_mask)]
+    while path:
+        d, violated, worlds = path.pop()
+        if d == len(masks):
+            yield violated, worlds
+            continue
+        kept = worlds & masks[d]
+        if kept != worlds:
+            path.append((d + 1, violated | 1 << d, worlds ^ kept))
+        if kept:
+            path.append((d + 1, violated, kept))
+
+
+def violation_heights(kb: KnowledgeBase, violations: Iterable[int]) -> dict[int, int]:
+    """Height of each distinct violation mask in the set ordering over the
+    rank slices: the length of a longest chain of the given masks below it,
+    as the sum of its subgroups' offsets slice by slice (module docstring).
+    A slice of w defaults takes at most w * 2^w steps."""
+    slices = compute_ranking(kb).slices
+    heights: dict[int, int] = {}
+
+    def place(group: list[int], i: int, base: int) -> int:
+        """Give the masks of ``group``, which agree on the slices before i,
+        their heights from ``base``; return how many heights they span."""
+        if len(group) == 1:
+            heights[group[0]] = base
+            return 1
+        parts: dict[int, list[int]] = {}
+        for v in group:
+            parts.setdefault(v & slices[i], []).append(v)
+        ends: dict[int, int] = {}  # part -> its offset + span
+        reach: dict[int, int] = {}  # subset -> the largest end of a part inside it
+
+        def below(u: int) -> int:  # the largest end of a part strictly inside u
+            return max((inside(u & ~(1 << d)) for d in mask_indices(u)), default=0)
+
+        def inside(u: int) -> int:
+            if u not in reach:
+                reach[u] = max(ends.get(u, 0), below(u))
+            return reach[u]
+
+        for s in sorted(parts, key=int.bit_count):  # every strict subset first
+            offset = below(s)
+            ends[s] = offset + place(parts[s], i + 1, base + offset)
+        return max(ends.values())
+
+    place(list(set(violations)), 0, 0)
+    return heights
 
 
 def preferential_refinement(kb: KnowledgeBase) -> PreferentialModel:
@@ -142,18 +198,18 @@ def preferential_refinement(kb: KnowledgeBase) -> PreferentialModel:
     violation-set ordering used by the MP closure.  It extends the canonical
     model's rank order (a world's rank is one past the highest rank it
     violates), and the refined model still models the KB.  Raises
-    ``UnsatisfiableKB`` when the KB has no model.
+    ``UnsatisfiableKB`` when the KB has no model.  Reference only: mpr
+    ranks the same classes through ``violation_heights``.
     """
-    worlds = minimal_canonical_model(kb).world_mask
     slices = compute_ranking(kb).slices
-    parts = _violation_classes(kb, worlds)
+    parts = list(violation_classes(kb))
     below = [0] * len(parts)
     groups = [(0, list(range(len(parts))))]
     while groups:
         i, group = groups.pop()
         split: dict[int, list[int]] = {}
         for c in group:
-            split.setdefault(parts[c][1] & slices[i], []).append(c)
+            split.setdefault(parts[c][0] & slices[i], []).append(c)
         masks = {s: reduce(or_, (1 << c for c in members)) for s, members in split.items()}
         for s, members in split.items():
             lower = reduce(or_, (masks[t] for t in split if t != s and t & ~s == 0), 0)
@@ -162,7 +218,7 @@ def preferential_refinement(kb: KnowledgeBase) -> PreferentialModel:
             if len(members) > 1:
                 groups.append((i + 1, members))
     return PreferentialModel(
-        kb, [worlds for worlds, _ in parts], below, [violated for _, violated in parts]
+        kb, [worlds for _, worlds in parts], below, [violated for violated, _ in parts]
     )
 
 
@@ -184,8 +240,7 @@ def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:
     chain below it (its worlds share their predecessors, so they share it).
     Under a strict order a class has more classes below it than any class
     below it, so visiting classes by that count is a topological order.
-    The engines and ``defq model`` use ``layer_ranks``; ``harness`` checks
-    it against this."""
+    Reference only: ``harness`` checks ``layer_ranks`` against it."""
     heights = [0] * len(pref.below)
     for c in sorted(range(len(heights)), key=lambda c: pref.below[c].bit_count()):
         heights[c] = max((heights[p] + 1 for p in mask_indices(pref.below[c])), default=0)
@@ -194,7 +249,7 @@ def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:
 
 def layer_ranks(pref: PreferentialModel) -> tuple[int, ...]:
     """Rank of each class by iterated removal of minimal layers: layer 0 is
-    the minima, layer i the minima of what remains."""
+    the minima, layer i the minima of what remains.  Reference only."""
     layers = [0] * len(pref.below)
     remaining = (1 << len(layers)) - 1
     level = 0
@@ -213,7 +268,8 @@ def rank_by_height(pref: PreferentialModel) -> RankedModel:
     """Collapse a preferential model to a ranked one by class height; the
     resulting modular order extends the preferential one.  Under a strict
     order the layer of a class is its height, and peeling layers touches
-    each class once per layer rather than once per class below it."""
+    each class once per layer rather than once per class below it.
+    Reference only: ``harness`` compares its strata with ``mpr_model``'s."""
     heights = layer_ranks(pref)
     strata = [0] * (max(heights, default=-1) + 1)
     for worlds, h in zip(pref.classes, heights):
@@ -222,11 +278,18 @@ def rank_by_height(pref: PreferentialModel) -> RankedModel:
 
 
 def mpr_model(kb: KnowledgeBase) -> RankedModel:
-    """Ranked model defining the rational extension of the MP closure."""
+    """Ranked model defining the rational extension of the MP closure:
+    stratum h holds the classes of height h.  The split runs twice, for the
+    violation masks and then for the worlds, so only the strata and one
+    path of the split hold world masks."""
     cached = kb.cache.get("mpr_model")
     if cached is not None:
         return cached
-    model = rank_by_height(preferential_refinement(kb))
+    heights = violation_heights(kb, (violated for violated, _ in violation_classes(kb)))
+    strata = [0] * (max(heights.values()) + 1)
+    for violated, worlds in violation_classes(kb):
+        strata[heights[violated]] |= worlds
+    model = RankedModel(kb, strata)
     kb.cache["mpr_model"] = model
     return model
 

@@ -335,6 +335,30 @@ class TestModel:
         code, _, err = run(capsys, "model", kb_file(UNSAT_KB_TEXT))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["model"], ["model", "--json"], ["query", "p0 & p1 |~ p2", "--method", "mpr"],
+         ["query", "p0 & p1 |~ p2", "--method", "mpr", "--explain"],
+         ["query", "p0 & p1 |~ p2", "--method", "mpr", "--json"]],
+        ids=["model", "model json", "mpr", "mpr explain", "mpr json"],
+    )
+    def test_mpr_answers_without_the_reference_construction(
+        self, kb_file, capsys, monkeypatch, argv
+    ):
+        """The reference refinement and its height collapse stay off the
+        engine path: mpr and ``model`` answer with each of them raising."""
+        from defq import semantics
+
+        def refuse(*args):
+            raise AssertionError("the reference construction ran")
+
+        for name in ("preferential_refinement", "layer_ranks", "height_ranks", "rank_by_height"):
+            monkeypatch.setattr(semantics, name, refuse)
+        command, *rest = argv
+        code, out, err = run(capsys, command, kb_file(LADDER_12X8_KB_TEXT), *rest)
+        assert (code, err) == (0, "")
+        assert out
+
     def test_last_chain_position_admitting_no_world(self, kb_file, capsys):
         # chain ({0, 1, 2}, {1, 2}) with equal masks: every world has rank 0
         code, out, _ = run(capsys, "model", kb_file("z |~ z\nx |~ y\nx |~ !y\n"))
@@ -509,9 +533,16 @@ p1 & p2 |~ !p3
 """
 
 # 20 atoms x 16 defaults with 2^16 violation classes: twelve unconditional
-# defaults plus four independent ones.  mp answers it; mpr runs out of memory.
+# defaults plus four independent ones.
 WORST_CASE_KB_TEXT = "".join(f"true |~ p{i}\n" for i in range(12)) + "".join(
     f"p{i} |~ p{i + 1}\n" for i in (12, 14, 16, 18)
+)
+
+# 20 atoms x 15 defaults, every one conditioned on c, so no query part is
+# smaller than the whole KB.  ``check`` runs out of memory on it under 1 GB:
+# its reference refinement holds one 2^20-bit world mask per violation class.
+CONNECTED_WORST_CASE_KB_TEXT = "".join(f"c |~ p{i}\n" for i in range(11)) + "".join(
+    f"c & p{i} |~ p{i + 1}\n" for i in (11, 13, 15, 17)
 )
 
 # bench/ladder.py's ladder_kb(12, 8, 0): 4,096 worlds, whose ``model --json``
@@ -535,12 +566,16 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
-def _query_under_one_gigabyte(path, query, method):
+def _run_under_one_gigabyte(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "defq", "query", str(path), query, "--method", method, "--json"],
+        [sys.executable, "-m", "defq", *map(str, argv)],
         capture_output=True, text=True, env=CHILD_ENV, timeout=120,
         preexec_fn=_limit_address_space,
     )
+
+
+def _query_under_one_gigabyte(path, query, method):
+    return _run_under_one_gigabyte("query", path, query, "--method", method, "--json")
 
 
 def _answers_under_one_gigabyte(tmp_path, kb_text, query, methods):
@@ -713,11 +748,21 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert live < (len(kb) + 3) * 2**20 // 8
 
+    @pytest.mark.parametrize(
+        "kb_text, query",
+        [(WORST_CASE_KB_TEXT, "p12 |~ p13"), (CONNECTED_WORST_CASE_KB_TEXT, "c & p11 |~ p12")],
+        ids=["worst", "connected"],
+    )
+    def test_worst_case_kbs_answer_mpr_under_one_gigabyte(self, tmp_path, kb_text, query):
+        answers = _answers_under_one_gigabyte(tmp_path, kb_text, query, ("mp", "mpr"))
+        assert answers["mpr"] or not answers["mp"]
+
     def test_out_of_memory_exits_4_without_traceback(self, tmp_path):
-        path = tmp_path / "worst.kb"
-        path.write_text(WORST_CASE_KB_TEXT)
-        assert _query_under_one_gigabyte(path, "p12 |~ p13", "mp").returncode == 0
-        done = _query_under_one_gigabyte(path, "p12 |~ p13", "mpr")
+        # check runs the reference refinement, which holds a world mask per class
+        path = tmp_path / "connected.kb"
+        path.write_text(CONNECTED_WORST_CASE_KB_TEXT)
+        assert _query_under_one_gigabyte(path, "c & p11 |~ p12", "mp").returncode == 0
+        done = _run_under_one_gigabyte("check", path, "--count", "1")
         assert done.returncode == 4, done.stderr
         assert "memory limit" in done.stderr
         assert "Traceback" not in done.stderr

@@ -254,10 +254,26 @@ class TestOrderChecks:
         problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])
         assert problems == ["height-vs-layer-ranks"]
 
+    def test_agreement_check_reports_a_lifted_mpr_class(self, merry_kb, monkeypatch):
+        # a planted fault in the engine: one class goes one height up
+        heights = semantics.violation_heights
+
+        def lifted(kb, violations):
+            found = heights(kb, violations)
+            found[max(found)] += 1
+            return found
+
+        monkeypatch.setattr(semantics, "violation_heights", lifted)
+        problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])
+        assert problems == ["mpr-vs-refined-strata"]
+        results, summary = run_random_suite(seed=101, count=8, queries_per_kb=3)
+        assert summary["violations"] > 0
+        assert any("mpr-vs-refined-strata" in r.problems for r in results)
+
     def test_clean_kb_has_no_model_problems(self, merry_kb):
         rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
-        assert _model_agreement_problems(merry_kb, rt, [query]) == ([], 4)
+        assert _model_agreement_problems(merry_kb, rt, [query]) == ([], 5)
 
     def test_cross_check_rows_problems_and_counts(self, merry_kb, monkeypatch):
         # the one per-KB check behind both ``defq check <file>`` and the suite
@@ -265,7 +281,7 @@ class TestOrderChecks:
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
         rows, problems, checks = cross_check(merry_kb, rt, [query])
         assert rows == [(query.text(), compare_all(merry_kb, query))]
-        assert (problems, checks) == ([], 5 + 4)
+        assert (problems, checks) == ([], 5 + 5)
         monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>mp",))
         _, problems, _ = cross_check(merry_kb, rt, [query])
         assert problems == [f"inclusion rc=>mp {query.text()!r}"]

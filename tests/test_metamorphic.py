@@ -9,7 +9,11 @@ twice, so its answers may change (see ``REDUNDANT_KB_TEXT`` in
 ``conftest``).  Appending a satisfiable module over atoms of its own changes
 no answer of the methods that answer on the query's part, to a query over
 the first module; mpr's heights depend on every default, so it is left out
-(``tests/test_query_part.py`` pins a query whose answer moves)."""
+(``tests/test_query_part.py`` pins a query whose answer moves).  Widening the
+signature by atoms no default uses changes no answer of any method, mpr
+included: each violation class's worlds double with each new atom, one copy
+per value of the atom, and every copy keeps the class's violation set and
+height."""
 
 import random
 from pathlib import Path
@@ -140,3 +144,18 @@ def test_an_independent_module_changes_no_answer_but_mprs(pool):
                 expected = closure_query(kb, rt, method)(q)
                 got = closure_query(part, part_rt, method)(q)
                 assert got == expected, (pool, index, q.text(), method)
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_fresh_atoms_change_no_answer(pool):
+    """Two fresh atoms; the wider KB is answered whole, with no query part,
+    so every engine, mpr's split included, sees each world four times."""
+    for kb, queries in POOLS[pool]():
+        wide = KnowledgeBase(list(kb), Signature([*kb.signature, "fresh0", "fresh1"]))
+        rt, wide_rt = compute_ranking(kb), compute_ranking(wide)
+        assert wide_rt.chain == rt.chain
+        for q in queries:
+            for method in METHODS:
+                expected = closure_query(kb, rt, method)(q)
+                got = closure_query(wide, wide_rt, method)(q)
+                assert got == expected, (pool, q.text(), method)
