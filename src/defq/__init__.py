@@ -24,7 +24,7 @@ _EXPORTS = {
     "to_text",
     "ranking": "DEFAULT_KB_CAP INF Conditional KnowledgeBase RankingTable UnsatisfiableKB "
     "compute_ranking kb_satisfiable parse_kb rank_of_formula rc_query",
-    "semantics": "PreferentialModel RankedModel height_ranks layer_ranks "
+    "semantics": "PreferentialModel RankedModel height_ranks layer_ranks least_height_worlds "
     "minimal_canonical_model minimal_worlds mpr_model mpr_query preferential_refinement "
     "rank_by_height satisfies violation_classes violation_heights",
 }

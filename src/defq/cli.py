@@ -191,8 +191,7 @@ def _query_evidence(
     elif method == "mpr":
         from . import semantics
 
-        model = semantics.mpr_model(kb)
-        minimal = semantics.minimal_worlds(model, query.antecedent)
+        minimal = semantics.least_height_worlds(kb, kb.mask(query.antecedent))
         evidence["minimal_worlds"] = sorted(_true_atoms(kb, j) for j in mask_indices(minimal))
     return evidence
 
@@ -277,7 +276,7 @@ def cmd_model(args: Namespace) -> int:
     # one entry per valuation: its world's class, or -1 off the model
     class_of = array("i", [-1]) * (1 << len(kb.signature))
     violations, rc = [], []
-    for c, (violation, worlds) in enumerate(semantics.violation_classes(kb)):
+    for c, (violation, worlds) in enumerate(semantics.violation_classes(kb, kb.truth.full)):
         violations.append(violation)
         # a world's rc rank depends only on the defaults it violates, so a
         # class's worlds share it: the first chain position that admits the class

@@ -352,16 +352,18 @@ def _model_agreement_problems(
 ) -> tuple[list[str], int]:
     """Syntactic engines vs their model-based counterparts, the strict-order
     check on the reference refined class order, its two height formulations,
-    and mpr's strata against the reference collapse, on one KB.  Heights are
-    undefined on a relation that is not a strict order, so they are compared
-    only when the order check passes, and the strata only when the reference
-    heights also agree."""
+    and mpr against the reference collapse, on one KB: the engine's height
+    of each class against the reference's, and each query's mpr answer
+    against the collapsed ranked model's.  Heights are undefined on a
+    relation that is not a strict order, so they are compared only when the
+    order check passes, and mpr only when the reference heights also agree;
+    its checks count either way."""
     problems: list[str] = []
     checks = 0
     canonical = semantics.minimal_canonical_model(kb, rt)
     refined = semantics.preferential_refinement(kb)
     for q in queries:
-        checks += 2
+        checks += 3
         if rc_query(kb, rt, q) != semantics.satisfies(canonical, q):
             problems.append(f"rc-vs-canonical-model {q.text()!r}")
         if mp_query(kb, rt, q) != semantics.satisfies(refined, q):
@@ -372,8 +374,16 @@ def _model_agreement_problems(
         problems.append(order_problem)
     elif semantics.height_ranks(refined) != semantics.layer_ranks(refined):
         problems.append("height-vs-layer-ranks")
-    elif semantics.mpr_model(kb).strata != semantics.rank_by_height(refined).strata:
-        problems.append("mpr-vs-refined-strata")
+    else:
+        heights = semantics.violation_heights(kb, refined.violations)
+        if tuple(heights[v] for v in refined.violations) != semantics.layer_ranks(refined):
+            problems.append("mpr-vs-refined-strata")
+        collapsed = semantics.rank_by_height(refined)
+        problems.extend(
+            f"mpr-vs-refined-model {q.text()!r}"
+            for q in queries
+            if semantics.mpr_query(kb, rt, q) != semantics.satisfies(collapsed, q)
+        )
     return problems, checks
 
 

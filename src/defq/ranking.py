@@ -66,7 +66,8 @@ class KnowledgeBase:
     Holds the truth mask of each default's materialization ``A -> B``
     (``default_masks``, the table every engine works from), a ``TruthTable``
     for other formulas, and pure memo caches (the masks of the formulas
-    ``mask`` is asked about, ranking, bases, justifications, models);
+    ``mask`` is asked about, ranking, bases, justifications, the canonical
+    model, mpr's class heights);
     concurrent readers are safe because cache fills are idempotent.
     ``truth`` and ``default_masks`` are built the first time they are read,
     so parsing builds no mask.  The default cap is checked here; the atom

@@ -12,27 +12,29 @@ inclusion at the first rank slice of the rational closure
 violation classes: the worlds with one violation set, split off the
 compatible mask default by default (``violation_classes``).  The rational
 extension (mpr) ranks each class by its height in that order, the length of
-a longest chain of classes below it, and ORs the classes into strata.  The
-heights are found on violation masks alone (``violation_heights``): classes
-that agree on the slices before i are grouped and split by their part of
-slice i.  Inside such a group, the classes below c are exactly those whose
-slice-i part is a strict subset of c's part, plus those in c's own subgroup
-that lie below c on later slices.  So a longest chain below c runs through
-subgroups of growing parts, then inside c's subgroup, and c's height is its
-subgroup's offset (the largest offset + span, the number of heights it
-covers, of a subgroup whose part is a strict subset of c's) plus its height
-inside the subgroup, found the same way on slice i + 1.  Heights therefore
-add across slices, and no world mask, predecessor relation or layer is held
-per class.  Queries are mask operations: the minimal antecedent worlds, then
-one test against the consequent.  Worlds are listed one by one only for
-output.
+a longest chain of classes below it.  The heights are found on violation
+masks alone (``violation_heights``): classes that agree on the slices before
+i are grouped and split by their part of slice i.  Inside such a group, the
+classes below c are exactly those whose slice-i part is a strict subset of
+c's part, plus those in c's own subgroup that lie below c on later slices.
+So a longest chain below c runs through subgroups of growing parts, then
+inside c's subgroup, and c's height is its subgroup's offset (the largest
+offset + span, the number of heights it covers, of a subgroup whose part is
+a strict subset of c's) plus its height inside the subgroup, found the same
+way on slice i + 1.  Heights therefore add across slices; they are found
+once per KB, from a split of every compatible world.  An mpr query splits
+only the antecedent's worlds, keeps those whose class has the least height
+(``least_height_worlds``) and tests them against the consequent's mask, so
+no stratum, and no world mask, predecessor relation or layer per class, is
+held.  Worlds are listed one by one only for output.
 
 ``PreferentialModel``, ``preferential_refinement``, ``height_ranks``,
-``layer_ranks`` and ``rank_by_height`` are the reference construction, off
-the engine path: the refined order as one predecessor mask per class, and
-its heights by longest chain and by peeling minimal layers.  ``harness``
-checks the order and compares mpr's strata with theirs; they stay in this
-module because the benchmark's tracer times them here.
+``layer_ranks``, ``rank_by_height`` and ``mpr_model`` are the reference
+construction, off the engine path: the refined order as one predecessor mask
+per class, its heights by longest chain and by peeling minimal layers, and
+mpr's ranked model collapsed from them.  ``harness`` checks the order and
+compares mpr's heights and answers with theirs; they stay in this module
+because the benchmark's tracer times them here.
 """
 
 from __future__ import annotations
@@ -127,15 +129,14 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
     return model
 
 
-def violation_classes(kb: KnowledgeBase) -> Iterator[tuple[int, int]]:
-    """The violation classes of a satisfiable KB's compatible worlds, as
+def violation_classes(kb: KnowledgeBase, within: int) -> Iterator[tuple[int, int]]:
+    """The violation classes of the compatible worlds in ``within``, as
     (violation mask, world mask) leaves of a depth-first split by each
     default's mask; bit d of the violation mask is set when the class's
     worlds violate default d.  Only the current path and one pending branch
-    per default are held.  Raises ``UnsatisfiableKB`` when the KB has no
-    model."""
+    per default are held.  Raises ``UnsatisfiableKB`` for a KB without models."""
     masks = kb.default_masks
-    path = [(0, 0, minimal_canonical_model(kb).world_mask)]
+    path = [(0, 0, minimal_canonical_model(kb).world_mask & within)]
     while path:
         d, violated, worlds = path.pop()
         if d == len(masks):
@@ -202,7 +203,7 @@ def preferential_refinement(kb: KnowledgeBase) -> PreferentialModel:
     ranks the same classes through ``violation_heights``.
     """
     slices = compute_ranking(kb).slices
-    parts = list(violation_classes(kb))
+    parts = list(violation_classes(kb, kb.truth.full))
     below = [0] * len(parts)
     groups = [(0, list(range(len(parts))))]
     while groups:
@@ -269,7 +270,7 @@ def rank_by_height(pref: PreferentialModel) -> RankedModel:
     resulting modular order extends the preferential one.  Under a strict
     order the layer of a class is its height, and peeling layers touches
     each class once per layer rather than once per class below it.
-    Reference only: ``harness`` compares its strata with ``mpr_model``'s."""
+    Reference only: ``harness`` answers mpr's queries on it."""
     heights = layer_ranks(pref)
     strata = [0] * (max(heights, default=-1) + 1)
     for worlds, h in zip(pref.classes, heights):
@@ -279,21 +280,30 @@ def rank_by_height(pref: PreferentialModel) -> RankedModel:
 
 def mpr_model(kb: KnowledgeBase) -> RankedModel:
     """Ranked model defining the rational extension of the MP closure:
-    stratum h holds the classes of height h.  The split runs twice, for the
-    violation masks and then for the worlds, so only the strata and one
-    path of the split hold world masks."""
-    cached = kb.cache.get("mpr_model")
-    if cached is not None:
-        return cached
-    heights = violation_heights(kb, (violated for violated, _ in violation_classes(kb)))
-    strata = [0] * (max(heights.values()) + 1)
-    for violated, worlds in violation_classes(kb):
-        strata[heights[violated]] |= worlds
-    model = RankedModel(kb, strata)
-    kb.cache["mpr_model"] = model
-    return model
+    stratum h holds the classes of height h.  Reference only: mpr answers
+    through ``least_height_worlds``, which holds no stratum."""
+    return rank_by_height(preferential_refinement(kb))
+
+
+def least_height_worlds(kb: KnowledgeBase, a: int) -> int:
+    """mpr's minimal worlds of the world mask ``a``: those in the classes of
+    least height among the classes ``a`` meets, held as that height and their
+    OR while ``a``'s split streams.  The heights are found once per KB."""
+    heights = kb.cache.get("mpr_heights")
+    if heights is None:
+        classes = violation_classes(kb, kb.truth.full)
+        heights = kb.cache["mpr_heights"] = violation_heights(kb, (v for v, _ in classes))
+    least, minimal = None, 0
+    for violated, worlds in violation_classes(kb, a):
+        if least is None or heights[violated] < least:
+            least, minimal = heights[violated], 0
+        if heights[violated] == least:
+            minimal |= worlds
+    return minimal
 
 
 def mpr_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
-    """Membership in the rational extension of the MP closure."""
-    return satisfies(mpr_model(kb), query)
+    """Membership in the rational extension of the MP closure: the consequent
+    holds at every least-height antecedent world (``least_height_worlds``)."""
+    minimal = least_height_worlds(kb, kb.mask(query.antecedent))
+    return minimal & ~kb.mask(query.consequent) == 0

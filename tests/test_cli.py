@@ -345,14 +345,16 @@ class TestModel:
     def test_mpr_answers_without_the_reference_construction(
         self, kb_file, capsys, monkeypatch, argv
     ):
-        """The reference refinement and its height collapse stay off the
-        engine path: mpr and ``model`` answer with each of them raising."""
+        """The reference refinement, its height collapse and every ranked
+        model's query stay off the engine path: mpr and ``model`` answer with
+        each of them raising."""
         from defq import semantics
 
         def refuse(*args):
             raise AssertionError("the reference construction ran")
 
-        for name in ("preferential_refinement", "layer_ranks", "height_ranks", "rank_by_height"):
+        for name in ("preferential_refinement", "layer_ranks", "height_ranks", "rank_by_height",
+                     "mpr_model", "satisfies", "minimal_worlds"):
             monkeypatch.setattr(semantics, name, refuse)
         command, *rest = argv
         code, out, err = run(capsys, command, kb_file(LADDER_12X8_KB_TEXT), *rest)

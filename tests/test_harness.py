@@ -270,10 +270,34 @@ class TestOrderChecks:
         assert summary["violations"] > 0
         assert any("mpr-vs-refined-strata" in r.problems for r in results)
 
+    def test_agreement_check_reports_mpr_keeping_the_greatest_height(
+        self, merry_kb, monkeypatch
+    ):
+        # a planted fault in the engine: the antecedent's classes of greatest
+        # height stand in for those of least height
+        def greatest_height_worlds(kb, a):
+            classes = semantics.violation_classes(kb, kb.truth.full)
+            heights = semantics.violation_heights(kb, (v for v, _ in classes))
+            greatest, worlds = None, 0
+            for violated, members in semantics.violation_classes(kb, a):
+                if greatest is None or heights[violated] > greatest:
+                    greatest, worlds = heights[violated], 0
+                if heights[violated] == greatest:
+                    worlds |= members
+            return worlds
+
+        monkeypatch.setattr(semantics, "least_height_worlds", greatest_height_worlds)
+        query, _ = merry_kb.parse_query("Student & Adult |~ Young")
+        problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [query])
+        assert problems == [f"mpr-vs-refined-model {query.text()!r}"]
+        results, summary = run_random_suite(seed=101, count=8, queries_per_kb=3)
+        assert summary["violations"] > 0
+        assert any(p.startswith("mpr-vs-refined-model") for r in results for p in r.problems)
+
     def test_clean_kb_has_no_model_problems(self, merry_kb):
         rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
-        assert _model_agreement_problems(merry_kb, rt, [query]) == ([], 5)
+        assert _model_agreement_problems(merry_kb, rt, [query]) == ([], 6)
 
     def test_cross_check_rows_problems_and_counts(self, merry_kb, monkeypatch):
         # the one per-KB check behind both ``defq check <file>`` and the suite
@@ -281,7 +305,7 @@ class TestOrderChecks:
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
         rows, problems, checks = cross_check(merry_kb, rt, [query])
         assert rows == [(query.text(), compare_all(merry_kb, query))]
-        assert (problems, checks) == ([], 5 + 5)
+        assert (problems, checks) == ([], 5 + 6)
         monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>mp",))
         _, problems, _ = cross_check(merry_kb, rt, [query])
         assert problems == [f"inclusion rc=>mp {query.text()!r}"]

@@ -14,6 +14,7 @@ from defq import (
     height_ranks,
     layer_ranks,
     lc_query,
+    least_height_worlds,
     minimal_canonical_model,
     minimal_worlds,
     mp_query,
@@ -26,6 +27,7 @@ from defq import (
     rc_query,
     satisfies,
 )
+from defq import semantics
 from defq.logic import mask_indices
 from reference import (
     default_mask,
@@ -36,6 +38,8 @@ from reference import (
     valuation,
     violated,
 )
+from test_metamorphic import POOLS
+from test_renumbering import sample_queries
 
 
 def true_atoms(kb, j):
@@ -419,6 +423,52 @@ class TestMprQueries:
                 q = gen.query(kb, index, w)
                 if mp_query(kb, rt, q):
                     assert mpr_query(kb, rt, q)
+
+
+class TestLeastHeightWorlds:
+    """mpr's minimal worlds, streamed from the split of the antecedent's
+    worlds, equal those of the reference collapse, and a query splits once
+    more than the KB's one full split."""
+
+    def pool(self):
+        """The samples and the generated pool of ``test_metamorphic`` with
+        their queries, then the two generated pools of the class-order
+        reference with each KB's defaults and ``sample_queries``."""
+        for pool in POOLS.values():
+            yield from pool()
+        for kb in TestClassOrderReference().pool()[5:]:
+            yield kb, [*kb.conditionals, *sample_queries(kb)]
+
+    def test_equal_the_reference_collapses_minimal_worlds(self):
+        for kb, queries in self.pool():
+            collapsed = rank_by_height(preferential_refinement(kb))
+            for q in queries:
+                want = minimal_worlds(collapsed, q.antecedent)
+                assert least_height_worlds(kb, kb.mask(q.antecedent)) == want, q.text()
+
+    def test_no_world_gives_zero(self, residence_kb):
+        for kb, _ in POOLS["samples"]():
+            assert least_height_worlds(kb, 0) == 0
+        assert least_height_worlds(parse_kb(""), 0) == 0
+        incompatible = residence_kb.truth.full & ~minimal_canonical_model(residence_kb).world_mask
+        assert incompatible
+        assert least_height_worlds(residence_kb, incompatible) == 0
+
+    def test_one_full_split_then_one_split_per_antecedent(self, merry_kb, monkeypatch):
+        split = semantics.violation_classes
+        splits = []
+
+        def counted(kb, within):
+            splits.append(within)
+            return split(kb, within)
+
+        monkeypatch.setattr(semantics, "violation_classes", counted)
+        rt = compute_ranking(merry_kb)
+        queries = [*merry_kb.conditionals, *sample_queries(merry_kb)]
+        for q in queries:
+            mpr_query(merry_kb, rt, q)
+        full = merry_kb.truth.full
+        assert splits == [full, *(merry_kb.mask(q.antecedent) for q in queries)]
 
 
 class TestFixedPoint:
