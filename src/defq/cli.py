@@ -267,41 +267,34 @@ def _worlds_by_name(atoms: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]
 
 
 def cmd_model(args: Namespace) -> int:
-    from array import array
-
     from . import semantics
 
     kb = _load_kb(args)
     rt = compute_ranking(kb)
-    # one entry per valuation: its world's class, or -1 off the model
-    class_of = array("i", [-1]) * (1 << len(kb.signature))
-    violations, rc = [], []
-    for c, (violation, worlds) in enumerate(semantics.violation_classes(kb, kb.truth.full)):
-        violations.append(violation)
-        # a world's rc rank depends only on the defaults it violates, so a
-        # class's worlds share it: the first chain position that admits the class
-        rc.append(mask_rank(worlds, rt))
-        for j in mask_indices(worlds):
-            class_of[j] = c
-    classes = range(len(violations))
-    heights = semantics.violation_heights(kb, violations)
-    fr = [heights[v] for v in violations]
-    violated = [list(mask_indices(v)) for v in violations]
-    worlds = ((class_of[j], names) for j, names in _worlds_by_name(kb.signature.atoms)
-              if class_of[j] >= 0)
+    # a world's class is its violation set; a set with no height is off the model
+    heights = semantics.mpr_heights(kb)
+    # a set's rc rank: the first chain position whose defaults it all satisfies
+    rc = {v: next(i for i, members in enumerate(rt.chain) if v & members == 0) for v in heights}
+    # bit j of default d's column is set when world j violates d: a byte read per default
+    columns = [((kb.truth.full ^ m).to_bytes(max(1, 1 << len(kb.signature) >> 3), "little"), 1 << d)
+               for d, m in enumerate(kb.default_masks)]
+    worlds = ((sum(d for column, d in columns if column[k] & bit), names)
+              for j, names in _worlds_by_name(kb.signature.atoms)
+              for k, bit in [(j >> 3, 1 << (j & 7))])  # world j's byte and bit
     if args.json:
         # the text of {"worlds": rows} under json's indent=2 and sort_keys,
         # one row at a time; a satisfiable KB has a world, so rows is not empty
-        tails = [f'"fr_rank": {fr[c]},\n      "rc_rank": {rc[c]},\n      '
-                 f'"violated": {_json_list(map(str, violated[c]))}\n    }}' for c in classes]
+        tails = {v: f'"fr_rank": {h},\n      "rc_rank": {rc[v]},\n      '
+                    f'"violated": {_json_list(map(str, mask_indices(v)))}\n    }}'
+                 for v, h in heights.items()}
         quote = '"{}"'.format  # atom names are ASCII identifiers: JSON escapes none
-        rows = (f'\n    {{\n      "atoms": {_json_list(map(quote, names))},\n      {tails[c]}'
-                for c, names in worlds)
+        rows = (f'\n    {{\n      "atoms": {_json_list(map(quote, names))},\n      {tails[v]}'
+                for v, names in worlds if v in tails)
         _write(chain(['{\n  "worlds": [', next(rows)], (f",{row}" for row in rows), ["\n  ]\n}\n"]))
         return EXIT_OK
-    tails = [f"  rc={rc[c]}  fr={fr[c]}  violated={_index_set_text(violated[c])}\n"
-             for c in classes]
-    _write("{" + ", ".join(names) + "}" + tails[c] for c, names in worlds)
+    tails = {v: f"  rc={rc[v]}  fr={h}  violated={_index_set_text(mask_indices(v))}\n"
+             for v, h in heights.items()}
+    _write("{" + ", ".join(names) + "}" + tails[v] for v, names in worlds if v in tails)
     return EXIT_OK
 
 

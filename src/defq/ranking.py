@@ -67,7 +67,7 @@ class KnowledgeBase:
     (``default_masks``, the table every engine works from), a ``TruthTable``
     for other formulas, and pure memo caches (the masks of the formulas
     ``mask`` is asked about, ranking, bases, justifications, the canonical
-    model, mpr's class heights);
+    model, mpr's class heights and least-height worlds);
     concurrent readers are safe because cache fills are idempotent.
     ``truth`` and ``default_masks`` are built the first time they are read,
     so parsing builds no mask.  The default cap is checked here; the atom
@@ -164,11 +164,10 @@ class KnowledgeBase:
         the first chain position, so every rank is infinite, and it is kept
         for that.  ``query`` may mention atoms outside this KB's signature
         (see ``read_query``); they follow the kept atoms in the part's
-        signature.  Building the part checks no cap: the atom cap applies
-        where truth tables are made, over the atoms of each group that the
-        satisfiability test reads and over the part's signature when the
-        part's masks are first built.  Returns this KB itself when it drops
-        nothing and the query adds no atom.
+        signature.  The atom cap is the part's, checked when its masks are
+        first built; a dropped group's satisfiability is tested over its own
+        atoms under the larger of the cap and ``DEFAULT_ATOM_CAP``.  Returns
+        this KB itself when it drops nothing and the query adds no atom.
         """
         groups: list[tuple[set[str], list[int]]] = []  # each group's atoms and defaults
         for d, c in enumerate(self.conditionals):
@@ -185,7 +184,7 @@ class KnowledgeBase:
         kept: list[int] = []
         for atoms, members in groups:
             if asked.isdisjoint(atoms):  # dropped if satisfiable, decided over its own atoms
-                table = TruthTable(Signature(atoms), self.max_atoms)
+                table = TruthTable(Signature(atoms), max(self.max_atoms, DEFAULT_ATOM_CAP))
                 if table.conjunction_mask(self.conditionals[d].materialization() for d in members):
                     continue
             kept += members

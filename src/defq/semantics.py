@@ -22,11 +22,11 @@ inside c's subgroup, and c's height is its subgroup's offset (the largest
 offset + span, the number of heights it covers, of a subgroup whose part is
 a strict subset of c's) plus its height inside the subgroup, found the same
 way on slice i + 1.  Heights therefore add across slices; they are found
-once per KB, from a split of every compatible world.  An mpr query splits
-only the antecedent's worlds, keeps those whose class has the least height
-(``least_height_worlds``) and tests them against the consequent's mask, so
-no stratum, and no world mask, predecessor relation or layer per class, is
-held.  Worlds are listed one by one only for output.
+once per KB (``mpr_heights``), from a split of every compatible world.  An
+mpr query splits only the antecedent's worlds, keeps those whose class has
+the least height (``least_height_worlds``) and tests them against the
+consequent's mask, so no stratum, and no world mask, predecessor relation
+or layer per class, is held.  Worlds are listed one by one only for output.
 
 ``PreferentialModel``, ``preferential_refinement``, ``height_ranks``,
 ``layer_ranks``, ``rank_by_height`` and ``mpr_model`` are the reference
@@ -285,21 +285,30 @@ def mpr_model(kb: KnowledgeBase) -> RankedModel:
     return rank_by_height(preferential_refinement(kb))
 
 
+def mpr_heights(kb: KnowledgeBase) -> dict[int, int]:
+    """``violation_heights`` of every compatible world's class, once per KB."""
+    if "mpr_heights" not in kb.cache:
+        classes = violation_classes(kb, kb.truth.full)
+        kb.cache["mpr_heights"] = violation_heights(kb, (v for v, _ in classes))
+    return kb.cache["mpr_heights"]
+
+
 def least_height_worlds(kb: KnowledgeBase, a: int) -> int:
     """mpr's minimal worlds of the world mask ``a``: those in the classes of
     least height among the classes ``a`` meets, held as that height and their
-    OR while ``a``'s split streams.  The heights are found once per KB."""
-    heights = kb.cache.get("mpr_heights")
-    if heights is None:
-        classes = violation_classes(kb, kb.truth.full)
-        heights = kb.cache["mpr_heights"] = violation_heights(kb, (v for v, _ in classes))
-    least, minimal = None, 0
-    for violated, worlds in violation_classes(kb, a):
-        if least is None or heights[violated] < least:
-            least, minimal = heights[violated], 0
-        if heights[violated] == least:
-            minimal |= worlds
-    return minimal
+    OR while ``a``'s split streams.  They are found once per mask, so a
+    query's evidence reuses its answer's split."""
+    memo = kb.cache.setdefault("mpr_minimal", {})
+    if a not in memo:
+        heights = mpr_heights(kb)
+        least, minimal = None, 0
+        for violated, worlds in violation_classes(kb, a):
+            if least is None or heights[violated] < least:
+                least, minimal = heights[violated], 0
+            if heights[violated] == least:
+                minimal |= worlds
+        memo[a] = minimal
+    return memo[a]
 
 
 def mpr_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:

@@ -370,6 +370,119 @@ class TestModel:
         assert all("rc=0" in line for line in lines)
 
 
+# KBs under 3 atoms (fewer than 8 worlds, so a one-byte violation column),
+# a KB without defaults, and clash KBs whose worlds are not all on the model
+SMALL_MODEL_KB_TEXTS = {
+    "no atoms": "true |~ true\n",
+    "one atom": "true |~ a\n",
+    "one atom, clash": "a |~ false\n",
+    "two atoms": "a |~ b\nb |~ !a\n",
+    "two atoms, clash": "a |~ false\ntrue |~ b\n",
+    "no defaults": "# nothing\n",
+    "clash": "a |~ b\na |~ !b\nc |~ d\n",
+}
+
+
+def _reference_model_rows(kb):
+    """One row per world of the reference refinement, sorted by atom list:
+    the world's violation set by ``reference.violated``, its rc rank from
+    the canonical strata and its height by longest chain.  A world in no
+    class of the refinement is off the model and has no row."""
+    from defq import semantics
+    from reference import default_mask, true_atoms, violated
+
+    canonical = semantics.minimal_canonical_model(kb)
+    refined = semantics.preferential_refinement(kb)
+    heights = semantics.height_ranks(refined)
+    rows = []
+    for j in range(1 << len(kb.signature)):
+        c = next((c for c, worlds in enumerate(refined.classes) if worlds >> j & 1), None)
+        if c is None:
+            assert not canonical.world_mask >> j & 1
+            continue
+        assert refined.violations[c] == default_mask(violated(kb, j))
+        rows.append({
+            "atoms": sorted(true_atoms(kb.signature.atoms, j)),
+            "rc_rank": next(r for r, stratum in enumerate(canonical.strata) if stratum >> j & 1),
+            "fr_rank": heights[c],
+            "violated": sorted(violated(kb, j)),
+        })
+    return sorted(rows, key=lambda row: row["atoms"])
+
+
+def _model_kb_texts():
+    """The samples, the small and clash KBs above, and the generated pool
+    of ``test_metamorphic`` (60 KBs of up to 6 atoms x 10 defaults)."""
+    from test_metamorphic import generated_pool
+
+    texts = {path.stem: path.read_text() for path in sorted(SAMPLES.glob("*.kb"))}
+    texts.update(SMALL_MODEL_KB_TEXTS)
+    for index, (kb, _) in enumerate(generated_pool()):
+        texts[f"generated {index}"] = "".join(f"{c.text()}\n" for c in kb)
+    return texts
+
+
+class TestModelAgainstTheReference:
+    """``model`` keys each world by its violation set: its rows equal those
+    built world by world from the reference definitions."""
+
+    def test_rows_equal_the_reference_rows(self, kb_file, capsys):
+        clashes = 0
+        for name, text in _model_kb_texts().items():
+            kb = parse_kb(text)
+            rows = _reference_model_rows(kb)
+            clashes += len(rows) < 1 << len(kb.signature)
+            path = kb_file(text)
+            code, out, err = run(capsys, "model", path, "--json")
+            assert (code, err) == (0, ""), name
+            assert json.loads(out) == {"worlds": rows}, name
+            lines = "".join(
+                f"{{{', '.join(row['atoms'])}}}  rc={row['rc_rank']}  fr={row['fr_rank']}  "
+                f"violated={{{', '.join(map(str, row['violated']))}}}\n"
+                for row in rows
+            )
+            assert run(capsys, "model", path) == (0, lines, ""), name
+        assert clashes >= 3  # the clash KBs, and some generated KBs, have worlds off the model
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_only_default_masks_are_listed(self, kb_file, capsys, monkeypatch, extra):
+        """No world mask is scanned: every mask ``cmd_model`` lists bit by
+        bit is a violation set, at most one bit per default."""
+        listed = []
+        indices = cli.mask_indices
+
+        def recorded(mask):
+            listed.append(mask)
+            return indices(mask)
+
+        monkeypatch.setattr(cli, "mask_indices", recorded)
+        for text in (LADDER_12X8_KB_TEXT, (SAMPLES / "modular.kb").read_text()):
+            listed.clear()
+            assert run(capsys, "model", kb_file(text), *extra)[0] == 0
+            assert listed
+            assert max(m.bit_length() for m in listed) <= len(parse_kb(text))
+
+    @pytest.mark.parametrize("extra", [["--explain"], ["--json"]])
+    def test_mpr_evidence_reuses_its_answers_split(self, kb_file, capsys, monkeypatch, extra):
+        """An mpr query with its evidence splits the KB's worlds once, for
+        the heights, and the antecedent's worlds once."""
+        from defq import semantics
+
+        splits = []
+        split = semantics.violation_classes
+
+        def counted(kb, within):
+            splits.append(within)
+            return split(kb, within)
+
+        monkeypatch.setattr(semantics, "violation_classes", counted)
+        query, kb = parse_kb(LADDER_12X8_KB_TEXT).parse_query("p0 & p1 |~ p2")
+        path = kb_file(LADDER_12X8_KB_TEXT)
+        code, _, err = run(capsys, "query", path, "p0 & p1 |~ p2", "--method", "mpr", *extra)
+        assert (code, err) == (0, "")
+        assert splits == [kb.truth.full, kb.mask(query.antecedent)]
+
+
 class TestCompare:
     def test_renders_all_six_methods(self, kb_file, capsys):
         path = kb_file(CONFLICT_KB_TEXT)

@@ -134,6 +134,29 @@ def test_modular_sample_splits_into_its_taxonomies():
     assert (kept, part.signature.atoms) == ((), ("Fish", "Scales"))
 
 
+@pytest.mark.parametrize("method", PART_METHODS)
+def test_the_atom_cap_is_the_parts_not_a_dropped_groups(capsys, method):
+    """Under ``--max-atoms 3`` the modular sample answers a query whose part
+    holds 2 atoms and no default, though each taxonomy it drops has 4."""
+    sample = Path(__file__).resolve().parent.parent / "samples" / "modular.kb"
+    argv = ["query", str(sample), "Fish |~ Scales", "--method", method, "--max-atoms", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("no\n", "")
+
+
+def test_a_dropped_group_past_the_default_cap_is_refused(tmp_path, capsys):
+    """A dropped group is tested under the larger of the cap and the default
+    cap of 20 atoms: a 21-atom group needs ``--max-atoms 21``."""
+    path = tmp_path / "wide.kb"
+    wide = [f"q{i}" for i in range(21)]
+    path.write_text(f"{' & '.join(wide[:10])} |~ {' | '.join(wide[10:])}\n")
+    argv = ["query", str(path), "Fish |~ Scales", "--method", "mp"]
+    assert main(argv) == 4
+    assert "21 atoms exceeds the enumeration cap of 20" in capsys.readouterr().err
+    assert main([*argv, "--max-atoms", "21"]) == 0
+    assert capsys.readouterr() == ("no\n", "")
+
+
 @pytest.fixture
 def masks_built(monkeypatch):
     """Sizes (atom counts) of every atom mask and truth table built."""
