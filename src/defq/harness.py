@@ -11,7 +11,9 @@ generation is deterministic per seed so failures are replayable.
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple, Sequence
+from functools import reduce
+from itertools import combinations, permutations, product
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import semantics
 from .closures import (
@@ -82,8 +84,20 @@ def inclusion_violations(answers: dict[str, bool]) -> tuple[str, ...]:
 # Postulate checking
 # ---------------------------------------------------------------------------
 
+# Each KLM postulate as a rule on a triple (a, b, c): its classical premise (a
+# formula that must be a tautology, or None), the (antecedent, consequent)
+# pairs the engine must accept, the one it must reject (RM only) and the
+# conclusion it must then accept.
+_POSTULATES = {
+    "LLE": lambda a, b, c: (iff(a, b), [(a, c)], None, (b, c)),
+    "RW": lambda a, b, c: (implies(b, c), [(a, b)], None, (a, c)),
+    "Refl": lambda a, b, c: (None, [], None, (a, a)),
+    "And": lambda a, b, c: (None, [(a, b), (a, c)], None, (a, land(b, c))),
+    "Or": lambda a, b, c: (None, [(a, c), (b, c)], None, (lor(a, b), c)),
+    "CM": lambda a, b, c: (None, [(a, b), (a, c)], None, (land(a, b), c)),
+    "RM": lambda a, b, c: (None, [(a, c)], (a, lnot(b)), (land(a, b), c)),
+}
 PREFERENTIAL_POSTULATES = ("LLE", "RW", "Refl", "And", "Or", "CM")
-RATIONAL_POSTULATES = PREFERENTIAL_POSTULATES + ("RM",)
 
 
 class PostulateRecord(NamedTuple):
@@ -109,39 +123,24 @@ def _postulate_instance(
     q: Callable[[Conditional], bool],
     tt: TruthTable,
 ) -> tuple[bool, bool]:
-    """(premises hold, conclusion holds); conclusion is True when vacuous."""
-
-    def ask(ant: Formula, cons: Formula) -> bool:
-        return q(Conditional(ant, cons))
-
-    if name == "LLE":
-        applicable = tt.is_tautology(iff(a, b)) and ask(a, c)
-        return applicable, (not applicable) or ask(b, c)
-    if name == "RW":
-        applicable = tt.is_tautology(implies(b, c)) and ask(a, b)
-        return applicable, (not applicable) or ask(a, c)
-    if name == "Refl":
-        return True, ask(a, a)
-    if name == "And":
-        applicable = ask(a, b) and ask(a, c)
-        return applicable, (not applicable) or ask(a, land(b, c))
-    if name == "Or":
-        applicable = ask(a, c) and ask(b, c)
-        return applicable, (not applicable) or ask(lor(a, b), c)
-    if name == "CM":
-        applicable = ask(a, b) and ask(a, c)
-        return applicable, (not applicable) or ask(land(a, b), c)
-    if name == "RM":
-        applicable = ask(a, c) and not ask(a, lnot(b))
-        return applicable, (not applicable) or ask(land(a, b), c)
-    raise ValueError(f"unknown postulate {name!r}")
+    """(premises hold, conclusion holds); conclusion is True when vacuous.
+    The engine is asked in the rule's order until a premise fails."""
+    if name not in _POSTULATES:
+        raise ValueError(f"unknown postulate {name!r}")
+    premise, accepted, rejected, conclusion = _POSTULATES[name](a, b, c)
+    applicable = (
+        (premise is None or tt.is_tautology(premise))
+        and all(q(Conditional(*p)) for p in accepted)
+        and (rejected is None or not q(Conditional(*rejected)))
+    )
+    return applicable, (not applicable) or q(Conditional(*conclusion))
 
 
 def check_postulates(
     kb: KnowledgeBase,
     method: str,
     triples: Sequence[tuple[Formula, Formula, Formula]],
-    postulates: Sequence[str] = RATIONAL_POSTULATES,
+    postulates: Sequence[str],
 ) -> tuple[PostulateRecord, ...]:
     """Evaluate each postulate on each triple via the chosen engine.
 
@@ -328,6 +327,10 @@ def _strict_order_problem(below: Sequence[int]) -> str | None:
     return None
 
 
+# Bytes of reference refinement above which ``cross_check`` refuses a KB.
+REFERENCE_BUDGET = 1 << 30
+
+
 def cross_check(
     kb: KnowledgeBase, rt: RankingTable, queries: Sequence[Conditional]
 ) -> tuple[list[tuple[str, dict[str, bool]]], list[str], int]:
@@ -335,7 +338,20 @@ def cross_check(
     engines on each query and the inclusions between their answers, then
     the model checks of ``_model_agreement_problems``.  Returns one row per
     query (its text and the six answers), the problems found and the number
-    of checks made."""
+    of checks made.
+
+    The reference refinement holds one world mask and one predecessor mask
+    per violation class, so a KB whose classes would need more than
+    ``REFERENCE_BUDGET`` bytes for them raises ``SizeCapExceeded`` before
+    any check runs.  The classes are mpr's, counted once per KB."""
+    classes = len(semantics.mpr_heights(kb))
+    estimate = classes * ((1 << len(kb.signature)) + classes) // 8
+    if estimate > REFERENCE_BUDGET:
+        raise SizeCapExceeded(
+            f"the reference refinement of {classes} violation classes over "
+            f"{len(kb.signature)} atoms needs about {estimate >> 20} MiB, "
+            f"over the check budget of {REFERENCE_BUDGET >> 20} MiB"
+        )
     rows = []
     problems: list[str] = []
     for q in queries:
@@ -344,7 +360,7 @@ def cross_check(
         problems.extend(f"inclusion {name} {q.text()!r}" for name in inclusion_violations(answers))
     model_problems, model_checks = _model_agreement_problems(kb, rt, queries)
     problems.extend(model_problems)
-    return rows, problems, 5 * len(queries) + model_checks
+    return rows, problems, len(_INCLUSIONS) * len(queries) + model_checks
 
 
 def _model_agreement_problems(
@@ -471,6 +487,25 @@ def _ordering_problems(kb: KnowledgeBase, rt: RankingTable) -> tuple[list[str], 
     return problems, checks
 
 
+def _postulate_problems(
+    kb: KnowledgeBase, triples: Sequence[tuple[Formula, Formula, Formula]]
+) -> tuple[list[str], int, int]:
+    """mp's preferential postulates and mpr's RM on each triple: the
+    violations, the instances checked and how many of them applied."""
+    problems = []
+    checks = applicable = 0
+    for method, postulates in (("mp", PREFERENTIAL_POSTULATES), ("mpr", ("RM",))):
+        for record in check_postulates(kb, method, triples, postulates):
+            checks += 1
+            applicable += record.applicable
+            if record.violated:
+                problems.append(
+                    f"{method}-postulate {record.postulate} "
+                    f"on ({record.a}, {record.b}, {record.c})"
+                )
+    return problems, checks, applicable
+
+
 def run_random_suite(
     seed: int,
     count: int,
@@ -508,15 +543,10 @@ def run_random_suite(
         checks += ordering_checks
 
         triples = [gen.triple(kb, index, w) for w in range(3)]
-        for method, postulates in (("mp", PREFERENTIAL_POSTULATES), ("mpr", ("RM",))):
-            for record in check_postulates(kb, method, triples, postulates):
-                checks += 1
-                postulate_applicable += record.applicable
-                if record.violated:
-                    problems.append(
-                        f"{method}-postulate {record.postulate} "
-                        f"on ({record.a}, {record.b}, {record.c})"
-                    )
+        postulate_problems, postulate_checks, applicable = _postulate_problems(kb, triples)
+        problems.extend(postulate_problems)
+        checks += postulate_checks
+        postulate_applicable += applicable
 
         total_checks += checks
         total_queries += len(queries)
@@ -541,3 +571,94 @@ def run_random_suite(
         "violations": sum(len(r.problems) for r in results),
     }
     return results, summary
+
+
+# ---------------------------------------------------------------------------
+# Bounded-exhaustive small scope
+# ---------------------------------------------------------------------------
+
+
+def truth_functions(n: int) -> tuple[Formula, ...]:
+    """One formula for each truth function over the first ``n`` atoms of the
+    generator's pool, the one with truth mask t at index t: false, true, or
+    the disjunction of the minterms of t's valuations."""
+    atoms = [Formula("atom", (name,)) for name in _ATOM_POOL[:n]]
+    minterms = [
+        reduce(land, [x if j >> i & 1 else lnot(x) for i, x in enumerate(atoms)])
+        for j in range(1 << n)
+    ]
+    full = (1 << (1 << n)) - 1
+    return tuple(
+        FALSE if t == 0 else TRUE if t == full else reduce(lor, [minterms[j] for j in mask_indices(t)])
+        for t in range(full + 1)
+    )
+
+
+def _symmetries(n: int) -> list[list[int]]:
+    """Each renaming and negation of ``n`` atoms, as the map it induces on
+    the truth masks of ``truth_functions(n)``: entry t is t's image."""
+    images = []
+    for perm in permutations(range(n)):
+        for flip in range(1 << n):
+            moved = [
+                sum(((j ^ flip) >> i & 1) << perm[i] for i in range(n)) for j in range(1 << n)
+            ]
+            images.append(
+                [sum(1 << moved[j] for j in mask_indices(t)) for t in range(1 << (1 << n))]
+            )
+    return images
+
+
+def small_scope(n_atoms: int, n_defaults: int) -> Iterator[KnowledgeBase]:
+    """Every KB of ``n_defaults`` distinct defaults over ``n_atoms`` atoms
+    whose antecedents and consequents are ``truth_functions(n_atoms)``, one
+    per class under renaming and negating atoms: a KB is kept when no
+    symmetry maps it to a KB that comes earlier.  Unsatisfiable KBs are
+    included."""
+    functions = truth_functions(n_atoms)
+    symmetries = _symmetries(n_atoms)
+    defaults = list(product(range(len(functions)), repeat=2))
+    for chosen in combinations(defaults, n_defaults):
+        if all(chosen <= tuple(sorted((m[a], m[b]) for a, b in chosen)) for m in symmetries):
+            yield KnowledgeBase(
+                [Conditional(functions[a], functions[b]) for a, b in chosen],
+                Signature(_ATOM_POOL[:n_atoms]),
+            )
+
+
+def run_small_scope(n_atoms: int, sizes: Iterable[int]) -> dict:
+    """Check every satisfiable KB of ``small_scope(n_atoms, size)`` for each
+    size: ``cross_check`` and ``oracle_mp_query`` on every query whose sides
+    are the scope's truth functions, ``_ordering_problems``, and mp's
+    preferential postulates and mpr's RM on every triple of one-atom truth
+    functions.  Returns the KB, query and check counts and the problems,
+    each prefixed by its KB."""
+    functions = truth_functions(n_atoms)
+    queries = [Conditional(a, b) for a in functions for b in functions]
+    triples = list(product(truth_functions(1), repeat=3))
+    summary = {"kbs": 0, "satisfiable": 0, "queries": 0, "checks": 0, "problems": []}
+    for size in sizes:
+        for kb in small_scope(n_atoms, size):
+            summary["kbs"] += 1
+            if not kb_satisfiable(kb):
+                continue
+            rt = compute_ranking(kb)
+            rows, problems, checks = cross_check(kb, rt, queries)
+            problems.extend(
+                f"oracle-vs-mp {q.text()!r}"
+                for q, (_, answers) in zip(queries, rows)
+                if oracle_mp_query(kb, q) != answers["mp"]
+            )
+            checks += len(queries)
+            ordering_problems, ordering_checks = _ordering_problems(kb, rt)
+            problems.extend(ordering_problems)
+            checks += ordering_checks
+            postulate_problems, postulate_checks, _ = _postulate_problems(kb, triples)
+            problems.extend(postulate_problems)
+            checks += postulate_checks
+            summary["satisfiable"] += 1
+            summary["queries"] += len(queries)
+            summary["checks"] += checks
+            kb_text = "; ".join(c.text() for c in kb.conditionals)
+            summary["problems"] += (f"{kb_text}: {p}" for p in problems)
+    return summary

@@ -180,11 +180,10 @@ class Signature:
     treated as immutable once a knowledge base has been built.
     """
 
-    __slots__ = ("_names", "_index")
+    __slots__ = ("_index",)
 
     def __init__(self, names: Iterable[str] = ()):
-        self._names: list[str] = []
-        self._index: dict[str, int] = {}
+        self._index: dict[str, int] = {}  # in insertion order, the atom order
         for name in names:
             self.add(name)
 
@@ -194,9 +193,7 @@ class Signature:
         if idx is None:
             if not _is_atom_name(name):
                 raise ValueError(f"invalid atom name: {name!r}")
-            idx = len(self._names)
-            self._names.append(name)
-            self._index[name] = idx
+            idx = self._index[name] = len(self._index)
         return idx
 
     def index(self, name: str) -> int:
@@ -207,22 +204,22 @@ class Signature:
 
     @property
     def atoms(self) -> tuple[str, ...]:
-        return tuple(self._names)
+        return tuple(self._index)
 
     def copy(self) -> "Signature":
-        return Signature(self._names)
+        return Signature(self._index)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._index)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
+        return iter(self._index)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
     def __repr__(self) -> str:
-        return f"Signature({self._names!r})"
+        return f"Signature({list(self._index)!r})"
 
 
 # ---------------------------------------------------------------------------

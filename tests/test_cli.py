@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -689,6 +690,26 @@ def _run_under_one_gigabyte(*argv):
     )
 
 
+def _run_with_peak_rss(*argv):
+    """``python -m defq argv`` under the 1 GiB limit and 120 s of CPU: its
+    exit code, stderr and peak RSS in bytes, read from this child's own
+    resource usage."""
+
+    def limit():
+        _limit_address_space()
+        resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+
+    with open(os.devnull, "w") as out, tempfile.TemporaryFile("w+") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "defq", *map(str, argv)],
+            stdout=out, stderr=err, text=True, env=CHILD_ENV, preexec_fn=limit,
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return child.returncode, err.read(), usage.ru_maxrss * 1024
+
+
 def _query_under_one_gigabyte(path, query, method):
     return _run_under_one_gigabyte("query", path, query, "--method", method, "--json")
 
@@ -873,14 +894,27 @@ class TestBoundedMemory:
         assert answers["mpr"] or not answers["mp"]
 
     def test_out_of_memory_exits_4_without_traceback(self, tmp_path):
-        # check runs the reference refinement, which holds a world mask per class
-        path = tmp_path / "connected.kb"
-        path.write_text(CONNECTED_WORST_CASE_KB_TEXT)
-        assert _query_under_one_gigabyte(path, "c & p11 |~ p12", "mp").returncode == 0
-        done = _run_under_one_gigabyte("check", path, "--count", "1")
-        assert done.returncode == 4, done.stderr
-        assert "memory limit" in done.stderr
-        assert "Traceback" not in done.stderr
+        # check's reference refinement would hold a world mask and a
+        # predecessor mask per violation class, over 4 GiB on both worst
+        # cases; check counts the classes first and refuses, far below 1 GiB
+        for kb_text in (CONNECTED_WORST_CASE_KB_TEXT, WORST_CASE_KB_TEXT):
+            path = tmp_path / "kb.kb"
+            path.write_text(kb_text)
+            code, stderr, peak = _run_with_peak_rss("check", path, "--count", "1")
+            assert code == 4, stderr
+            assert stderr.startswith("size cap exceeded: the reference refinement of ")
+            assert "Traceback" not in stderr
+            assert peak < 100 * 2**20
+
+    def test_memory_error_in_a_command_exits_4_without_traceback(self, capsys, monkeypatch):
+        def exhausted(kb):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "compute_ranking", exhausted)
+        code, out, err = run(capsys, "rank", str(SAMPLES / "taxes.kb"))
+        assert (code, out) == (4, "")
+        assert err.startswith("memory limit reached")
+        assert "Traceback" not in err
 
 
 # argparse and what its messages pull in; a canonical command line loads none

@@ -26,7 +26,7 @@ from defq.harness import (
     _strict_order_problem,
     _subset_less,
 )
-from defq.logic import mask_indices
+from defq.logic import SizeCapExceeded, mask_indices
 from defq.ranking import KnowledgeBase
 
 
@@ -309,6 +309,27 @@ class TestOrderChecks:
         monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>mp",))
         _, problems, _ = cross_check(merry_kb, rt, [query])
         assert problems == [f"inclusion rc=>mp {query.text()!r}"]
+
+    def test_cross_check_counts_each_inclusion_once_per_query(self, merry_kb, monkeypatch):
+        rt = compute_ranking(merry_kb)
+        queries = [merry_kb.parse_query(text)[0] for text in ("Student |~ Young", "Adult |~ Merry")]
+        _, _, checks = cross_check(merry_kb, rt, queries)
+        extra = harness._INCLUSIONS + (("mp=>mp", "mp", "mp"),)
+        monkeypatch.setattr(harness, "_INCLUSIONS", extra)
+        _, problems, more = cross_check(merry_kb, rt, queries)
+        assert (problems, more) == ([], checks + len(queries))
+
+    def test_cross_check_refuses_a_reference_over_budget(self, merry_kb, monkeypatch):
+        # one world mask and one predecessor mask per violation class
+        rt = compute_ranking(merry_kb)
+        query, _ = merry_kb.parse_query("Student |~ Young")
+        classes = len(semantics.mpr_heights(merry_kb))
+        needed = classes * (2 ** len(merry_kb.signature) + classes) // 8
+        monkeypatch.setattr(harness, "REFERENCE_BUDGET", needed)
+        assert cross_check(merry_kb, rt, [query])[1] == []
+        monkeypatch.setattr(harness, "REFERENCE_BUDGET", needed - 1)
+        with pytest.raises(SizeCapExceeded, match=f"{classes} violation classes over 5 atoms"):
+            cross_check(merry_kb, rt, [query])
 
 
 class TestOrderingChecks:
