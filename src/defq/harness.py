@@ -1,18 +1,21 @@
 """Property-test infrastructure: random KBs, cross-engine comparison,
 postulate checking, and an independent oracle for the MP closure.
 
-The random suite is the repo's central cross-check: on every generated KB it
-compares each syntactic closure against its model-based counterpart, verifies
-the inclusion chain between the six relations, the ordering coarseness and
-world-comparator equivalences, and the expected inference postulates.  All
-generation is deterministic per seed so failures are replayable.
+The random suite is the repo's central cross-check, and the bounded-exhaustive
+small scope runs the same checks on every KB of a scope: both pass each KB
+through ``check_kb``, which compares each engine's answers against its
+model-based counterpart and mp's against the oracle, verifies the inclusion
+chain between the six relations, the ordering coarseness and world-comparator
+equivalences, and the expected inference postulates.  All generation is
+deterministic per seed so failures are replayable.
 """
 
 from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
+from math import isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import semantics
@@ -23,7 +26,6 @@ from .closures import (
     closure_query,
     enumerate_bases,
     mp_less_serious,
-    mp_query,
     numeric_tuple,
 )
 from .logic import (
@@ -50,7 +52,6 @@ from .ranking import (
     compute_ranking,
     kb_satisfiable,
     rank_of_formula,
-    rc_query,
 )
 
 
@@ -330,61 +331,46 @@ def _strict_order_problem(below: Sequence[int]) -> str | None:
 # Bytes of reference refinement above which ``cross_check`` refuses a KB.
 REFERENCE_BUDGET = 1 << 30
 
+# The model routes, as (method, model): each query's answer from the method
+# must be the model's.  rc's model is the minimal canonical one, mp's the
+# reference refinement and mpr's its collapse by height.
+_MODEL_ROUTES = (("rc", "canonical-model"), ("mp", "refined-model"), ("mpr", "refined-model"))
+
 
 def cross_check(
     kb: KnowledgeBase, rt: RankingTable, queries: Sequence[Conditional]
 ) -> tuple[list[tuple[str, dict[str, bool]]], list[str], int]:
     """The checks on one KB and its queries that need no oracle: all six
-    engines on each query and the inclusions between their answers, then
-    the model checks of ``_model_agreement_problems``.  Returns one row per
-    query (its text and the six answers), the problems found and the number
-    of checks made.
+    engines on each query and the inclusions between their answers; the
+    strict-order check on the reference refined class order, its two height
+    formulations and the engine's height of each class against them; and
+    the answers of each ``_MODEL_ROUTES`` method against its model.  Heights
+    are undefined on a relation that is not a strict order, so they are
+    compared only when the order check passes, and mpr's answers only when
+    the reference heights also agree; their checks count either way.
+    Returns one row per query (its text and the six answers), the problems
+    found and the number of checks made.
 
     The reference refinement holds one world mask and one predecessor mask
-    per violation class, so a KB whose classes would need more than
-    ``REFERENCE_BUDGET`` bytes for them raises ``SizeCapExceeded`` before
-    any check runs.  The classes are mpr's, counted once per KB."""
-    classes = len(semantics.mpr_heights(kb))
-    estimate = classes * ((1 << len(kb.signature)) + classes) // 8
-    if estimate > REFERENCE_BUDGET:
-        raise SizeCapExceeded(
-            f"the reference refinement of {classes} violation classes over "
-            f"{len(kb.signature)} atoms needs about {estimate >> 20} MiB, "
-            f"over the check budget of {REFERENCE_BUDGET >> 20} MiB"
-        )
-    rows = []
-    problems: list[str] = []
-    for q in queries:
-        answers = compare_all(kb, q)
-        rows.append((q.text(), answers))
-        problems.extend(f"inclusion {name} {q.text()!r}" for name in inclusion_violations(answers))
-    model_problems, model_checks = _model_agreement_problems(kb, rt, queries)
-    problems.extend(model_problems)
-    return rows, problems, len(_INCLUSIONS) * len(queries) + model_checks
-
-
-def _model_agreement_problems(
-    kb: KnowledgeBase, rt: RankingTable, queries: Sequence[Conditional]
-) -> tuple[list[str], int]:
-    """Syntactic engines vs their model-based counterparts, the strict-order
-    check on the reference refined class order, its two height formulations,
-    and mpr against the reference collapse, on one KB: the engine's height
-    of each class against the reference's, and each query's mpr answer
-    against the collapsed ranked model's.  Heights are undefined on a
-    relation that is not a strict order, so they are compared only when the
-    order check passes, and mpr only when the reference heights also agree;
-    its checks count either way."""
-    problems: list[str] = []
-    checks = 0
-    canonical = semantics.minimal_canonical_model(kb, rt)
+    per violation class, so a KB with more classes than fit in
+    ``REFERENCE_BUDGET`` bytes raises ``SizeCapExceeded`` before any check
+    runs.  The classes are counted only when the KB could have that many,
+    and the count stops one past the budget."""
+    n = len(kb.signature)
+    # the most classes c whose c * (2^n + c) / 8 bytes fit in the budget
+    fits = (isqrt(4**n + 32 * REFERENCE_BUDGET) - (1 << n)) // 2
+    if min(1 << n, 1 << len(kb)) > fits:
+        classes = islice(semantics.violation_classes(kb, kb.truth.full), fits + 1)
+        if sum(1 for _ in classes) > fits:
+            raise SizeCapExceeded(
+                f"the reference refinement of more than {fits} violation classes over "
+                f"{n} atoms needs more than the check budget of {REFERENCE_BUDGET >> 20} MiB"
+            )
+    rows = [(q.text(), compare_all(kb, q)) for q in queries]
+    broken = ((text, name) for text, answers in rows for name in inclusion_violations(answers))
+    problems = [f"inclusion {name} {text!r}" for text, name in broken]
     refined = semantics.preferential_refinement(kb)
-    for q in queries:
-        checks += 3
-        if rc_query(kb, rt, q) != semantics.satisfies(canonical, q):
-            problems.append(f"rc-vs-canonical-model {q.text()!r}")
-        if mp_query(kb, rt, q) != semantics.satisfies(refined, q):
-            problems.append(f"mp-vs-refined-model {q.text()!r}")
-    checks += 3
+    models = {"rc": semantics.minimal_canonical_model(kb, rt), "mp": refined}
     order_problem = _strict_order_problem(refined.below)
     if order_problem is not None:
         problems.append(order_problem)
@@ -394,13 +380,15 @@ def _model_agreement_problems(
         heights = semantics.violation_heights(kb, refined.violations)
         if tuple(heights[v] for v in refined.violations) != semantics.layer_ranks(refined):
             problems.append("mpr-vs-refined-strata")
-        collapsed = semantics.rank_by_height(refined)
-        problems.extend(
-            f"mpr-vs-refined-model {q.text()!r}"
-            for q in queries
-            if semantics.mpr_query(kb, rt, q) != semantics.satisfies(collapsed, q)
-        )
-    return problems, checks
+        models["mpr"] = semantics.rank_by_height(refined)
+    problems.extend(
+        f"{method}-vs-{model} {text!r}"
+        for q, (text, answers) in zip(queries, rows)
+        for method, model in _MODEL_ROUTES
+        if method in models and answers[method] != semantics.satisfies(models[method], q)
+    )
+    # plus the order check and the two height checks, once per KB
+    return rows, problems, (len(_INCLUSIONS) + len(_MODEL_ROUTES)) * len(queries) + 3
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +494,32 @@ def _postulate_problems(
     return problems, checks, applicable
 
 
+def check_kb(
+    kb: KnowledgeBase,
+    rt: RankingTable,
+    queries: Sequence[Conditional],
+    triples: Sequence[tuple[Formula, Formula, Formula]],
+) -> tuple[list[tuple[str, dict[str, bool]]], list[str], int, int]:
+    """Every check on one KB: ``cross_check``; on each query, mp against
+    ``oracle_mp_query`` and, when the antecedent has a finite rank, the
+    count-ordering bases inside the set-ordering ones; ``_ordering_problems``;
+    and ``_postulate_problems`` on each triple.  Returns ``cross_check``'s
+    rows, the problems, the number of checks and how many postulate
+    instances applied."""
+    rows, problems, checks = cross_check(kb, rt, queries)
+    for q, (text, answers) in zip(queries, rows):
+        if oracle_mp_query(kb, q) != answers["mp"]:
+            problems.append(f"oracle-vs-mp {text!r}")
+        if rank_of_formula(q.antecedent, rt, kb) != INF:
+            lc_bases = set(enumerate_bases(kb, rt, q.antecedent, LC))
+            if not lc_bases <= set(enumerate_bases(kb, rt, q.antecedent, MP)):
+                problems.append(f"count-basis-not-set-basis {text!r}")
+    ordering_problems, ordering_checks = _ordering_problems(kb, rt)
+    postulate_problems, postulate_checks, applicable = _postulate_problems(kb, triples)
+    checks += 2 * len(queries) + ordering_checks + postulate_checks
+    return rows, problems + ordering_problems + postulate_problems, checks, applicable
+
+
 def run_random_suite(
     seed: int,
     count: int,
@@ -513,43 +527,18 @@ def run_random_suite(
     max_atoms: int = 4,
     max_defaults: int = 6,
 ) -> tuple[list[TrialResult], dict]:
-    """Run ``count`` random KBs through every cross-check; zero problems
-    expected.  Each trial logs the seed that regenerates it."""
+    """Run ``count`` random KBs through ``check_kb``, each with
+    ``queries_per_kb`` queries and three triples; zero problems expected.
+    Each trial logs the seed that regenerates it."""
     gen = KbGenerator(seed, max_atoms=max_atoms, max_defaults=max_defaults)
     results: list[TrialResult] = []
-    total_checks = 0
-    total_queries = 0
     postulate_applicable = 0
-
     for index in range(count):
         kb = gen.knowledge_base(index)
-        rt = compute_ranking(kb)
         queries = [gen.query(kb, index, w) for w in range(queries_per_kb)]
-        rows, problems, checks = cross_check(kb, rt, queries)
-
-        for q, (_, answers) in zip(queries, rows):
-            checks += 1
-            if oracle_mp_query(kb, q) != answers["mp"]:
-                problems.append(f"oracle-vs-mp {q.text()!r}")
-            checks += 1
-            if rank_of_formula(q.antecedent, rt, kb) != INF:
-                lc_bases = set(enumerate_bases(kb, rt, q.antecedent, LC))
-                mp_bases = set(enumerate_bases(kb, rt, q.antecedent, MP))
-                if not lc_bases <= mp_bases:
-                    problems.append(f"count-basis-not-set-basis {q.text()!r}")
-
-        ordering_problems, ordering_checks = _ordering_problems(kb, rt)
-        problems.extend(ordering_problems)
-        checks += ordering_checks
-
         triples = [gen.triple(kb, index, w) for w in range(3)]
-        postulate_problems, postulate_checks, applicable = _postulate_problems(kb, triples)
-        problems.extend(postulate_problems)
-        checks += postulate_checks
+        rows, problems, checks, applicable = check_kb(kb, compute_ranking(kb), queries, triples)
         postulate_applicable += applicable
-
-        total_checks += checks
-        total_queries += len(queries)
         results.append(
             TrialResult(
                 index=index,
@@ -565,8 +554,8 @@ def run_random_suite(
 
     summary = {
         "trials": count,
-        "queries": total_queries,
-        "checks": total_checks,
+        "queries": count * queries_per_kb,
+        "checks": sum(r.checks for r in results),
         "postulate_instances_applicable": postulate_applicable,
         "violations": sum(len(r.problems) for r in results),
     }
@@ -627,12 +616,11 @@ def small_scope(n_atoms: int, n_defaults: int) -> Iterator[KnowledgeBase]:
 
 
 def run_small_scope(n_atoms: int, sizes: Iterable[int]) -> dict:
-    """Check every satisfiable KB of ``small_scope(n_atoms, size)`` for each
-    size: ``cross_check`` and ``oracle_mp_query`` on every query whose sides
-    are the scope's truth functions, ``_ordering_problems``, and mp's
-    preferential postulates and mpr's RM on every triple of one-atom truth
-    functions.  Returns the KB, query and check counts and the problems,
-    each prefixed by its KB."""
+    """Run every satisfiable KB of ``small_scope(n_atoms, size)``, for each
+    size, through ``check_kb`` with every query whose sides are the scope's
+    truth functions and every triple of one-atom truth functions.  Returns
+    the KB, query and check counts and the problems, each prefixed by its
+    KB."""
     functions = truth_functions(n_atoms)
     queries = [Conditional(a, b) for a in functions for b in functions]
     triples = list(product(truth_functions(1), repeat=3))
@@ -642,20 +630,7 @@ def run_small_scope(n_atoms: int, sizes: Iterable[int]) -> dict:
             summary["kbs"] += 1
             if not kb_satisfiable(kb):
                 continue
-            rt = compute_ranking(kb)
-            rows, problems, checks = cross_check(kb, rt, queries)
-            problems.extend(
-                f"oracle-vs-mp {q.text()!r}"
-                for q, (_, answers) in zip(queries, rows)
-                if oracle_mp_query(kb, q) != answers["mp"]
-            )
-            checks += len(queries)
-            ordering_problems, ordering_checks = _ordering_problems(kb, rt)
-            problems.extend(ordering_problems)
-            checks += ordering_checks
-            postulate_problems, postulate_checks, _ = _postulate_problems(kb, triples)
-            problems.extend(postulate_problems)
-            checks += postulate_checks
+            _, problems, checks, _ = check_kb(kb, compute_ranking(kb), queries, triples)
             summary["satisfiable"] += 1
             summary["queries"] += len(queries)
             summary["checks"] += checks

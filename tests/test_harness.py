@@ -21,7 +21,6 @@ from defq import harness, semantics
 from defq.harness import (
     METHODS,
     PREFERENTIAL_POSTULATES,
-    _model_agreement_problems,
     _ordering_problems,
     _strict_order_problem,
     _subset_less,
@@ -244,14 +243,14 @@ class TestOrderChecks:
             return semantics.PreferentialModel(kb, pref.classes, below, pref.violations)
 
         monkeypatch.setattr(semantics, "preferential_refinement", broken)
-        problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])
+        _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [])
         assert len(problems) == 1 and problems[0].startswith("refined-order-not-strict")
 
     def test_agreement_check_reports_height_disagreement(self, merry_kb, monkeypatch):
         monkeypatch.setattr(
             semantics, "layer_ranks", lambda pref: tuple(h + 1 for h in semantics.height_ranks(pref))
         )
-        problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])
+        _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [])
         assert problems == ["height-vs-layer-ranks"]
 
     def test_agreement_check_reports_a_lifted_mpr_class(self, merry_kb, monkeypatch):
@@ -264,7 +263,7 @@ class TestOrderChecks:
             return found
 
         monkeypatch.setattr(semantics, "violation_heights", lifted)
-        problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [])
+        _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [])
         assert problems == ["mpr-vs-refined-strata"]
         results, summary = run_random_suite(seed=101, count=8, queries_per_kb=3)
         assert summary["violations"] > 0
@@ -288,7 +287,7 @@ class TestOrderChecks:
 
         monkeypatch.setattr(semantics, "least_height_worlds", greatest_height_worlds)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
-        problems, _ = _model_agreement_problems(merry_kb, compute_ranking(merry_kb), [query])
+        _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [query])
         assert problems == [f"mpr-vs-refined-model {query.text()!r}"]
         results, summary = run_random_suite(seed=101, count=8, queries_per_kb=3)
         assert summary["violations"] > 0
@@ -297,7 +296,22 @@ class TestOrderChecks:
     def test_clean_kb_has_no_model_problems(self, merry_kb):
         rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
-        assert _model_agreement_problems(merry_kb, rt, [query]) == ([], 6)
+        # five inclusions and three model routes per query, three order checks
+        assert cross_check(merry_kb, rt, [query])[1:] == ([], 5 + 3 + 3)
+
+    def test_model_routes_check_the_reported_answers(self, merry_kb, monkeypatch):
+        # a planted fault in the answers cross_check reports: rc's flipped
+        rt = compute_ranking(merry_kb)
+        query, _ = merry_kb.parse_query("Student & Adult |~ Young")
+        answers = harness.compare_all
+
+        def flipped(kb, q):
+            found = answers(kb, q)
+            return {**found, "rc": not found["rc"]}
+
+        monkeypatch.setattr(harness, "compare_all", flipped)
+        _, problems, _ = cross_check(merry_kb, rt, [query])
+        assert f"rc-vs-canonical-model {query.text()!r}" in problems
 
     def test_cross_check_rows_problems_and_counts(self, merry_kb, monkeypatch):
         # the one per-KB check behind both ``defq check <file>`` and the suite
@@ -324,12 +338,21 @@ class TestOrderChecks:
         rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student |~ Young")
         classes = len(semantics.mpr_heights(merry_kb))
-        needed = classes * (2 ** len(merry_kb.signature) + classes) // 8
+        needed = -(-classes * (2 ** len(merry_kb.signature) + classes) // 8)  # bytes, rounded up
         monkeypatch.setattr(harness, "REFERENCE_BUDGET", needed)
         assert cross_check(merry_kb, rt, [query])[1] == []
         monkeypatch.setattr(harness, "REFERENCE_BUDGET", needed - 1)
-        with pytest.raises(SizeCapExceeded, match=f"{classes} violation classes over 5 atoms"):
+        with pytest.raises(
+            SizeCapExceeded, match=f"more than {classes - 1} violation classes over 5 atoms"
+        ):
             cross_check(merry_kb, rt, [query])
+
+    def test_a_refusal_computes_no_heights(self, merry_kb, monkeypatch):
+        # the guard counts the classes and stops; it ranks none of them
+        monkeypatch.setattr(harness, "REFERENCE_BUDGET", 0)
+        with pytest.raises(SizeCapExceeded, match="the reference refinement of "):
+            cross_check(merry_kb, compute_ranking(merry_kb), [])
+        assert "mpr_heights" not in merry_kb.cache
 
 
 class TestOrderingChecks:

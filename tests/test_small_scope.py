@@ -6,9 +6,10 @@ from itertools import combinations, product
 
 import pytest
 
-from defq import harness
-from defq.harness import run_small_scope, small_scope, truth_functions
+from defq import closures, harness
+from defq.harness import check_kb, run_small_scope, small_scope, truth_functions
 from defq.logic import Signature, TruthTable
+from defq.ranking import Conditional, compute_ranking, parse_kb
 
 
 class TestTruthFunctions:
@@ -48,13 +49,13 @@ class TestSmallScope:
         summary = run_small_scope(1, (1, 2, 3))
         assert summary["problems"] == []
         assert (summary["kbs"], summary["satisfiable"], summary["queries"]) == (370, 243, 243 * 16)
-        assert summary["checks"] == 158121
+        assert summary["checks"] == 162009
 
     def test_two_atoms_one_default(self):
         summary = run_small_scope(2, (1,))
         assert summary["problems"] == []
         assert (summary["kbs"], summary["satisfiable"], summary["queries"]) == (55, 54, 54 * 256)
-        assert summary["checks"] == 149850
+        assert summary["checks"] == 163674
 
     def test_a_reversed_set_ordering_is_caught(self, monkeypatch):
         # planted as in test_harness's ordering check
@@ -63,6 +64,20 @@ class TestSmallScope:
         problems = run_small_scope(1, (1, 2, 3))["problems"]
         kinds = {p.split(": ", 1)[1].split(" ", 1)[0] for p in problems}  # KB prefix dropped
         assert kinds == {"set-order-not-coarser", "subset-strategy-mismatch"}
+
+    def test_a_reversed_engine_set_ordering_is_caught(self, monkeypatch):
+        # the two-default scope's first KB with two maximal consistent sets
+        # that the set ordering separates beyond inclusion
+        functions = truth_functions(2)
+        queries = [Conditional(a, b) for a in functions for b in functions]
+        text = "!a & !b |~ false\na & !b | !a & b |~ a & !b\n"
+        kb = parse_kb(text)
+        assert check_kb(kb, compute_ranking(kb), queries, [])[1] == []
+        less = closures.mp_less_serious
+        monkeypatch.setattr(closures, "mp_less_serious", lambda d, b, rt: less(b, d, rt))
+        kb = parse_kb(text)
+        problems = check_kb(kb, compute_ranking(kb), queries, [])[1]
+        assert {"oracle-vs-mp", "mp-vs-refined-model"} <= {p.split(" ", 1)[0] for p in problems}
 
     def test_problems_name_their_kb(self, monkeypatch):
         monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>mp",))
