@@ -17,16 +17,16 @@ _EXPORTS = {
     "closures": "BASIC LC MINIMAL MP RelevantTrace closure_query enumerate_bases "
     "find_justifications lc_query lex_less_serious mp_less_serious mp_query numeric_tuple "
     "relevant_query relevant_trace",
-    "harness": "KbGenerator brewka_subset_less check_postulates compare_all cross_check "
-    "inclusion_violations oracle_mp_query run_random_suite",
+    "harness": "KbGenerator PreferentialModel brewka_subset_less check_postulates compare_all "
+    "cross_check height_ranks inclusion_violations layer_ranks minimal_worlds mpr_model "
+    "oracle_mp_query preferential_refinement rank_by_height run_random_suite satisfies",
     "logic": "DEFAULT_ATOM_CAP FALSE TRUE Formula LogicError ParseError Signature SizeCapExceeded "
     "TruthTable UnknownAtomError atom iff implies land lnot lor mask_indices parse_formula "
     "to_text",
     "ranking": "DEFAULT_KB_CAP INF Conditional KnowledgeBase RankingTable UnsatisfiableKB "
     "compute_ranking kb_satisfiable parse_kb rank_of_formula rc_query",
-    "semantics": "PreferentialModel RankedModel height_ranks layer_ranks least_height_worlds "
-    "minimal_canonical_model minimal_worlds mpr_model mpr_query preferential_refinement "
-    "rank_by_height satisfies violation_classes violation_heights",
+    "semantics": "RankedModel least_height_worlds minimal_canonical_model mpr_query "
+    "violation_classes violation_heights",
 }
 # export name -> defining module
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

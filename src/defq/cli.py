@@ -111,7 +111,7 @@ def _json_list(items: Iterable[str]) -> str:
 
 def _load_kb(args: Namespace) -> KnowledgeBase:
     """The KB file under the size flags as caps; an unset flag keeps the usual cap."""
-    with open(args.kb_file, encoding="utf-8") as handle:
+    with open(args.kb_file, encoding="utf-8-sig") as handle:
         text = handle.read()
     return parse_kb(
         text,

@@ -8,6 +8,12 @@ model-based counterpart and mp's against the oracle, verifies the inclusion
 chain between the six relations, the ordering coarseness and world-comparator
 equivalences, and the expected inference postulates.  All generation is
 deterministic per seed so failures are replayable.
+
+mp's and mpr's model-based counterparts are the reference construction,
+off the engine path: MP's order on the violation classes held as one world
+mask and one predecessor mask per class (``preferential_refinement``), its
+heights by longest chain and by peeling layers, and mpr's ranked model
+collapsed from them (``rank_by_height``), all read by ``cross_check``.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import random
 from functools import reduce
 from itertools import combinations, islice, permutations, product
 from math import isqrt
+from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import semantics
 from .closures import (
     LC,
     METHODS,
@@ -53,6 +59,7 @@ from .ranking import (
     kb_satisfiable,
     rank_of_formula,
 )
+from .semantics import RankedModel, minimal_canonical_model, mpr_heights, violation_classes
 
 
 def compare_all(kb: KnowledgeBase, query: Conditional) -> dict[str, bool]:
@@ -313,6 +320,134 @@ class TrialResult(NamedTuple):
     problems: tuple[str, ...] = ()
 
 
+class PreferentialModel:
+    """Finite preferential interpretation whose strict order is stored on
+    violation classes: ``classes[c]`` is the world mask of class c,
+    ``violations[c]`` the default mask of the defaults its worlds violate,
+    and bit p of ``below[c]`` is set when class p is strictly below class c.
+    Reference only (module docstring): it holds a world mask per class."""
+
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        classes: Sequence[int],
+        below: Sequence[int],
+        violations: Sequence[int],
+    ):
+        self.kb = kb
+        self.classes = tuple(classes)
+        self.below = tuple(below)
+        self.violations = tuple(violations)
+
+    def minimal(self, a: int) -> int:
+        holders = [c for c, worlds in enumerate(self.classes) if worlds & a]
+        held = reduce(or_, (1 << c for c in holders), 0)
+        minimal = (self.classes[c] for c in holders if not self.below[c] & held)
+        return reduce(or_, minimal, 0) & a
+
+
+Model = RankedModel | PreferentialModel
+
+
+def preferential_refinement(kb: KnowledgeBase) -> PreferentialModel:
+    """Refine the minimal canonical model of a satisfiable KB: order its
+    worlds by the seriousness of their violation sets, the set ordering over
+    the rank slices of the rational closure (``RankingTable.slices``).
+
+    Class x is below class y when, at the first slice where their violation
+    sets differ, x's part is a strict subset of y's.  Classes that agree on
+    the slices before i are grouped and split by their slice i: each
+    subgroup lies below every subgroup whose slice strictly contains its
+    own, and each subgroup is split again on slice i + 1.  This is the
+    violation-set ordering used by the MP closure.  It extends the canonical
+    model's rank order (a world's rank is one past the highest rank it
+    violates), and the refined model still models the KB.  Raises
+    ``UnsatisfiableKB`` when the KB has no model.  Reference only: mpr
+    ranks the same classes through ``violation_heights``.
+    """
+    slices = compute_ranking(kb).slices
+    parts = list(violation_classes(kb, kb.truth.full))
+    below = [0] * len(parts)
+    groups = [(0, list(range(len(parts))))]
+    while groups:
+        i, group = groups.pop()
+        split: dict[int, list[int]] = {}
+        for c in group:
+            split.setdefault(parts[c][0] & slices[i], []).append(c)
+        masks = {s: reduce(or_, (1 << c for c in members)) for s, members in split.items()}
+        for s, members in split.items():
+            lower = reduce(or_, (masks[t] for t in split if t != s and t & ~s == 0), 0)
+            for c in members:
+                below[c] |= lower
+            if len(members) > 1:
+                groups.append((i + 1, members))
+    return PreferentialModel(
+        kb, [worlds for _, worlds in parts], below, [violated for violated, _ in parts]
+    )
+
+
+def minimal_worlds(model: Model, f: Formula) -> int:
+    """Mask of the worlds satisfying ``f`` with no strictly lower
+    ``f``-world."""
+    return model.minimal(model.kb.mask(f))
+
+
+def satisfies(model: Model, query: Conditional) -> bool:
+    """Conditional satisfaction: the consequent holds at every minimal
+    antecedent world (vacuously true when the antecedent has no world)."""
+    minimal = minimal_worlds(model, query.antecedent)
+    return minimal & ~model.kb.mask(query.consequent) == 0
+
+
+def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:
+    """Rank of each class as the length of a longest strictly descending
+    chain below it (its worlds share their predecessors, so they share it).
+    Under a strict order a class has more classes below it than any class
+    below it, so visiting classes by that count is a topological order.
+    Reference only: ``cross_check`` checks ``layer_ranks`` against it."""
+    heights = [0] * len(pref.below)
+    for c in sorted(range(len(heights)), key=lambda c: pref.below[c].bit_count()):
+        heights[c] = max((heights[p] + 1 for p in mask_indices(pref.below[c])), default=0)
+    return tuple(heights)
+
+
+def layer_ranks(pref: PreferentialModel) -> tuple[int, ...]:
+    """Rank of each class by iterated removal of minimal layers: layer 0 is
+    the minima, layer i the minima of what remains.  Reference only."""
+    layers = [0] * len(pref.below)
+    remaining = (1 << len(layers)) - 1
+    level = 0
+    while remaining:
+        layer = [c for c in mask_indices(remaining) if not pref.below[c] & remaining]
+        if not layer:
+            raise ValueError("the order has a cycle, so no layer is minimal")
+        for c in layer:
+            layers[c] = level
+            remaining ^= 1 << c
+        level += 1
+    return tuple(layers)
+
+
+def rank_by_height(pref: PreferentialModel) -> RankedModel:
+    """Collapse a preferential model to a ranked one by class height; the
+    resulting modular order extends the preferential one.  Under a strict
+    order the layer of a class is its height, and peeling layers touches
+    each class once per layer rather than once per class below it.
+    Reference only: ``cross_check`` answers mpr's queries on it."""
+    heights = layer_ranks(pref)
+    strata = [0] * (max(heights, default=-1) + 1)
+    for worlds, h in zip(pref.classes, heights):
+        strata[h] |= worlds
+    return RankedModel(pref.kb, strata)
+
+
+def mpr_model(kb: KnowledgeBase) -> RankedModel:
+    """Ranked model defining the rational extension of the MP closure:
+    stratum h holds the classes of height h.  Reference only: mpr answers
+    through ``least_height_worlds``, which holds no stratum."""
+    return rank_by_height(preferential_refinement(kb))
+
+
 def _strict_order_problem(below: Sequence[int]) -> str | None:
     """Why a relation given as predecessor masks (bit x of ``below[y]`` for
     x below y) is not a strict partial order, or None when it is irreflexive
@@ -343,7 +478,7 @@ def cross_check(
     """The checks on one KB and its queries that need no oracle: all six
     engines on each query and the inclusions between their answers; the
     strict-order check on the reference refined class order, its two height
-    formulations and the engine's height of each class against them; and
+    formulations and the heights mpr answered from against them; and
     the answers of each ``_MODEL_ROUTES`` method against its model.  Heights
     are undefined on a relation that is not a strict order, so they are
     compared only when the order check passes, and mpr's answers only when
@@ -360,7 +495,7 @@ def cross_check(
     # the most classes c whose c * (2^n + c) / 8 bytes fit in the budget
     fits = (isqrt(4**n + 32 * REFERENCE_BUDGET) - (1 << n)) // 2
     if min(1 << n, 1 << len(kb)) > fits:
-        classes = islice(semantics.violation_classes(kb, kb.truth.full), fits + 1)
+        classes = islice(violation_classes(kb, kb.truth.full), fits + 1)
         if sum(1 for _ in classes) > fits:
             raise SizeCapExceeded(
                 f"the reference refinement of more than {fits} violation classes over "
@@ -369,23 +504,24 @@ def cross_check(
     rows = [(q.text(), compare_all(kb, q)) for q in queries]
     broken = ((text, name) for text, answers in rows for name in inclusion_violations(answers))
     problems = [f"inclusion {name} {text!r}" for text, name in broken]
-    refined = semantics.preferential_refinement(kb)
-    models = {"rc": semantics.minimal_canonical_model(kb, rt), "mp": refined}
+    refined = preferential_refinement(kb)
+    models = {"rc": minimal_canonical_model(kb, rt), "mp": refined}
     order_problem = _strict_order_problem(refined.below)
+    layers = None if order_problem else layer_ranks(refined)  # a cycle makes peeling raise
     if order_problem is not None:
         problems.append(order_problem)
-    elif semantics.height_ranks(refined) != semantics.layer_ranks(refined):
+    elif height_ranks(refined) != layers:
         problems.append("height-vs-layer-ranks")
     else:
-        heights = semantics.violation_heights(kb, refined.violations)
-        if tuple(heights[v] for v in refined.violations) != semantics.layer_ranks(refined):
+        heights = mpr_heights(kb)
+        if tuple(heights[v] for v in refined.violations) != layers:
             problems.append("mpr-vs-refined-strata")
-        models["mpr"] = semantics.rank_by_height(refined)
+        models["mpr"] = rank_by_height(refined)
     problems.extend(
         f"{method}-vs-{model} {text!r}"
         for q, (text, answers) in zip(queries, rows)
         for method, model in _MODEL_ROUTES
-        if method in models and answers[method] != semantics.satisfies(models[method], q)
+        if method in models and answers[method] != satisfies(models[method], q)
     )
     # plus the order check and the two height checks, once per KB
     return rows, problems, (len(_INCLUSIONS) + len(_MODEL_ROUTES)) * len(queries) + 3

@@ -28,13 +28,9 @@ the least height (``least_height_worlds``) and tests them against the
 consequent's mask, so no stratum, and no world mask, predecessor relation
 or layer per class, is held.  Worlds are listed one by one only for output.
 
-``PreferentialModel``, ``preferential_refinement``, ``height_ranks``,
-``layer_ranks``, ``rank_by_height`` and ``mpr_model`` are the reference
-construction, off the engine path: the refined order as one predecessor mask
-per class, its heights by longest chain and by peeling minimal layers, and
-mpr's ranked model collapsed from them.  ``harness`` checks the order and
-compares mpr's heights and answers with theirs; they stay in this module
-because the benchmark's tracer times them here.
+This module holds only the engines.  The reference construction that
+``harness`` checks them against is defined there; ``__getattr__`` still
+resolves its names here, importing ``harness`` only when one is asked for.
 """
 
 from __future__ import annotations
@@ -73,35 +69,6 @@ class RankedModel:
 
     def minimal(self, a: int) -> int:
         return next((stratum & a for stratum in self.strata if stratum & a), 0)
-
-
-class PreferentialModel:
-    """Finite preferential interpretation whose strict order is stored on
-    violation classes: ``classes[c]`` is the world mask of class c,
-    ``violations[c]`` the default mask of the defaults its worlds violate,
-    and bit p of ``below[c]`` is set when class p is strictly below class c.
-    Reference only (module docstring): it holds a world mask per class."""
-
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        classes: Sequence[int],
-        below: Sequence[int],
-        violations: Sequence[int],
-    ):
-        self.kb = kb
-        self.classes = tuple(classes)
-        self.below = tuple(below)
-        self.violations = tuple(violations)
-
-    def minimal(self, a: int) -> int:
-        holders = [c for c, worlds in enumerate(self.classes) if worlds & a]
-        held = reduce(or_, (1 << c for c in holders), 0)
-        minimal = (self.classes[c] for c in holders if not self.below[c] & held)
-        return reduce(or_, minimal, 0) & a
-
-
-Model = RankedModel | PreferentialModel
 
 
 def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:
@@ -186,105 +153,6 @@ def violation_heights(kb: KnowledgeBase, violations: Iterable[int]) -> dict[int,
     return heights
 
 
-def preferential_refinement(kb: KnowledgeBase) -> PreferentialModel:
-    """Refine the minimal canonical model of a satisfiable KB: order its
-    worlds by the seriousness of their violation sets, the set ordering over
-    the rank slices of the rational closure (``RankingTable.slices``).
-
-    Class x is below class y when, at the first slice where their violation
-    sets differ, x's part is a strict subset of y's.  Classes that agree on
-    the slices before i are grouped and split by their slice i: each
-    subgroup lies below every subgroup whose slice strictly contains its
-    own, and each subgroup is split again on slice i + 1.  This is the
-    violation-set ordering used by the MP closure.  It extends the canonical
-    model's rank order (a world's rank is one past the highest rank it
-    violates), and the refined model still models the KB.  Raises
-    ``UnsatisfiableKB`` when the KB has no model.  Reference only: mpr
-    ranks the same classes through ``violation_heights``.
-    """
-    slices = compute_ranking(kb).slices
-    parts = list(violation_classes(kb, kb.truth.full))
-    below = [0] * len(parts)
-    groups = [(0, list(range(len(parts))))]
-    while groups:
-        i, group = groups.pop()
-        split: dict[int, list[int]] = {}
-        for c in group:
-            split.setdefault(parts[c][0] & slices[i], []).append(c)
-        masks = {s: reduce(or_, (1 << c for c in members)) for s, members in split.items()}
-        for s, members in split.items():
-            lower = reduce(or_, (masks[t] for t in split if t != s and t & ~s == 0), 0)
-            for c in members:
-                below[c] |= lower
-            if len(members) > 1:
-                groups.append((i + 1, members))
-    return PreferentialModel(
-        kb, [worlds for _, worlds in parts], below, [violated for violated, _ in parts]
-    )
-
-
-def minimal_worlds(model: Model, f: Formula) -> int:
-    """Mask of the worlds satisfying ``f`` with no strictly lower
-    ``f``-world."""
-    return model.minimal(model.kb.mask(f))
-
-
-def satisfies(model: Model, query: Conditional) -> bool:
-    """Conditional satisfaction: the consequent holds at every minimal
-    antecedent world (vacuously true when the antecedent has no world)."""
-    minimal = minimal_worlds(model, query.antecedent)
-    return minimal & ~model.kb.mask(query.consequent) == 0
-
-
-def height_ranks(pref: PreferentialModel) -> tuple[int, ...]:
-    """Rank of each class as the length of a longest strictly descending
-    chain below it (its worlds share their predecessors, so they share it).
-    Under a strict order a class has more classes below it than any class
-    below it, so visiting classes by that count is a topological order.
-    Reference only: ``harness`` checks ``layer_ranks`` against it."""
-    heights = [0] * len(pref.below)
-    for c in sorted(range(len(heights)), key=lambda c: pref.below[c].bit_count()):
-        heights[c] = max((heights[p] + 1 for p in mask_indices(pref.below[c])), default=0)
-    return tuple(heights)
-
-
-def layer_ranks(pref: PreferentialModel) -> tuple[int, ...]:
-    """Rank of each class by iterated removal of minimal layers: layer 0 is
-    the minima, layer i the minima of what remains.  Reference only."""
-    layers = [0] * len(pref.below)
-    remaining = (1 << len(layers)) - 1
-    level = 0
-    while remaining:
-        layer = [c for c in mask_indices(remaining) if not pref.below[c] & remaining]
-        if not layer:
-            raise ValueError("the order has a cycle, so no layer is minimal")
-        for c in layer:
-            layers[c] = level
-            remaining ^= 1 << c
-        level += 1
-    return tuple(layers)
-
-
-def rank_by_height(pref: PreferentialModel) -> RankedModel:
-    """Collapse a preferential model to a ranked one by class height; the
-    resulting modular order extends the preferential one.  Under a strict
-    order the layer of a class is its height, and peeling layers touches
-    each class once per layer rather than once per class below it.
-    Reference only: ``harness`` answers mpr's queries on it."""
-    heights = layer_ranks(pref)
-    strata = [0] * (max(heights, default=-1) + 1)
-    for worlds, h in zip(pref.classes, heights):
-        strata[h] |= worlds
-    return RankedModel(pref.kb, strata)
-
-
-def mpr_model(kb: KnowledgeBase) -> RankedModel:
-    """Ranked model defining the rational extension of the MP closure:
-    stratum h holds the classes of height h.  Reference only: mpr answers
-    through ``least_height_worlds``, which holds no stratum."""
-    return rank_by_height(preferential_refinement(kb))
-
-
 def mpr_heights(kb: KnowledgeBase) -> dict[int, int]:
     """``violation_heights`` of every compatible world's class, once per KB."""
     if "mpr_heights" not in kb.cache:
@@ -316,3 +184,16 @@ def mpr_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
     holds at every least-height antecedent world (``least_height_worlds``)."""
     minimal = least_height_worlds(kb, kb.mask(query.antecedent))
     return minimal & ~kb.mask(query.consequent) == 0
+
+
+# The reference construction's names, defined in harness beside the checks that read it.
+_REFERENCE = ("PreferentialModel preferential_refinement height_ranks layer_ranks "
+              "rank_by_height mpr_model satisfies minimal_worlds").split()
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

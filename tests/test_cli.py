@@ -195,6 +195,20 @@ class TestQuery:
         assert out == ""
         assert err.startswith("parse error: ") and err.count("\n") == 1
 
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        """A KB file saved with a UTF-8 byte-order mark reads as the file
+        without it; a byte that is not UTF-8 after the mark still exits 2."""
+        plain = SAMPLES / "taxes.kb"
+        marked = tmp_path / "taxes.kb"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        listing = run(capsys, "rank", str(plain))
+        assert listing[0] == 0
+        assert run(capsys, "rank", str(marked)) == listing
+        marked.write_bytes(b"\xef\xbb\xbfa |~ b\n\xff |~ c\n")
+        code, out, err = run(capsys, "rank", str(marked))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "rank", "/nonexistent/kb.txt")
         assert code == 2
@@ -305,15 +319,15 @@ class TestModel:
     def test_rows_match_a_sorted_row_list(self, kb_file, capsys, name):
         """Streamed in name order, the rows equal the sorted list of one row
         dict per world, in text and in JSON."""
-        from defq import semantics
+        from defq import harness, semantics
 
         text = LADDER_12X8_KB_TEXT if name == "ladder 12x8" else (SAMPLES / f"{name}.kb").read_text()
         kb = parse_kb(text)
         canonical = semantics.minimal_canonical_model(kb)
-        refined = semantics.preferential_refinement(kb)
+        refined = harness.preferential_refinement(kb)
         rows = []
         for worlds, violations, height in zip(
-            refined.classes, refined.violations, semantics.layer_ranks(refined)
+            refined.classes, refined.violations, harness.layer_ranks(refined)
         ):
             rc = next(r for r, stratum in enumerate(canonical.strata) if stratum & worlds)
             rows.extend(
@@ -349,14 +363,14 @@ class TestModel:
         """The reference refinement, its height collapse and every ranked
         model's query stay off the engine path: mpr and ``model`` answer with
         each of them raising."""
-        from defq import semantics
+        from defq import harness
 
         def refuse(*args):
             raise AssertionError("the reference construction ran")
 
         for name in ("preferential_refinement", "layer_ranks", "height_ranks", "rank_by_height",
                      "mpr_model", "satisfies", "minimal_worlds"):
-            monkeypatch.setattr(semantics, name, refuse)
+            monkeypatch.setattr(harness, name, refuse)
         command, *rest = argv
         code, out, err = run(capsys, command, kb_file(LADDER_12X8_KB_TEXT), *rest)
         assert (code, err) == (0, "")
@@ -389,12 +403,12 @@ def _reference_model_rows(kb):
     the world's violation set by ``reference.violated``, its rc rank from
     the canonical strata and its height by longest chain.  A world in no
     class of the refinement is off the model and has no row."""
-    from defq import semantics
+    from defq import harness, semantics
     from reference import default_mask, true_atoms, violated
 
     canonical = semantics.minimal_canonical_model(kb)
-    refined = semantics.preferential_refinement(kb)
-    heights = semantics.height_ranks(refined)
+    refined = harness.preferential_refinement(kb)
+    heights = harness.height_ranks(refined)
     rows = []
     for j in range(1 << len(kb.signature)):
         c = next((c for c, worlds in enumerate(refined.classes) if worlds >> j & 1), None)
@@ -931,12 +945,11 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize(
-        "method, absent",
-        [("mp", ["defq.harness", "defq.semantics", "json", *PARSER_MODULES]),
-         ("mpr", ["defq.harness", "json", *PARSER_MODULES])],
-    )
-    def test_query_imports_only_its_engine(self, method, absent):
+    @staticmethod
+    def run_loading(*argv):
+        """``defq <argv>`` on the taxes sample in a fresh interpreter: its
+        stdout lines, then the sorted list of the defq and parser modules
+        it loaded, as printed."""
         probe = (
             "import sys, defq.cli\n"
             "code = defq.cli.main(sys.argv[1:])\n"
@@ -944,17 +957,34 @@ class TestStartup:
             "or m.startswith('defq')))\n"
             "sys.exit(code)\n"
         )
+        command, *rest = argv
         taxes = Path(__file__).resolve().parent.parent / "samples" / "taxes.kb"
-        query = "Employee & Student |~ Young"
         done = subprocess.run(
-            [sys.executable, "-S", "-c", probe, "query", str(taxes), query, "--method", method],
+            [sys.executable, "-S", "-c", probe, command, str(taxes), *rest],
             capture_output=True, text=True, env=CHILD_ENV, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        answer, loaded = done.stdout.splitlines()
-        assert answer == "yes"
+        *out, loaded = done.stdout.splitlines()
+        return out, loaded
+
+    @pytest.mark.parametrize(
+        "method, absent",
+        [("mp", ["defq.harness", "defq.semantics", "json", *PARSER_MODULES]),
+         ("mpr", ["defq.harness", "json", *PARSER_MODULES])],
+    )
+    def test_query_imports_only_its_engine(self, method, absent):
+        out, loaded = self.run_loading("query", "Employee & Student |~ Young", "--method", method)
+        assert out == ["yes"]
         assert "defq.closures" in loaded
         assert not [name for name in absent if repr(name) in loaded]
+
+    def test_model_leaves_the_harness_out(self):
+        """``model`` reads mpr's heights from ``semantics``, as mpr's query
+        does, and never loads the reference construction's module."""
+        out, loaded = self.run_loading("model")
+        assert len(out) == 16  # one row per world of the 4-atom sample
+        assert "'defq.semantics'" in loaded
+        assert "'defq.harness'" not in loaded
 
 
 USAGE = "usage: defq [-h] {rank,query,bases,model,compare,check} ...\n"

@@ -232,7 +232,7 @@ class TestOrderChecks:
         assert problem is not None and problem.startswith("refined-order-not-strict")
 
     def test_agreement_check_reports_a_broken_refined_order(self, merry_kb, monkeypatch):
-        refine = semantics.preferential_refinement
+        refine = harness.preferential_refinement
 
         def broken(kb):
             pref = refine(kb)
@@ -240,15 +240,15 @@ class TestOrderChecks:
             x = next(mask_indices(pref.below[y]))
             below = list(pref.below)
             below[x] |= 1 << y  # x < y already; add y < x
-            return semantics.PreferentialModel(kb, pref.classes, below, pref.violations)
+            return harness.PreferentialModel(kb, pref.classes, below, pref.violations)
 
-        monkeypatch.setattr(semantics, "preferential_refinement", broken)
+        monkeypatch.setattr(harness, "preferential_refinement", broken)
         _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [])
         assert len(problems) == 1 and problems[0].startswith("refined-order-not-strict")
 
     def test_agreement_check_reports_height_disagreement(self, merry_kb, monkeypatch):
         monkeypatch.setattr(
-            semantics, "layer_ranks", lambda pref: tuple(h + 1 for h in semantics.height_ranks(pref))
+            harness, "layer_ranks", lambda pref: tuple(h + 1 for h in harness.height_ranks(pref))
         )
         _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [])
         assert problems == ["height-vs-layer-ranks"]

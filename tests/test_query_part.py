@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from defq import logic, semantics
+from defq import harness, logic
 from defq.cli import _query_evidence, main
 from defq.closures import closure_query
 from defq.harness import KbGenerator, cross_check
@@ -208,8 +208,8 @@ MPR_SPLIT_QUERY = "s & t & ((!g & !h & k) | (g & h & !k & !m)) |~ !k"
 def antecedent_heights(kb, query):
     """(height, violated defaults) of each violation class that holds an
     antecedent world, in mpr's refined model."""
-    refined = semantics.preferential_refinement(kb)
-    heights = semantics.height_ranks(refined)
+    refined = harness.preferential_refinement(kb)
+    heights = harness.height_ranks(refined)
     a = kb.truth.mask(query.antecedent)
     return sorted(
         (heights[c], tuple(mask_indices(refined.violations[c])))

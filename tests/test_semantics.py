@@ -1,6 +1,8 @@
 """Canonical models, the violation-seriousness refinement, and height collapse."""
 
 import itertools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from defq import (
     rc_query,
     satisfies,
 )
-from defq import semantics
+from defq import harness, semantics
 from defq.logic import mask_indices
 from reference import (
     default_mask,
@@ -38,6 +40,7 @@ from reference import (
     valuation,
     violated,
 )
+from test_cli import CHILD_ENV
 from test_metamorphic import POOLS
 from test_renumbering import sample_queries
 
@@ -538,3 +541,31 @@ class TestEngineAgreement:
                 q = gen.query(kb, index, w)
                 assert rc_query(kb, rt, q) == satisfies(canonical, q)
                 assert mp_query(kb, rt, q) == satisfies(refined, q)
+
+
+REFERENCE_NAMES = (
+    "PreferentialModel", "preferential_refinement", "height_ranks", "layer_ranks",
+    "rank_by_height", "mpr_model", "satisfies", "minimal_worlds",
+)
+
+
+class TestReferenceForwarder:
+    """The reference construction is defined in ``harness``; ``semantics``
+    holds only the engines and forwards the reference's names there."""
+
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
+    def test_each_name_is_the_harness_one(self, name):
+        assert name not in vars(semantics)
+        assert getattr(semantics, name) is getattr(harness, name)
+
+    @pytest.mark.parametrize("name", ["Model", "mpr_strata"])
+    def test_any_other_missing_name_raises(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(semantics, name)
+
+    def test_import_leaves_the_harness_out(self):
+        probe = "import sys, defq.semantics; print('defq.harness' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
