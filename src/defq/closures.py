@@ -32,6 +32,7 @@ from .ranking import (
     Conditional,
     KnowledgeBase,
     RankingTable,
+    per_kb,
     rank_of_formula,
     rc_query,
 )
@@ -142,6 +143,7 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[int]:
     return found
 
 
+@per_kb("bases", lambda rt, antecedent, ordering: (ordering, antecedent))
 def enumerate_bases(
     kb: KnowledgeBase, rt: RankingTable, antecedent: Formula, ordering: str
 ) -> tuple[int, ...]:
@@ -154,11 +156,6 @@ def enumerate_bases(
     """
     if ordering not in (LC, MP):
         raise ValueError(f"unknown ordering {ordering!r}")
-    memo = kb.cache.setdefault("bases", {})
-    key = (ordering, antecedent)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
     if rank_of_formula(antecedent, rt, kb) == INF:
         raise ValueError("antecedent has infinite rank; no bases exist")
 
@@ -168,9 +165,7 @@ def enumerate_bases(
         bases = [c for c in candidates if numeric_tuple(c, rt) == best]
     else:
         bases = [c for c in candidates if not any(mp_less_serious(c, y, rt) for y in candidates)]
-    result = tuple(sorted(bases, key=_index_order))
-    memo[key] = result
-    return result
+    return tuple(sorted(bases, key=_index_order))
 
 
 def _skeptical_over_bases(
@@ -202,6 +197,7 @@ def mp_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@per_kb("justifications", lambda antecedent: antecedent)
 def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[int, ...]:
     """Inclusion-minimal default sets whose materialization refutes the
     antecedent, as default masks; empty iff the whole KB is consistent with
@@ -225,11 +221,6 @@ def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[int, ..
     An unsatisfiable antecedent has no consistent set, so the empty set is
     its one justification.
     """
-    memo = kb.cache.setdefault("justifications", {})
-    cached = memo.get(antecedent)
-    if cached is not None:
-        return cached
-
     everything = (1 << len(kb)) - 1
     minimal = [0]
     for consistent in _consistent_inclusion_maximal(kb, kb.mask(antecedent)):
@@ -239,9 +230,7 @@ def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[int, ..
             h | 1 << d for h in minimal if not h & complement for d in mask_indices(complement)
         ]
         minimal = stayed + [g for g in grown if not any(s & ~g == 0 for s in stayed)]
-    result = tuple(sorted(minimal, key=_index_order))
-    memo[antecedent] = result
-    return result
+    return tuple(sorted(minimal, key=_index_order))
 
 
 class RelevantTrace(NamedTuple):

@@ -12,8 +12,8 @@ antecedent conjoined with the negated consequent.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence, Union
+from functools import cached_property, wraps
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence, Union
 
 from .logic import (
     DEFAULT_ATOM_CAP,
@@ -38,6 +38,29 @@ Rank = Union[int, float]
 
 class UnsatisfiableKB(LogicError):
     """No valuation satisfies the KB's materialization: no models exist."""
+
+
+def per_kb(slot: str, key: Callable[..., Hashable] = lambda *args: None) -> Callable:
+    """Memoize ``f(kb, *args)`` in ``kb.cache[slot]``, a dict keyed by
+    ``key(*args)``; the default key keeps one result per KB.  The slot is
+    stored once its first result exists, so a call that raises leaves none.
+    Results are pure, so concurrent fills are idempotent."""
+
+    def memoize(f: Callable) -> Callable:
+        @wraps(f)
+        def memoized(kb: "KnowledgeBase", *args):
+            k = key(*args)
+            try:
+                return kb.cache[slot][k]
+            except KeyError:
+                pass
+            result = f(kb, *args)
+            kb.cache.setdefault(slot, {})[k] = result
+            return result
+
+        return memoized
+
+    return memoize
 
 
 class Conditional(NamedTuple):
@@ -65,10 +88,7 @@ class KnowledgeBase:
 
     Holds the truth mask of each default's materialization ``A -> B``
     (``default_masks``, the table every engine works from), a ``TruthTable``
-    for other formulas, and pure memo caches (the masks of the formulas
-    ``mask`` is asked about, ranking, bases, justifications, the canonical
-    model, mpr's class heights and least-height worlds);
-    concurrent readers are safe because cache fills are idempotent.
+    for other formulas, and ``cache``, the memo that ``per_kb`` fills.
     ``truth`` and ``default_masks`` are built the first time they are read,
     so parsing builds no mask.  The default cap is checked here; the atom
     cap (``max_atoms``) when ``truth`` is built, so a KB of any signature
@@ -106,13 +126,10 @@ class KnowledgeBase:
     def __iter__(self) -> Iterator[Conditional]:
         return iter(self.conditionals)
 
+    @per_kb("masks", lambda f: f)
     def mask(self, f: Formula) -> int:
         """Truth mask of ``f``, built on the first request and kept."""
-        masks = self.cache.setdefault("masks", {})
-        result = masks.get(f)
-        if result is None:
-            result = masks[f] = self.truth.mask(f)
-        return result
+        return self.truth.mask(f)
 
     def members_mask(self, members: int) -> int:
         """Truth mask of the materialization of the defaults in the default
@@ -257,12 +274,9 @@ class RankingTable(NamedTuple):
         return len(self.chain) - 1
 
 
+@per_kb("ranking")
 def compute_ranking(kb: KnowledgeBase) -> RankingTable:
     """Iterate the exceptionality step from the full KB until the chain is stable."""
-    cached = kb.cache.get("ranking")
-    if cached is not None:
-        return cached
-
     antecedents = [kb.truth.mask(c.antecedent) for c in kb.conditionals]
     chain = [(1 << len(kb)) - 1]
     worlds = []
@@ -284,9 +298,7 @@ def compute_ranking(kb: KnowledgeBase) -> RankingTable:
         for d in mask_indices(dropped):
             ranks[d] = i
 
-    table = RankingTable(tuple(chain), tuple(ranks), tuple(slices), tuple(worlds))
-    kb.cache["ranking"] = table
-    return table
+    return RankingTable(tuple(chain), tuple(ranks), tuple(slices), tuple(worlds))
 
 
 def mask_rank(a: int, rt: RankingTable) -> Rank:

@@ -40,7 +40,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .logic import Formula, mask_indices
-from .ranking import Conditional, KnowledgeBase, RankingTable, compute_ranking
+from .ranking import Conditional, KnowledgeBase, RankingTable, compute_ranking, per_kb
 from .ranking import UnsatisfiableKB  # defined in ranking: the CLI catches it without this module
 
 
@@ -71,6 +71,7 @@ class RankedModel:
         return next((stratum & a for stratum in self.strata if stratum & a), 0)
 
 
+@per_kb("min_canonical")
 def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:
     """The minimal canonical ranked model of a satisfiable KB.
 
@@ -80,9 +81,6 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
     consecutive chain masks make the chain stable, so only the last position
     can admit no world; that empty stratum is dropped.
     """
-    cached = kb.cache.get("min_canonical")
-    if cached is not None:
-        return cached
     rt = rt or compute_ranking(kb)
     worlds = rt.worlds
     if worlds[-1] == 0:
@@ -91,9 +89,7 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
     strata.extend(mask & ~prev for prev, mask in zip(worlds, worlds[1:]))
     if not strata[-1]:
         strata.pop()
-    model = RankedModel(kb, strata)
-    kb.cache["min_canonical"] = model
-    return model
+    return RankedModel(kb, strata)
 
 
 def violation_classes(kb: KnowledgeBase, within: int) -> Iterator[tuple[int, int]]:
@@ -153,30 +149,27 @@ def violation_heights(kb: KnowledgeBase, violations: Iterable[int]) -> dict[int,
     return heights
 
 
+@per_kb("mpr_heights")
 def mpr_heights(kb: KnowledgeBase) -> dict[int, int]:
     """``violation_heights`` of every compatible world's class, once per KB."""
-    if "mpr_heights" not in kb.cache:
-        classes = violation_classes(kb, kb.truth.full)
-        kb.cache["mpr_heights"] = violation_heights(kb, (v for v, _ in classes))
-    return kb.cache["mpr_heights"]
+    classes = violation_classes(kb, kb.truth.full)
+    return violation_heights(kb, (v for v, _ in classes))
 
 
+@per_kb("mpr_minimal", lambda a: a)
 def least_height_worlds(kb: KnowledgeBase, a: int) -> int:
     """mpr's minimal worlds of the world mask ``a``: those in the classes of
     least height among the classes ``a`` meets, held as that height and their
     OR while ``a``'s split streams.  They are found once per mask, so a
     query's evidence reuses its answer's split."""
-    memo = kb.cache.setdefault("mpr_minimal", {})
-    if a not in memo:
-        heights = mpr_heights(kb)
-        least, minimal = None, 0
-        for violated, worlds in violation_classes(kb, a):
-            if least is None or heights[violated] < least:
-                least, minimal = heights[violated], 0
-            if heights[violated] == least:
-                minimal |= worlds
-        memo[a] = minimal
-    return memo[a]
+    heights = mpr_heights(kb)
+    least, minimal = None, 0
+    for violated, worlds in violation_classes(kb, a):
+        if least is None or heights[violated] < least:
+            least, minimal = heights[violated], 0
+        if heights[violated] == least:
+            minimal |= worlds
+    return minimal
 
 
 def mpr_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:

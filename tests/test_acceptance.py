@@ -110,7 +110,6 @@ def random_suite():
     results, summary = run_random_suite(
         seed=SUITE_SEED,
         count=SUITE_KBS,
-        queries_per_kb=SUITE_QUERIES_PER_KB,
         max_atoms=4,
         max_defaults=6,
     )

@@ -669,8 +669,8 @@ WORST_CASE_KB_TEXT = "".join(f"true |~ p{i}\n" for i in range(12)) + "".join(
 )
 
 # 20 atoms x 15 defaults, every one conditioned on c, so no query part is
-# smaller than the whole KB.  ``check`` runs out of memory on it under 1 GB:
-# its reference refinement holds one 2^20-bit world mask per violation class.
+# smaller than the whole KB.  ``check`` refuses it up front with exit 4: its
+# reference refinement would hold one 2^20-bit world mask per violation class.
 CONNECTED_WORST_CASE_KB_TEXT = "".join(f"c |~ p{i}\n" for i in range(11)) + "".join(
     f"c & p{i} |~ p{i + 1}\n" for i in (11, 13, 15, 17)
 )

@@ -13,6 +13,7 @@ from defq import (
     MINIMAL,
     MP,
     KbGenerator,
+    compare_all,
     compute_ranking,
     enumerate_bases,
     find_justifications,
@@ -484,6 +485,21 @@ class TestRelevantClosure:
         rt = compute_ranking(kb)
         with pytest.raises(ValueError):
             relevant_trace(kb, rt, query, BASIC)
+
+    def test_basic_and_minimal_part_on_a_three_rank_kb(self):
+        # the variants can differ only once removal reaches rank 1, which
+        # needs an antecedent of rank >= 2
+        kb = parse_kb(
+            "!c |~ (b | c) & a\n!a | !c |~ b\nc <-> !b |~ c\n!c -> b |~ b\n!a |~ !b & !b\n"
+        )
+        query, kb = kb.parse_query("!a |~ (a <-> !c) & !b")
+        rt = compute_ranking(kb)
+        assert rank_of_formula(query.antecedent, rt, kb) == 3
+        assert compare_all(kb, query) == {
+            "rc": False, "mp": True, "lc": True, BASIC: False, MINIMAL: True, "mpr": True
+        }
+        basic, minimal = (relevant_trace(kb, rt, query, v) for v in (BASIC, MINIMAL))
+        assert basic.removed & ~minimal.removed != 0
 
     def test_basic_implies_minimal_on_random_pool(self):
         gen = KbGenerator(seed=515151)

@@ -17,7 +17,7 @@ from defq import (
     parse_kb,
     run_random_suite,
 )
-from defq import harness, semantics
+from defq import closures, harness, semantics
 from defq.harness import (
     METHODS,
     PREFERENTIAL_POSTULATES,
@@ -66,7 +66,22 @@ class TestCompareAll:
         good = dict(zip(METHODS, (False, True, True, False, False, True)))
         assert inclusion_violations(good) == ()
         bad = dict(zip(METHODS, (True, False, True, True, False, True)))
-        assert set(inclusion_violations(bad)) == {"rc=>mp", "basic=>minimal"}
+        assert set(inclusion_violations(bad)) == {"basic=>minimal"}
+
+    def test_the_covering_pairs_flag_every_vector_the_old_table_did(self):
+        # rc=>mp and the four other pairs below follow from the covering
+        # pairs by transitivity, so a vector that breaks one is flagged
+        old = [("rc", "mp"), ("mp", "lc"), ("mp", "mpr"),
+               ("basic-relevant", "minimal-relevant"), ("minimal-relevant", "mp")]
+        newly_flagged = 0
+        for vector in product((False, True), repeat=len(METHODS)):
+            answers = dict(zip(METHODS, vector))
+            if any(answers[weaker] and not answers[stronger] for weaker, stronger in old):
+                assert inclusion_violations(answers)
+            elif inclusion_violations(answers):
+                assert inclusion_violations(answers) == ("rc=>basic",)
+                newly_flagged += 1
+        assert newly_flagged > 0
 
 
 class TestPostulates:
@@ -202,17 +217,17 @@ class TestGenerator:
 
 class TestRandomSuite:
     def test_small_run_is_clean_and_logged(self):
-        results, summary = run_random_suite(seed=101, count=8, queries_per_kb=3)
+        results, summary = run_random_suite(seed=101, count=8)
         assert summary["trials"] == 8
-        assert summary["queries"] == 24
+        assert summary["queries"] == 40
         assert summary["violations"] == 0
         assert all(r.seed == 101 for r in results)
         assert all(r.problems == () for r in results)
         assert summary["postulate_instances_applicable"] > 0
 
     def test_runs_are_reproducible(self):
-        first = run_random_suite(seed=42, count=4, queries_per_kb=2)
-        second = run_random_suite(seed=42, count=4, queries_per_kb=2)
+        first = run_random_suite(seed=42, count=4)
+        second = run_random_suite(seed=42, count=4)
         assert [r.kb_lines for r in first[0]] == [r.kb_lines for r in second[0]]
         assert [r.queries for r in first[0]] == [r.queries for r in second[0]]
 
@@ -265,7 +280,7 @@ class TestOrderChecks:
         monkeypatch.setattr(semantics, "violation_heights", lifted)
         _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [])
         assert problems == ["mpr-vs-refined-strata"]
-        results, summary = run_random_suite(seed=101, count=8, queries_per_kb=3)
+        results, summary = run_random_suite(seed=101, count=8)
         assert summary["violations"] > 0
         assert any("mpr-vs-refined-strata" in r.problems for r in results)
 
@@ -289,9 +304,20 @@ class TestOrderChecks:
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
         _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [query])
         assert problems == [f"mpr-vs-refined-model {query.text()!r}"]
-        results, summary = run_random_suite(seed=101, count=8, queries_per_kb=3)
+        results, summary = run_random_suite(seed=101, count=8)
         assert summary["violations"] > 0
         assert any(p.startswith("mpr-vs-refined-model") for r in results for p in r.problems)
+
+    def test_inclusions_flag_relevant_closures_that_answer_no(self, monkeypatch):
+        # a planted fault in the engine: both relevant closures answer no to
+        # every antecedent of finite rank, which basic=>minimal=>mp passes
+        trace = closures.relevant_trace
+        monkeypatch.setattr(
+            closures, "relevant_trace", lambda *args: trace(*args)._replace(answer=False)
+        )
+        results, summary = run_random_suite(seed=20250801, count=20)
+        assert summary["violations"] == 30
+        assert all(p.startswith("inclusion rc=>basic ") for r in results for p in r.problems)
 
     def test_clean_kb_has_no_model_problems(self, merry_kb):
         rt = compute_ranking(merry_kb)
@@ -320,9 +346,9 @@ class TestOrderChecks:
         rows, problems, checks = cross_check(merry_kb, rt, [query])
         assert rows == [(query.text(), compare_all(merry_kb, query))]
         assert (problems, checks) == ([], 5 + 6)
-        monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>mp",))
+        monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>basic",))
         _, problems, _ = cross_check(merry_kb, rt, [query])
-        assert problems == [f"inclusion rc=>mp {query.text()!r}"]
+        assert problems == [f"inclusion rc=>basic {query.text()!r}"]
 
     def test_cross_check_counts_each_inclusion_once_per_query(self, merry_kb, monkeypatch):
         rt = compute_ranking(merry_kb)

@@ -1,11 +1,16 @@
-"""Ranking construction and rational-closure queries."""
+"""Ranking construction, the per-KB memo and rational-closure queries."""
+
+from pathlib import Path
 
 import pytest
 
 from defq import (
     INF,
+    LC,
+    MP,
     KbGenerator,
     Signature,
+    compare_all,
     compute_ranking,
     kb_satisfiable,
     land,
@@ -16,8 +21,8 @@ from defq import (
     rc_query,
 )
 from defq import logic
-from defq.logic import FALSE, TRUE, atom, mask_indices
-from defq.ranking import Conditional
+from defq.logic import FALSE, TRUE, Formula, atom, mask_indices
+from defq.ranking import Conditional, per_kb
 from conftest import TAXES_KB_TEXT
 from reference import default_mask, is_exceptional
 
@@ -126,6 +131,44 @@ class TestFormulaMasks:
         built.clear()
         assert kb.mask(f) == expected
         assert built == []
+
+
+class TestPerKbMemo:
+    def test_slot_names_and_key_shapes(self):
+        # the layout that bench/tracing.py reads to tell a memo hit from a miss
+        sample = Path(__file__).resolve().parents[1] / "samples" / "taxes.kb"
+        kb = parse_kb(sample.read_text())
+        query, _ = kb.parse_query("Employee & Student |~ Young")
+        compare_all(kb, query)
+        a = query.antecedent
+        assert set(kb.cache) == {
+            "masks", "ranking", "bases", "justifications",
+            "min_canonical", "mpr_heights", "mpr_minimal",
+        }
+        assert set(kb.cache["bases"]) == {(LC, a), (MP, a)}
+        assert set(kb.cache["justifications"]) == {a}
+        assert set(kb.cache["mpr_minimal"]) == {kb.mask(a)}
+        assert {a, query.consequent} <= set(kb.cache["masks"])
+        assert all(isinstance(f, Formula) for f in kb.cache["masks"])
+        for slot in ("ranking", "min_canonical", "mpr_heights"):  # once per KB
+            assert len(kb.cache[slot]) == 1
+
+    def test_a_call_that_raises_stores_no_slot(self):
+        calls = []
+
+        @per_kb("probe", lambda x: x)
+        def probe(kb, x):
+            calls.append(x)
+            if x < 0:
+                raise ValueError(x)
+            return [x]
+
+        kb = parse_kb(TAXES_KB_TEXT)
+        with pytest.raises(ValueError):
+            probe(kb, -1)
+        assert "probe" not in kb.cache
+        assert probe(kb, 2) is probe(kb, 2)
+        assert calls == [-1, 2] and kb.cache["probe"] == {2: [2]}
 
 
 class TestRcQuery:

@@ -80,7 +80,7 @@ class TestSmallScope:
         assert {"oracle-vs-mp", "mp-vs-refined-model"} <= {p.split(" ", 1)[0] for p in problems}
 
     def test_problems_name_their_kb(self, monkeypatch):
-        monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>mp",))
+        monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>basic",))
         summary = run_small_scope(1, (1,))
         assert len(summary["problems"]) == summary["queries"]
-        assert summary["problems"][0] == "false |~ false: inclusion rc=>mp 'false |~ false'"
+        assert summary["problems"][0] == "false |~ false: inclusion rc=>basic 'false |~ false'"
