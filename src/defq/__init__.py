@@ -14,12 +14,12 @@ the engines that are actually used.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "closures": "BASIC LC MINIMAL MP RelevantTrace closure_query enumerate_bases "
+    "closures": "BASIC LC MINIMAL MP RelevantTrace closure_query compare_all enumerate_bases "
     "find_justifications lc_query lex_less_serious mp_less_serious mp_query numeric_tuple "
     "relevant_query relevant_trace",
-    "harness": "KbGenerator PreferentialModel brewka_subset_less check_postulates compare_all "
-    "cross_check height_ranks inclusion_violations layer_ranks minimal_worlds mpr_model "
-    "oracle_mp_query preferential_refinement rank_by_height run_random_suite satisfies",
+    "harness": "KbGenerator PreferentialModel brewka_subset_less check_postulates cross_check "
+    "height_ranks inclusion_violations layer_ranks minimal_worlds mpr_model oracle_mp_query "
+    "preferential_refinement rank_by_height run_random_suite satisfies",
     "logic": "DEFAULT_ATOM_CAP FALSE TRUE Formula LogicError ParseError Signature SizeCapExceeded "
     "TruthTable UnknownAtomError atom iff implies land lnot lor mask_indices parse_formula "
     "to_text",

@@ -299,11 +299,9 @@ def cmd_model(args: Namespace) -> int:
 
 
 def cmd_compare(args: Namespace) -> int:
-    from . import harness
-
     kb = _load_kb(args)
     query, kb = kb.parse_query(args.query)
-    answers = harness.compare_all(kb, query)
+    answers = closures.compare_all(kb, query)
     if args.json:
         _emit_json({"query": query.text(), "matrix": answers})
         return EXIT_OK
@@ -365,24 +363,22 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     """Argument type: an integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
-        from argparse import ArgumentTypeError  # check's flags go through argparse only
-
-        try:
-            value = int(text)
-        except ValueError:
-            raise ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = int(text)
         if value < low:
+            from argparse import ArgumentTypeError  # only a refused value loads argparse
+
             raise ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
+    parse.__name__ = "int"  # argparse words a ValueError as "invalid int value: ..."
     return parse
 
 
 _JSON = ("--json", {"action": "store_true", "help": "structured output"})
 _CAPS = (
-    ("--max-atoms", {"type": int, "default": DEFAULT_ATOM_CAP,
+    ("--max-atoms", {"type": _int_at_least(0), "default": DEFAULT_ATOM_CAP,
                      "help": "signature size cap (default %(default)s)"}),
-    ("--max-defaults", {"type": int, "default": DEFAULT_KB_CAP,
+    ("--max-defaults", {"type": _int_at_least(0), "default": DEFAULT_KB_CAP,
                         "help": "knowledge-base size cap (default %(default)s)"}),
     _JSON,
 )
@@ -493,7 +489,7 @@ def read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
                 return None
             try:
                 value = keywords.get("type", str)(value)
-            except ValueError:
+            except Exception:  # argparse reports what the flag's type refuses
                 return None
             if value not in keywords.get("choices", (value,)):
                 return None

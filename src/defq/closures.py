@@ -11,7 +11,7 @@ consistent with the antecedent and checks the consequent against each.
 
 Also here: inclusion-minimal refuting subsets (justifications), the basic and
 minimal relevant closures built on them, and the six engines by CLI method
-id.
+id, one at a time or all six on one query.
 
 All four closures read one family of default sets, those consistent with
 the antecedent, and one depth-first search over the KB's default masks
@@ -32,6 +32,7 @@ from .ranking import (
     Conditional,
     KnowledgeBase,
     RankingTable,
+    compute_ranking,
     per_kb,
     rank_of_formula,
     rc_query,
@@ -328,6 +329,13 @@ def closure_query(
 
         return lambda q: mpr_query(kb, rt, q)
     raise ValueError(f"unknown method {method!r}")
+
+
+def compare_all(kb: KnowledgeBase, query: Conditional) -> dict[str, bool]:
+    """Run all six engines on one query: each method's answer, in
+    ``METHODS`` order."""
+    rt = compute_ranking(kb)
+    return {method: closure_query(kb, rt, method)(query) for method in METHODS}
 
 
 def __getattr__(name: str):

@@ -1,13 +1,13 @@
-"""Property-test infrastructure: random KBs, cross-engine comparison,
+"""Property-test infrastructure: random KBs, checks of the engines' answers,
 postulate checking, and an independent oracle for the MP closure.
 
 The random suite is the repo's central cross-check, and the bounded-exhaustive
 small scope runs the same checks on every KB of a scope: both pass each KB
-through ``check_kb``, which compares each engine's answers against its
-model-based counterpart and mp's against the oracle, verifies the inclusion
-chain between the six relations, the ordering coarseness and world-comparator
-equivalences, and the expected inference postulates.  All generation is
-deterministic per seed so failures are replayable.
+through ``check_kb``, which compares the answers of ``closures.compare_all``
+with each engine's model-based counterpart and mp's with the oracle, verifies
+the inclusion chain between the six relations, the ordering coarseness and
+world-comparator equivalences, and the expected inference postulates.  All
+generation is deterministic per seed so failures are replayable.
 
 mp's and mpr's model-based counterparts are the reference construction,
 off the engine path: MP's order on the violation classes held as one world
@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .closures import (
     LC,
-    METHODS,
     MP,
     closure_query,
+    compare_all,
     enumerate_bases,
     mp_less_serious,
     numeric_tuple,
@@ -41,7 +41,6 @@ from .logic import (
     Signature,
     SizeCapExceeded,
     TruthTable,
-    atoms_of,
     iff,
     implies,
     land,
@@ -60,13 +59,6 @@ from .ranking import (
     rank_of_formula,
 )
 from .semantics import RankedModel, minimal_canonical_model, mpr_heights, violation_classes
-
-
-def compare_all(kb: KnowledgeBase, query: Conditional) -> dict[str, bool]:
-    """Run all six engines on one query: each method's answer, in
-    ``METHODS`` order."""
-    rt = compute_ranking(kb)
-    return {method: closure_query(kb, rt, method)(query) for method in METHODS}
 
 
 _INCLUSIONS = (  # (name, weaker, stronger): a yes from the weaker is one from the stronger
@@ -267,14 +259,12 @@ class KbGenerator(NamedTuple):
             n_atoms = rng.randint(1, self.max_atoms)
             names = _ATOM_POOL[:n_atoms]
             n_defaults = rng.randint(1, self.max_defaults)
-            sig = Signature()
             conditionals = []
             for _ in range(n_defaults):
                 antecedent = random_formula(rng, names, self.depth - 1)
                 consequent = random_formula(rng, names, self.depth)
-                for name in atoms_of(antecedent) + atoms_of(consequent):
-                    sig.add(name)
                 conditionals.append(Conditional(antecedent, consequent))
+            sig = Signature(name for c in conditionals for name in c.atoms())  # parsing's order
             kb = KnowledgeBase(conditionals, sig, max_defaults=max(self.max_defaults, 1))
             if kb_satisfiable(kb):
                 return kb

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, wraps
-from typing import Callable, Hashable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Container, Hashable, Iterator, NamedTuple, Sequence, Union
 
 from .logic import (
     DEFAULT_ATOM_CAP,
@@ -155,13 +155,7 @@ class KnowledgeBase:
         fresh atoms, so rankings computed before and after agree.
         """
         query = self.read_query(text)
-        sig = Signature([*self.signature, *query.atoms()])
-        if len(sig) == len(self.signature):
-            return query, self
-        extended = KnowledgeBase(
-            self.conditionals, sig, max_atoms=self.max_atoms, max_defaults=self.max_defaults
-        )
-        return query, extended
+        return query, self._kb_for(query, range(len(self)), self.signature)
 
     def query_part(self, query: Conditional) -> tuple["KnowledgeBase", tuple[int, ...]]:
         """The KB that rc, lc, mp and the relevant closures answer ``query``
@@ -207,16 +201,24 @@ class KnowledgeBase:
             kept += members
             used |= atoms
         kept.sort()
+        return self._kb_for(query, kept, used), tuple(kept)
+
+    def _kb_for(
+        self, query: Conditional, kept: Sequence[int], atoms: Container[str]
+    ) -> "KnowledgeBase":
+        """The KB that ``query`` is answered on: the defaults at the sorted
+        indices ``kept`` over the signature's atoms in ``atoms``, then the
+        query's atoms outside the signature, under this KB's caps.  This KB
+        itself when that keeps every default and adds no atom."""
         new = [name for name in query.atoms() if name not in self.signature]
         if len(kept) == len(self.conditionals) and not new:
-            return self, tuple(kept)
-        part = KnowledgeBase(
+            return self
+        return KnowledgeBase(
             [self.conditionals[d] for d in kept],
-            Signature([*(a for a in self.signature.atoms if a in used), *new]),
+            Signature([*(a for a in self.signature.atoms if a in atoms), *new]),
             max_atoms=self.max_atoms,
             max_defaults=self.max_defaults,
         )
-        return part, tuple(kept)
 
 
 def parse_kb(

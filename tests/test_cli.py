@@ -20,7 +20,7 @@ import defq
 from defq import cli, logic
 from defq.logic import mask_indices
 from defq.cli import ARGUMENTS, COMMANDS, build_parser, main, read_argv
-from defq.harness import METHODS, closure_query
+from defq.closures import METHODS, closure_query
 from defq.ranking import compute_ranking, parse_kb
 
 from conftest import (
@@ -867,6 +867,25 @@ class TestExitCodeSweep:
                 assert main([*argv, flag, str(need - 1)]) == 4, (argv, flag)
             capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--max-atoms", "--max-defaults"])
+    @pytest.mark.parametrize(
+        "value, message", [("-1", "must be at least 0, got -1"), ("x", "invalid int value: 'x'")]
+    )
+    def test_a_size_flag_below_zero_or_not_an_integer_is_a_usage_error(self, capsys, flag, value, message):
+        taxes = str(SAMPLES / "taxes.kb")
+        for argv in (
+            ["rank", taxes], ["model", taxes], ["compare", taxes, "Student |~ Young"],
+            ["query", taxes, "Student |~ Young", "--method", "rc"],
+            ["bases", taxes, "Student", "--method", "mp"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, value])
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"defq {argv[0]}: error: argument {flag}: {message}\n" in captured.err
+            assert "Traceback" not in captured.err
+
 
 class TestBoundedMemory:
     @pytest.mark.parametrize("query", ["p17 & p18 |~ p0", "p18 & p19 |~ !p0"])
@@ -977,6 +996,14 @@ class TestStartup:
         assert out == ["yes"]
         assert "defq.closures" in loaded
         assert not [name for name in absent if repr(name) in loaded]
+
+    def test_compare_leaves_the_harness_and_argparse_out(self):
+        """``compare`` runs the six engines through ``closures.compare_all``,
+        and a size flag in canonical form is read without argparse."""
+        out, loaded = self.run_loading("compare", "Student |~ Young", "--max-atoms", "4")
+        assert out == [f"{method}: yes" for method in METHODS]
+        assert "'defq.closures'" in loaded
+        assert not [name for name in ("defq.harness", *PARSER_MODULES) if repr(name) in loaded]
 
     def test_model_leaves_the_harness_out(self):
         """``model`` reads mpr's heights from ``semantics``, as mpr's query

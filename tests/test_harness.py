@@ -18,8 +18,8 @@ from defq import (
     run_random_suite,
 )
 from defq import closures, harness, semantics
+from defq.closures import METHODS
 from defq.harness import (
-    METHODS,
     PREFERENTIAL_POSTULATES,
     _ordering_problems,
     _strict_order_problem,

@@ -100,8 +100,9 @@ def test_atom_free_unsatisfiable_default_is_kept():
 
 
 def test_nothing_dropped_returns_the_kb_itself():
-    kb = parse_kb(CAP_KB_TEXT)
-    query, kb = kb.parse_query("p17 & p18 |~ p0")
+    whole = parse_kb(CAP_KB_TEXT)
+    query, kb = whole.parse_query("p17 & p18 |~ p0")
+    assert kb is whole  # the query adds no atom
     assert kb.query_part(query) == (kb, tuple(range(len(kb))))
 
 
@@ -115,9 +116,11 @@ def test_read_query_atoms_join_the_part_and_its_cap():
     part, kept = kb.query_part(kb.read_query("q |~ r"))
     assert (kept, part.signature.atoms) == ((), ("q", "r"))
     kb = parse_kb(CAP_KB_TEXT, max_atoms=22)
-    part, kept = kb.query_part(kb.read_query("p17 & zz |~ yy"))
+    query, extended = kb.parse_query("p17 & zz |~ yy")  # built as the part is
+    part, kept = kb.query_part(query)
     assert kept == tuple(range(len(kb)))
-    assert part.signature.atoms == (*kb.signature.atoms, "zz", "yy")
+    assert part.signature.atoms == extended.signature.atoms == (*kb.signature.atoms, "zz", "yy")
+    assert part.conditionals == extended.conditionals == kb.conditionals
 
 
 def test_modular_sample_splits_into_its_taxonomies():
