@@ -239,16 +239,15 @@ def cmd_bases(args: Namespace) -> int:
     kb, kept = whole.query_part(query)
     rt = compute_ranking(kb)
     bases = _query_evidence(kb, rt, args.method, query, kept, len(whole)).get("bases")
-    if bases is None:  # the antecedent has infinite rank
-        if args.json:
-            _emit_json({"antecedent": to_text(antecedent), "bases": None, "infinite_rank": True})
-        else:
-            _write(["antecedent has infinite rank: no bases\n"])
-        return EXIT_OK
     if args.json:
-        _emit_json({"antecedent": to_text(antecedent), "method": args.method, "bases": bases})
-        return EXIT_OK
-    _write(f"{_index_set_text(base)}\n" for base in bases)
+        payload = {"antecedent": to_text(antecedent), "method": args.method, "bases": bases}
+        if bases is None:  # the antecedent has infinite rank
+            payload["infinite_rank"] = True
+        _emit_json(payload)
+    elif bases is None:
+        _write(["antecedent has infinite rank: no bases\n"])
+    else:
+        _write(f"{_index_set_text(base)}\n" for base in bases)
     return EXIT_OK
 
 
@@ -316,7 +315,7 @@ def cmd_check(args: Namespace) -> int:
         kb = _load_kb(args)
         gen = harness.KbGenerator(args.seed)
         queries = [gen.query(kb, 0, w) for w in range(args.count)]
-        rows, problems, _ = harness.cross_check(kb, compute_ranking(kb), queries)
+        rows, problems, _ = harness.cross_check(kb, queries)
         if args.json:
             summary = {"queries": len(rows), "violations": len(problems)}
             _emit_json({"queries": rows, "problems": problems, "summary": summary})

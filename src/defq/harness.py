@@ -7,7 +7,9 @@ through ``check_kb``, which compares the answers of ``closures.compare_all``
 with each engine's model-based counterpart and mp's with the oracle, verifies
 the inclusion chain between the six relations, the ordering coarseness and
 world-comparator equivalences, and the expected inference postulates.  All
-generation is deterministic per seed so failures are replayable.
+generation is deterministic per seed so failures are replayable.  Each
+routine here is handed a KB alone and reads its ranking through
+``compute_ranking``, which keeps one per KB.
 
 mp's and mpr's model-based counterparts are the reference construction,
 off the engine path: MP's order on the violation classes held as one world
@@ -309,9 +311,9 @@ class TrialResult(NamedTuple):
     kb_lines: tuple[str, ...]
     atoms: int
     defaults: int
-    queries: tuple[tuple[str, dict[str, bool]], ...] = ()
-    checks: int = 0
-    problems: tuple[str, ...] = ()
+    queries: tuple[tuple[str, dict[str, bool]], ...]
+    checks: int
+    problems: tuple[str, ...]
 
 
 class PreferentialModel:
@@ -467,7 +469,7 @@ _MODEL_ROUTES = (("rc", "canonical-model"), ("mp", "refined-model"), ("mpr", "re
 
 
 def cross_check(
-    kb: KnowledgeBase, rt: RankingTable, queries: Sequence[Conditional]
+    kb: KnowledgeBase, queries: Sequence[Conditional]
 ) -> tuple[list[tuple[str, dict[str, bool]]], list[str], int]:
     """The checks on one KB and its queries that need no oracle: all six
     engines on each query and the inclusions between their answers; the
@@ -499,7 +501,7 @@ def cross_check(
     broken = ((text, name) for text, answers in rows for name in inclusion_violations(answers))
     problems = [f"inclusion {name} {text!r}" for text, name in broken]
     refined = preferential_refinement(kb)
-    models = {"rc": minimal_canonical_model(kb, rt), "mp": refined}
+    models = {"rc": minimal_canonical_model(kb), "mp": refined}
     order_problem = _strict_order_problem(refined.below)
     layers = None if order_problem else layer_ranks(refined)  # a cycle makes peeling raise
     if order_problem is not None:
@@ -571,11 +573,12 @@ def brewka_subset_less(j1: int, j2: int, kb: KnowledgeBase, rt: RankingTable) ->
     return _subset_less(_satisfied_slices(j1, kb, rt), _satisfied_slices(j2, kb, rt))
 
 
-def _ordering_problems(kb: KnowledgeBase, rt: RankingTable) -> tuple[list[str], int]:
+def _ordering_problems(kb: KnowledgeBase) -> tuple[list[str], int]:
     """Coarseness of the set ordering vs the count ordering on all subset
     pairs, and the subset-strategy comparator vs the set ordering on all
     valuation pairs.  Each subset's count tuple and each valuation's
     satisfied slices are built once; every pair is still compared."""
+    rt = compute_ranking(kb)
     problems: list[str] = []
     checks = 0
     counts = [numeric_tuple(d, rt) for d in range(1 << len(kb))]  # every default mask
@@ -605,38 +608,19 @@ def _ordering_problems(kb: KnowledgeBase, rt: RankingTable) -> tuple[list[str], 
     return problems, checks
 
 
-def _postulate_problems(
-    kb: KnowledgeBase, triples: Sequence[tuple[Formula, Formula, Formula]]
-) -> tuple[list[str], int, int]:
-    """mp's preferential postulates and mpr's RM on each triple: the
-    violations, the instances checked and how many of them applied."""
-    problems = []
-    checks = applicable = 0
-    for method, postulates in (("mp", PREFERENTIAL_POSTULATES), ("mpr", ("RM",))):
-        for record in check_postulates(kb, method, triples, postulates):
-            checks += 1
-            applicable += record.applicable
-            if record.violated:
-                problems.append(
-                    f"{method}-postulate {record.postulate} "
-                    f"on ({record.a}, {record.b}, {record.c})"
-                )
-    return problems, checks, applicable
-
-
 def check_kb(
     kb: KnowledgeBase,
-    rt: RankingTable,
     queries: Sequence[Conditional],
     triples: Sequence[tuple[Formula, Formula, Formula]],
 ) -> tuple[list[tuple[str, dict[str, bool]]], list[str], int, int]:
     """Every check on one KB: ``cross_check``; on each query, mp against
     ``oracle_mp_query`` and, when the antecedent has a finite rank, the
     count-ordering bases inside the set-ordering ones; ``_ordering_problems``;
-    and ``_postulate_problems`` on each triple.  Returns ``cross_check``'s
-    rows, the problems, the number of checks and how many postulate
-    instances applied."""
-    rows, problems, checks = cross_check(kb, rt, queries)
+    and on each triple, mp's preferential postulates and mpr's RM.  Returns
+    ``cross_check``'s rows, the problems, the number of checks and how many
+    postulate instances applied."""
+    rt = compute_ranking(kb)
+    rows, problems, checks = cross_check(kb, queries)
     for q, (text, answers) in zip(queries, rows):
         if oracle_mp_query(kb, q) != answers["mp"]:
             problems.append(f"oracle-vs-mp {text!r}")
@@ -644,10 +628,19 @@ def check_kb(
             lc_bases = set(enumerate_bases(kb, rt, q.antecedent, LC))
             if not lc_bases <= set(enumerate_bases(kb, rt, q.antecedent, MP)):
                 problems.append(f"count-basis-not-set-basis {text!r}")
-    ordering_problems, ordering_checks = _ordering_problems(kb, rt)
-    postulate_problems, postulate_checks, applicable = _postulate_problems(kb, triples)
-    checks += 2 * len(queries) + ordering_checks + postulate_checks
-    return rows, problems + ordering_problems + postulate_problems, checks, applicable
+    ordering_problems, ordering_checks = _ordering_problems(kb)
+    problems += ordering_problems
+    checks += 2 * len(queries) + ordering_checks
+    applicable = 0
+    for method, postulates in (("mp", PREFERENTIAL_POSTULATES), ("mpr", ("RM",))):
+        for record in check_postulates(kb, method, triples, postulates):
+            checks += 1
+            applicable += record.applicable
+            if record.violated:
+                problems.append(
+                    f"{method}-postulate {record.postulate} on ({record.a}, {record.b}, {record.c})"
+                )
+    return rows, problems, checks, applicable
 
 
 SUITE_QUERIES = 5  # per KB of the random suite
@@ -666,7 +659,7 @@ def run_random_suite(
         kb = gen.knowledge_base(index)
         queries = [gen.query(kb, index, w) for w in range(SUITE_QUERIES)]
         triples = [gen.triple(kb, index, w) for w in range(3)]
-        rows, problems, checks, applicable = check_kb(kb, compute_ranking(kb), queries, triples)
+        rows, problems, checks, applicable = check_kb(kb, queries, triples)
         postulate_applicable += applicable
         results.append(
             TrialResult(
@@ -759,7 +752,7 @@ def run_small_scope(n_atoms: int, sizes: Iterable[int]) -> dict:
             summary["kbs"] += 1
             if not kb_satisfiable(kb):
                 continue
-            _, problems, checks, _ = check_kb(kb, compute_ranking(kb), queries, triples)
+            _, problems, checks, _ = check_kb(kb, queries, triples)
             summary["satisfiable"] += 1
             summary["queries"] += len(queries)
             summary["checks"] += checks

@@ -33,11 +33,13 @@ class LogicError(Exception):
 class ParseError(LogicError):
     """Malformed formula or knowledge-base text.
 
-    ``offset`` is the byte offset of the offending token within the parsed
-    string; ``line`` is filled in by knowledge-base file parsing.
+    ``message`` says what is wrong, ``offset`` is the byte offset of the
+    offending token within the parsed string, and ``line`` is filled in by
+    knowledge-base file parsing.
     """
 
     def __init__(self, message: str, offset: int = 0, line: int | None = None):
+        self.message = message
         self.offset = offset
         self.line = line
         where = f"line {line}, " if line is not None else ""

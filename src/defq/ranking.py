@@ -240,7 +240,7 @@ def parse_kb(
         try:
             antecedent, consequent = parse_conditional_parts(line, sig)
         except ParseError as exc:
-            raise ParseError(str(exc.args[0]).split(": ", 1)[-1], exc.offset, lineno) from None
+            raise ParseError(exc.message, exc.offset, lineno) from None
         conditionals.append(Conditional(antecedent, consequent))
     return KnowledgeBase(conditionals, sig, max_atoms=max_atoms, max_defaults=max_defaults)
 

@@ -260,6 +260,25 @@ class TestBases:
         assert "infinite rank" in out
 
     @pytest.mark.parametrize("method", ["mp", "lc"])
+    def test_json_names_the_antecedent_and_method_at_any_rank(self, kb_file, capsys, method):
+        # an antecedent of infinite rank has no bases, and says so
+        code, out, _ = run(
+            capsys, "bases", kb_file(CONFLICT_KB_TEXT), "Employee & Student", "--method", method,
+            "--json",
+        )
+        bases = [[0, 1, 3], [2, 3]] if method == "mp" else [[0, 1, 3]]
+        assert (code, json.loads(out)) == (
+            0, {"antecedent": "Employee & Student", "method": method, "bases": bases}
+        )
+        antecedent = "Residence_in_Italy & !Has_Residence"
+        code, out, _ = run(
+            capsys, "bases", kb_file(RESIDENCE_KB_TEXT), antecedent, "--method", method, "--json"
+        )
+        assert (code, json.loads(out)) == (
+            0, {"antecedent": antecedent, "method": method, "bases": None, "infinite_rank": True}
+        )
+
+    @pytest.mark.parametrize("method", ["mp", "lc"])
     def test_bases_found_on_the_part_are_the_whole_kbs(self, kb_file, capsys, method):
         # the part drops the taxonomies the antecedent does not mention, and
         # their defaults join every base
@@ -1396,6 +1415,7 @@ class TestOneWriter:
             ["bases", "conflict.kb", "Employee & Student", "--method", "mp"],
             ["bases", "conflict.kb", "Employee & Student", "--method", "lc", "--json"],
             ["bases", "unsat.kb", "true", "--method", "mp"],  # infinite rank
+            ["bases", "unsat.kb", "true", "--method", "mp", "--json"],
             ["model", "taxes.kb"],
             ["model", "taxes.kb", "--json"],
             ["compare", "taxes.kb", "Student |~ Young"],

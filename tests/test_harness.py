@@ -231,6 +231,21 @@ class TestRandomSuite:
         assert [r.kb_lines for r in first[0]] == [r.kb_lines for r in second[0]]
         assert [r.queries for r in first[0]] == [r.queries for r in second[0]]
 
+    def test_a_postulate_violation_reaches_the_problems(self, monkeypatch):
+        # a planted fault in the engine the postulates ask: mp answers no to
+        # every query, so Refl fails on each triple and no other mp
+        # postulate applies; compare_all reads closures' name, not this one
+        engine = harness.closure_query
+        monkeypatch.setattr(
+            harness,
+            "closure_query",
+            lambda kb, rt, method: (lambda q: False) if method == "mp" else engine(kb, rt, method),
+        )
+        results, summary = run_random_suite(20250801, 2)
+        problems = [p for r in results for p in r.problems]
+        assert summary["violations"] == len(problems) == 6
+        assert all(p.startswith("mp-postulate Refl on (") and p.endswith(")") for p in problems)
+
 
 class TestOrderChecks:
     # bit x of below[y] says x is below y
@@ -258,14 +273,14 @@ class TestOrderChecks:
             return harness.PreferentialModel(kb, pref.classes, below, pref.violations)
 
         monkeypatch.setattr(harness, "preferential_refinement", broken)
-        _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [])
+        _, problems, _ = cross_check(merry_kb, [])
         assert len(problems) == 1 and problems[0].startswith("refined-order-not-strict")
 
     def test_agreement_check_reports_height_disagreement(self, merry_kb, monkeypatch):
         monkeypatch.setattr(
             harness, "layer_ranks", lambda pref: tuple(h + 1 for h in harness.height_ranks(pref))
         )
-        _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [])
+        _, problems, _ = cross_check(merry_kb, [])
         assert problems == ["height-vs-layer-ranks"]
 
     def test_agreement_check_reports_a_lifted_mpr_class(self, merry_kb, monkeypatch):
@@ -278,7 +293,7 @@ class TestOrderChecks:
             return found
 
         monkeypatch.setattr(semantics, "violation_heights", lifted)
-        _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [])
+        _, problems, _ = cross_check(merry_kb, [])
         assert problems == ["mpr-vs-refined-strata"]
         results, summary = run_random_suite(seed=101, count=8)
         assert summary["violations"] > 0
@@ -302,7 +317,7 @@ class TestOrderChecks:
 
         monkeypatch.setattr(semantics, "least_height_worlds", greatest_height_worlds)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
-        _, problems, _ = cross_check(merry_kb, compute_ranking(merry_kb), [query])
+        _, problems, _ = cross_check(merry_kb, [query])
         assert problems == [f"mpr-vs-refined-model {query.text()!r}"]
         results, summary = run_random_suite(seed=101, count=8)
         assert summary["violations"] > 0
@@ -320,14 +335,12 @@ class TestOrderChecks:
         assert all(p.startswith("inclusion rc=>basic ") for r in results for p in r.problems)
 
     def test_clean_kb_has_no_model_problems(self, merry_kb):
-        rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
         # five inclusions and three model routes per query, three order checks
-        assert cross_check(merry_kb, rt, [query])[1:] == ([], 5 + 3 + 3)
+        assert cross_check(merry_kb, [query])[1:] == ([], 5 + 3 + 3)
 
     def test_model_routes_check_the_reported_answers(self, merry_kb, monkeypatch):
         # a planted fault in the answers cross_check reports: rc's flipped
-        rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
         answers = harness.compare_all
 
@@ -336,48 +349,45 @@ class TestOrderChecks:
             return {**found, "rc": not found["rc"]}
 
         monkeypatch.setattr(harness, "compare_all", flipped)
-        _, problems, _ = cross_check(merry_kb, rt, [query])
+        _, problems, _ = cross_check(merry_kb, [query])
         assert f"rc-vs-canonical-model {query.text()!r}" in problems
 
     def test_cross_check_rows_problems_and_counts(self, merry_kb, monkeypatch):
         # the one per-KB check behind both ``defq check <file>`` and the suite
-        rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
-        rows, problems, checks = cross_check(merry_kb, rt, [query])
+        rows, problems, checks = cross_check(merry_kb, [query])
         assert rows == [(query.text(), compare_all(merry_kb, query))]
         assert (problems, checks) == ([], 5 + 6)
         monkeypatch.setattr(harness, "inclusion_violations", lambda answers: ("rc=>basic",))
-        _, problems, _ = cross_check(merry_kb, rt, [query])
+        _, problems, _ = cross_check(merry_kb, [query])
         assert problems == [f"inclusion rc=>basic {query.text()!r}"]
 
     def test_cross_check_counts_each_inclusion_once_per_query(self, merry_kb, monkeypatch):
-        rt = compute_ranking(merry_kb)
         queries = [merry_kb.parse_query(text)[0] for text in ("Student |~ Young", "Adult |~ Merry")]
-        _, _, checks = cross_check(merry_kb, rt, queries)
+        _, _, checks = cross_check(merry_kb, queries)
         extra = harness._INCLUSIONS + (("mp=>mp", "mp", "mp"),)
         monkeypatch.setattr(harness, "_INCLUSIONS", extra)
-        _, problems, more = cross_check(merry_kb, rt, queries)
+        _, problems, more = cross_check(merry_kb, queries)
         assert (problems, more) == ([], checks + len(queries))
 
     def test_cross_check_refuses_a_reference_over_budget(self, merry_kb, monkeypatch):
         # one world mask and one predecessor mask per violation class
-        rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student |~ Young")
         classes = len(semantics.mpr_heights(merry_kb))
         needed = -(-classes * (2 ** len(merry_kb.signature) + classes) // 8)  # bytes, rounded up
         monkeypatch.setattr(harness, "REFERENCE_BUDGET", needed)
-        assert cross_check(merry_kb, rt, [query])[1] == []
+        assert cross_check(merry_kb, [query])[1] == []
         monkeypatch.setattr(harness, "REFERENCE_BUDGET", needed - 1)
         with pytest.raises(
             SizeCapExceeded, match=f"more than {classes - 1} violation classes over 5 atoms"
         ):
-            cross_check(merry_kb, rt, [query])
+            cross_check(merry_kb, [query])
 
     def test_a_refusal_computes_no_heights(self, merry_kb, monkeypatch):
         # the guard counts the classes and stops; it ranks none of them
         monkeypatch.setattr(harness, "REFERENCE_BUDGET", 0)
         with pytest.raises(SizeCapExceeded, match="the reference refinement of "):
-            cross_check(merry_kb, compute_ranking(merry_kb), [])
+            cross_check(merry_kb, [])
         assert "mpr_heights" not in merry_kb.cache
 
 
@@ -389,14 +399,14 @@ class TestOrderingChecks:
         gen = KbGenerator(seed, max_atoms=4, max_defaults=6)
         for index in range(4):
             kb = gen.knowledge_base(index)
-            problems, checks = _ordering_problems(kb, compute_ranking(kb))
+            problems, checks = _ordering_problems(kb)
             assert problems == []
             assert checks == 4 ** len(kb) + 4 ** len(kb.signature)
 
     def test_a_wrong_set_ordering_fails_both_checks(self, conflict_kb, monkeypatch):
         less = harness.mp_less_serious
         monkeypatch.setattr(harness, "mp_less_serious", lambda d, b, rt: less(b, d, rt))
-        problems, _ = _ordering_problems(conflict_kb, compute_ranking(conflict_kb))
+        problems, _ = _ordering_problems(conflict_kb)
         kinds = {p.split(" ", 1)[0] for p in problems}
         assert kinds == {"set-order-not-coarser", "subset-strategy-mismatch"}
 

@@ -236,7 +236,7 @@ def test_mpr_on_the_part_differs_from_mpr_on_the_whole_kb(tmp_path, capsys):
     ]
     assert antecedent_heights(part, query) == [(3, (0, 1, 2)), (3, (0, 3, 4))]
     assert antecedent_heights(whole, query)[:2] == [(4, (0, 3, 4)), (5, (0, 1, 2))]
-    assert cross_check(whole, rt, [query])[1] == []
+    assert cross_check(whole, [query])[1] == []
     path = tmp_path / "split.kb"
     path.write_text(MPR_SPLIT_KB_TEXT)
     assert main(["query", str(path), MPR_SPLIT_QUERY, "--method", "mpr"]) == 0
