@@ -232,7 +232,7 @@ def cmd_query(args: Namespace) -> int:
 
 def cmd_bases(args: Namespace) -> int:
     whole = _load_kb(args)
-    antecedent = parse_formula(args.antecedent, whole.signature.copy())
+    antecedent = parse_formula(args.antecedent)
     # the consequent true adds no atoms, so the part is the antecedent's; the
     # atom cap applies to its truth table, as in cmd_query
     query = Conditional(antecedent, TRUE)

@@ -266,7 +266,7 @@ class KbGenerator(NamedTuple):
                 antecedent = random_formula(rng, names, self.depth - 1)
                 consequent = random_formula(rng, names, self.depth)
                 conditionals.append(Conditional(antecedent, consequent))
-            sig = Signature(name for c in conditionals for name in c.atoms())  # parsing's order
+            sig = Signature(name for c in conditionals for name in c.atoms())  # parse_kb's order
             kb = KnowledgeBase(conditionals, sig, max_defaults=max(self.max_defaults, 1))
             if kb_satisfiable(kb):
                 return kb

@@ -174,29 +174,21 @@ def to_text(f: Formula) -> str:
 
 
 class Signature:
-    """Ordered finite atom set.
+    """Immutable ordered finite atom set: ``names`` in first-occurrence order.
 
-    Order is first occurrence in the knowledge-base text, with query atoms
-    appended afterwards; it determines the valuation enumeration order and
-    makes all output reproducible.  Used as an accumulator while parsing and
-    treated as immutable once a knowledge base has been built.
+    A knowledge base's signature lists its atoms in the order they first
+    occur in its defaults (``parse_kb``), and a query's new atoms follow
+    them; the order determines the valuation enumeration order and makes
+    all output reproducible.  Each name must be an ASCII identifier.
     """
 
     __slots__ = ("_index",)
 
     def __init__(self, names: Iterable[str] = ()):
-        self._index: dict[str, int] = {}  # in insertion order, the atom order
-        for name in names:
-            self.add(name)
-
-    def add(self, name: str) -> int:
-        """Register an atom; returns its index (existing or new)."""
-        idx = self._index.get(name)
-        if idx is None:
+        self._index = {name: i for i, name in enumerate(dict.fromkeys(names))}  # the atom order
+        for name in self._index:
             if not _is_atom_name(name):
                 raise ValueError(f"invalid atom name: {name!r}")
-            idx = self._index[name] = len(self._index)
-        return idx
 
     def index(self, name: str) -> int:
         try:
@@ -207,9 +199,6 @@ class Signature:
     @property
     def atoms(self) -> tuple[str, ...]:
         return tuple(self._index)
-
-    def copy(self) -> "Signature":
-        return Signature(self._index)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -367,9 +356,8 @@ class _Parser:
     the levels its operands opened.
     """
 
-    def __init__(self, tokens: Sequence[_Token], sig: Signature):
+    def __init__(self, tokens: Sequence[_Token]):
         self.tokens = tokens
-        self.sig = sig
         self.i = 0
         self.depth = 0
 
@@ -408,7 +396,6 @@ class _Parser:
         """A negation, a parenthesized formula, a constant or an atom."""
         tok = self.take()
         if tok.kind == "ident":
-            self.sig.add(tok.text)
             return Formula(ATOM, (tok.text,))
         if tok.kind in _CONSTANTS:
             return _CONSTANTS[tok.kind]
@@ -424,9 +411,9 @@ class _Parser:
         return inner
 
 
-def _parse_to_end(tokens: list[_Token], sig: Signature) -> Formula:
+def _parse_to_end(tokens: list[_Token]) -> Formula:
     """Parse ``tokens`` as one formula that must reach their end token."""
-    parser = _Parser(tokens, sig)
+    parser = _Parser(tokens)
     result = parser.formula()
     trailing = parser.peek()
     if trailing.kind != "end":
@@ -434,15 +421,15 @@ def _parse_to_end(tokens: list[_Token], sig: Signature) -> Formula:
     return result
 
 
-def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse a formula, appending newly seen atoms to ``sig`` in textual order."""
+def parse_formula(text: str) -> Formula:
+    """Parse a formula from its text alone; ``atoms_of`` lists its atoms."""
     tokens = _tokenize(text)
     if tokens[0].kind == "end":
         raise ParseError("empty formula", offset=0)
-    return _parse_to_end(tokens, sig)
+    return _parse_to_end(tokens)
 
 
-def parse_conditional_parts(text: str, sig: Signature) -> tuple[Formula, Formula]:
+def parse_conditional_parts(text: str) -> tuple[Formula, Formula]:
     """Parse ``A |~ B`` into its antecedent and consequent."""
     tokens = _tokenize(text)
     splits = [i for i, t in enumerate(tokens) if t.kind == "cond"]
@@ -457,4 +444,4 @@ def parse_conditional_parts(text: str, sig: Signature) -> tuple[Formula, Formula
         raise ParseError("empty antecedent", offset=0)
     if right[0].kind == "end":
         raise ParseError("empty consequent", offset=right[0].pos)
-    return _parse_to_end(left, sig), _parse_to_end(right, sig)
+    return _parse_to_end(left), _parse_to_end(right)

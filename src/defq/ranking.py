@@ -142,17 +142,17 @@ class KnowledgeBase:
 
     def read_query(self, text: str) -> Conditional:
         """Parse ``A |~ B``, which may mention atoms outside this KB's
-        signature.  No KB is built, so no cap is checked."""
-        antecedent, consequent = parse_conditional_parts(text, self.signature.copy())
-        return Conditional(antecedent, consequent)
+        signature; ``parse_query`` and ``query_part`` put them after its
+        atoms.  No KB is built, so no cap is checked."""
+        return Conditional(*parse_conditional_parts(text))
 
     def parse_query(self, text: str) -> tuple[Conditional, "KnowledgeBase"]:
-        """Parse ``A |~ B``, extending the signature with new query atoms.
+        """Parse ``A |~ B`` and pick the knowledge base to answer it on.
 
-        Returns the query and the knowledge base to answer it on: a
-        fresh one when the signature grew (this instance is never mutated),
-        otherwise this instance itself.  Default ranks are unaffected by
-        fresh atoms, so rankings computed before and after agree.
+        Returns the query and that KB: a fresh one whose signature lists the
+        query's new atoms after this KB's when it has any, otherwise this
+        instance itself.  Default ranks are unaffected by fresh atoms, so
+        rankings computed before and after agree.
         """
         query = self.read_query(text)
         return query, self._kb_for(query, range(len(self)), self.signature)
@@ -230,18 +230,19 @@ def parse_kb(
 
     ``#`` starts a comment; blank lines are ignored; line order defines the
     0-based default indices.  Parse errors carry the 1-based line number.
+    The signature lists the atoms in the order they first occur in the
+    defaults, each default's antecedent before its consequent.
     """
-    sig = Signature()
     conditionals: list[Conditional] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            antecedent, consequent = parse_conditional_parts(line, sig)
+            conditionals.append(Conditional(*parse_conditional_parts(line)))
         except ParseError as exc:
             raise ParseError(exc.message, exc.offset, lineno) from None
-        conditionals.append(Conditional(antecedent, consequent))
+    sig = Signature(name for c in conditionals for name in c.atoms())
     return KnowledgeBase(conditionals, sig, max_atoms=max_atoms, max_defaults=max_defaults)
 
 

@@ -71,7 +71,7 @@ class RankedModel:
         return next((stratum & a for stratum in self.strata if stratum & a), 0)
 
 
-@per_kb("min_canonical")
+@per_kb("min_canonical", lambda rt=None: rt)
 def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:
     """The minimal canonical ranked model of a satisfiable KB.
 
@@ -79,7 +79,9 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
     materialization (exactly the compatible ones over a finite signature),
     and stratum r holds those first admitted at chain position r.  Equal
     consecutive chain masks make the chain stable, so only the last position
-    can admit no world; that empty stratum is dropped.
+    can admit no world; that empty stratum is dropped.  The memo is keyed on
+    ``rt`` (None for the KB's own table), so a table passed in never stands
+    in for the KB's own.
     """
     rt = rt or compute_ranking(kb)
     worlds = rt.worlds

@@ -214,7 +214,7 @@ def test_criterion_8_relevant_closure():
         assert ask(CONFLICT_KB_TEXT, conflict_query, BASIC) is False
         assert ask(CONFLICT_KB_TEXT, conflict_query, MINIMAL) is False
         kb = parse_kb(CONFLICT_KB_TEXT)
-        antecedent = parse_formula("Employee & Student", kb.signature.copy())
+        antecedent = parse_formula("Employee & Student")
         assert {tuple(mask_indices(j)) for j in find_justifications(kb, antecedent)} == {
             (0, 2), (1, 2),
         }
@@ -247,11 +247,10 @@ def test_criterion_10_postulate_suite(random_suite):
         assert elapsed < 60.0
 
         kb = parse_kb(MERRY_KB_TEXT)
-        sig = kb.signature.copy()
         triple = (
-            parse_formula("Student & Adult", sig),
-            parse_formula("!Young", sig),
-            parse_formula("Young <-> Merry", sig),
+            parse_formula("Student & Adult"),
+            parse_formula("!Young"),
+            parse_formula("Young <-> Merry"),
         )
         (record,) = check_postulates(kb, "mp", [triple], ("RM",))
         assert record.violated, "expected rational-monotonicity failure was not flagged"

@@ -13,6 +13,7 @@ from defq import (
     MINIMAL,
     MP,
     KbGenerator,
+    closure_query,
     compare_all,
     compute_ranking,
     enumerate_bases,
@@ -29,7 +30,7 @@ from defq import (
     relevant_trace,
 )
 from defq.closures import _consistent_inclusion_maximal
-from defq.harness import brewka_subset_less
+from defq.harness import brewka_subset_less, check_postulates
 from defq.logic import mask_indices
 from reference import default_mask, partition, set_tuple_less, true_atoms, view, violated
 
@@ -544,3 +545,22 @@ class TestSubsetStrategy:
                 expected = set_tuple_less(v1, v2)
                 assert mp_less_serious(default_mask(s1), default_mask(s2), rt) == expected
                 assert brewka_subset_less(j1, j2, kb, rt) == expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda kb, rt, q: enumerate_bases(kb, rt, q.antecedent, "set"), "unknown ordering 'set'"),
+        (lambda kb, rt, q: relevant_trace(kb, rt, q, "maximal"), "unknown variant 'maximal'"),
+        (lambda kb, rt, q: closure_query(kb, rt, "z"), "unknown method 'z'"),
+        (
+            lambda kb, rt, q: check_postulates(kb, "mp", [(q.antecedent,) * 3], ("Transitivity",)),
+            "unknown postulate 'Transitivity'",
+        ),
+    ],
+    ids=["enumerate_bases", "relevant_trace", "closure_query", "check_postulates"],
+)
+def test_an_unknown_name_is_a_value_error(taxes_kb, call, message):
+    query, kb = taxes_kb.parse_query("Student |~ Young")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(kb, compute_ranking(kb), query)

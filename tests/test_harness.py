@@ -85,17 +85,12 @@ class TestCompareAll:
 
 
 class TestPostulates:
-    def triple(self, kb, a, b, c):
-        sig = kb.signature.copy()
-        return (
-            parse_formula(a, sig),
-            parse_formula(b, sig),
-            parse_formula(c, sig),
-        )
+    def triple(self, a, b, c):
+        return (parse_formula(a), parse_formula(b), parse_formula(c))
 
     def test_rational_monotonicity_fails_for_mp_on_merry_kb(self, merry_kb):
         triples = [
-            self.triple(merry_kb, "Student & Adult", "!Young", "Young <-> Merry")
+            self.triple("Student & Adult", "!Young", "Young <-> Merry")
         ]
         records = check_postulates(merry_kb, "mp", triples, ("RM",))
         (record,) = records
@@ -105,7 +100,7 @@ class TestPostulates:
 
     def test_same_triple_does_not_violate_rm_for_lc(self, merry_kb):
         triples = [
-            self.triple(merry_kb, "Student & Adult", "!Young", "Young <-> Merry")
+            self.triple("Student & Adult", "!Young", "Young <-> Merry")
         ]
         (record,) = check_postulates(merry_kb, "lc", triples, ("RM",))
         assert not record.violated
@@ -114,7 +109,7 @@ class TestPostulates:
         (record,) = check_postulates(
             merry_kb,
             "mpr",
-            [self.triple(merry_kb, "Student & Adult", "!Young", "Young <-> Merry")],
+            [self.triple("Student & Adult", "!Young", "Young <-> Merry")],
             ("RM",),
         )
         assert not record.violated
@@ -122,8 +117,8 @@ class TestPostulates:
     @pytest.mark.parametrize("method", ["rc", "mp", "lc", "mpr"])
     def test_reflexivity_always_holds(self, conflict_kb, method):
         triples = [
-            self.triple(conflict_kb, "Student", "Employee", "Young"),
-            self.triple(conflict_kb, "false", "Young", "Busy"),
+            self.triple("Student", "Employee", "Young"),
+            self.triple("false", "Young", "Busy"),
         ]
         for record in check_postulates(conflict_kb, method, triples, ("Refl",)):
             assert record.holds

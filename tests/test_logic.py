@@ -1,6 +1,7 @@
 """Propositional core: parsing, truth masks against the reference evaluation, entailment."""
 
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from defq import (
     FALSE,
     TRUE,
     Formula,
+    KbGenerator,
     ParseError,
     Signature,
     SizeCapExceeded,
@@ -29,6 +31,7 @@ from defq.logic import (
     MAX_NESTING,
     _is_atom_name,
     _tokenize,
+    atoms_of,
     mask_indices,
     parse_conditional_parts,
 )
@@ -36,7 +39,7 @@ from reference import entails, evaluate, is_consistent, valuation
 
 
 def parse(text: str) -> Formula:
-    return parse_formula(text, Signature())
+    return parse_formula(text)
 
 
 class TestParser:
@@ -80,21 +83,19 @@ class TestParser:
             parse("a b")
 
     def test_atoms_accumulate_in_textual_order(self):
-        sig = Signature()
-        parse_formula("x & (y | x) -> z", sig)
-        assert sig.atoms == ("x", "y", "z")
+        f = parse("x & (y | x) -> z")
+        assert Signature(atoms_of(f)).atoms == ("x", "y", "z")
 
     def test_conditional_splits_on_single_arrow(self):
-        sig = Signature()
-        a, c = parse_conditional_parts("p & q |~ r | s", sig)
+        a, c = parse_conditional_parts("p & q |~ r | s")
         assert a == land(atom("p"), atom("q"))
         assert c == lor(atom("r"), atom("s"))
 
     def test_conditional_rejects_missing_or_duplicate_arrow(self):
         with pytest.raises(ParseError):
-            parse_conditional_parts("p & q", Signature())
+            parse_conditional_parts("p & q")
         with pytest.raises(ParseError):
-            parse_conditional_parts("p |~ q |~ r", Signature())
+            parse_conditional_parts("p |~ q |~ r")
 
 
 # The grammar's tokens as one regular expression, the tokenizer's reference:
@@ -182,7 +183,7 @@ PARSE_ERRORS = [
 def test_parse_error_text(function, text, message, offset):
     parse_fn = parse_formula if function == "formula" else parse_conditional_parts
     with pytest.raises(ParseError) as exc:
-        parse_fn(text, Signature())
+        parse_fn(text)
     assert (str(exc.value), exc.value.offset, exc.value.line) == (
         f"offset {offset}: {message}", offset, None,
     )
@@ -194,6 +195,48 @@ def test_kb_parse_error_text_names_the_line():
     assert (str(exc.value), exc.value.offset, exc.value.line) == (
         "line 4, offset 3: expected ')'", 3, 4,
     )
+
+
+SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.kb"))
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def generated_kb_texts():
+    gen = KbGenerator(seed=343434, max_atoms=6, max_defaults=8)
+    for index in range(30):
+        yield "\n".join(c.text() for c in gen.knowledge_base(index)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*(path.read_text() for path in SAMPLES), *generated_kb_texts()],
+    ids=[*(path.stem for path in SAMPLES), *(f"generated-{i}" for i in range(30))],
+)
+def test_kb_signature_lists_atoms_in_first_occurrence_order(text):
+    names = (
+        name
+        for line in text.splitlines()
+        for name in IDENT.findall(line.split("#", 1)[0])
+        if name not in ("true", "false")
+    )
+    assert parse_kb(text).signature.atoms == tuple(dict.fromkeys(names))
+
+
+class TestSignature:
+    def test_names_keep_their_first_occurrence_order(self):
+        sig = Signature(["b", "a", "b", "c", "a"])
+        assert sig.atoms == ("b", "a", "c")
+        assert [sig.index(name) for name in "bac"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", ["", "1a", "a-b", "é", "a b"])
+    def test_invalid_names_are_refused(self, name):
+        with pytest.raises(ValueError, match="invalid atom name"):
+            Signature(["a", name])
+
+    def test_has_no_mutator(self):
+        assert not hasattr(Signature(), "add") and not hasattr(Signature(), "copy")
+        with pytest.raises(AttributeError):
+            Signature().extra = 1
 
 
 class TestNestingCap:
@@ -213,10 +256,9 @@ class TestNestingCap:
 
     def test_formulas_at_the_cap_parse_print_and_mask(self):
         for at_cap, _ in self.deep().values():
-            sig = Signature()
-            f = parse_formula(at_cap, sig)
-            assert parse_formula(to_text(f), Signature()) == f
-            TruthTable(sig).mask(f)
+            f = parse_formula(at_cap)
+            assert parse_formula(to_text(f)) == f
+            TruthTable(Signature(atoms_of(f))).mask(f)
 
     def test_one_level_past_the_cap_is_a_parse_error(self):
         for _, past_cap in self.deep().values():
@@ -225,7 +267,7 @@ class TestNestingCap:
 
     def test_thousands_of_levels_fail_without_recursion_error(self):
         with pytest.raises(ParseError):
-            parse_conditional_parts("!" * 3000 + "a |~ b", Signature())
+            parse_conditional_parts("!" * 3000 + "a |~ b")
 
 
 class TestEvaluate:
@@ -318,14 +360,14 @@ class TestEntailment:
         assert entails(tt, set(), lor(atom("a"), lnot(atom("a"))))
 
     def test_employed_students_are_young(self):
-        sig = Signature()
-        premises = {
-            parse_formula("Student -> Young", sig),
-            parse_formula("Employee & Student -> Pay_Taxes", sig),
-            parse_formula("Employee & Student", sig),
-        }
-        goal = parse_formula("Young", sig)
-        assert entails(TruthTable(sig), premises, goal)
+        premises = [
+            parse_formula("Student -> Young"),
+            parse_formula("Employee & Student -> Pay_Taxes"),
+            parse_formula("Employee & Student"),
+        ]
+        goal = parse_formula("Young")
+        sig = Signature(a for f in [*premises, goal] for a in atoms_of(f))
+        assert entails(TruthTable(sig), set(premises), goal)
 
     def test_inconsistent_pair(self):
         tt = TruthTable(Signature(["a"]))
@@ -343,14 +385,14 @@ class TestEntailment:
         assert entails(tt, {left}, right) and entails(tt, {right}, left)
 
     def test_bright_kb_default_selection_is_consistent(self):
-        sig = Signature()
-        formulas = {
-            parse_formula("Student -> !Pay_Taxes", sig),
-            parse_formula("Student -> Bright", sig),
-            parse_formula("Employee & Student -> Busy", sig),
-            parse_formula("Employee & Student", sig),
-        }
-        assert is_consistent(TruthTable(sig), formulas)
+        formulas = [
+            parse_formula("Student -> !Pay_Taxes"),
+            parse_formula("Student -> Bright"),
+            parse_formula("Employee & Student -> Busy"),
+            parse_formula("Employee & Student"),
+        ]
+        sig = Signature(a for f in formulas for a in atoms_of(f))
+        assert is_consistent(TruthTable(sig), set(formulas))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +425,7 @@ SIG = Signature(ATOM_NAMES)
 
 @given(formulas())
 def test_print_parse_round_trip(f):
-    assert parse_formula(to_text(f), Signature()) == f
+    assert parse_formula(to_text(f)) == f
 
 
 @given(formulas())

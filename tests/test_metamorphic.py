@@ -111,7 +111,7 @@ def test_renaming_atoms_changes_no_answer_or_evidence(pool):
 def test_a_copied_default_changes_no_answer_but_lc(pool):
     for kb, queries in POOLS[pool]():
         for d, c in enumerate(kb):
-            copied = KnowledgeBase([*kb, c], kb.signature.copy())
+            copied = KnowledgeBase([*kb, c], kb.signature)
             rt, copied_rt = compute_ranking(kb), compute_ranking(copied)
             assert copied_rt.default_ranks == (*rt.default_ranks, rt.default_ranks[d])
             for q in queries:

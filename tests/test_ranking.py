@@ -9,7 +9,6 @@ from defq import (
     LC,
     MP,
     KbGenerator,
-    Signature,
     compare_all,
     compute_ranking,
     kb_satisfiable,
@@ -41,8 +40,7 @@ class TestMaterialize:
 
     def test_single_default(self, taxes_kb):
         (formula,) = materialize({2}, taxes_kb)
-        sig = Signature()
-        assert formula == parse_formula("Employee & Student -> Pay_Taxes", sig)
+        assert formula == parse_formula("Employee & Student -> Pay_Taxes")
 
     def test_full_kb_cardinality(self, taxes_kb):
         assert len(materialize(range(len(taxes_kb)), taxes_kb)) == 3
@@ -50,11 +48,11 @@ class TestMaterialize:
 
 class TestExceptionality:
     def test_student_not_exceptional(self, taxes_kb):
-        student = parse_formula("Student", taxes_kb.signature.copy())
+        student = parse_formula("Student")
         assert not is_exceptional(student, range(len(taxes_kb)), taxes_kb)
 
     def test_employed_student_exceptional(self, taxes_kb):
-        es = parse_formula("Employee & Student", taxes_kb.signature.copy())
+        es = parse_formula("Employee & Student")
         assert is_exceptional(es, range(len(taxes_kb)), taxes_kb)
 
     def test_false_always_exceptional(self, taxes_kb):
@@ -98,12 +96,12 @@ class TestRankingConstruction:
 class TestFormulaRank:
     def test_student_rank_zero(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
-        student = parse_formula("Student", taxes_kb.signature.copy())
+        student = parse_formula("Student")
         assert rank_of_formula(student, rt, taxes_kb) == 0
 
     def test_employed_student_rank_one(self, taxes_kb):
         rt = compute_ranking(taxes_kb)
-        es = parse_formula("Employee & Student", taxes_kb.signature.copy())
+        es = parse_formula("Employee & Student")
         assert rank_of_formula(es, rt, taxes_kb) == 1
 
     def test_false_has_infinite_rank(self, taxes_kb):
@@ -121,7 +119,7 @@ class TestFormulaRank:
 class TestFormulaMasks:
     def test_mask_is_built_once_and_kept(self, monkeypatch):
         kb = parse_kb(TAXES_KB_TEXT)
-        f = parse_formula("Employee & !Student | Young", kb.signature.copy())
+        f = parse_formula("Employee & !Student | Young")
         expected = kb.truth.mask(f)
         built = []
         atom_mask = logic._atom_mask

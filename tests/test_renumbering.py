@@ -36,7 +36,7 @@ SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.kb
 def permuted(kb: KnowledgeBase, perm) -> KnowledgeBase:
     """The KB whose default i is ``kb``'s default ``perm[i]``."""
     conditionals = [kb.conditionals[d] for d in perm]
-    return KnowledgeBase(conditionals, kb.signature.copy(), max_defaults=kb.max_defaults)
+    return KnowledgeBase(conditionals, kb.signature, max_defaults=kb.max_defaults)
 
 
 def renumber(perm):

@@ -12,6 +12,7 @@ from defq import (
     KbGenerator,
     PreferentialModel,
     UnsatisfiableKB,
+    compare_all,
     compute_ranking,
     height_ranks,
     layer_ranks,
@@ -42,7 +43,7 @@ from reference import (
 )
 from test_cli import CHILD_ENV
 from test_metamorphic import POOLS
-from test_renumbering import sample_queries
+from test_renumbering import SAMPLES, sample_queries
 
 
 def true_atoms(kb, j):
@@ -524,6 +525,23 @@ class TestFixedPoint:
                     if set_tuple_less(views[x], views[y]):
                         assert rank_of(model, x) < rank_of(model, y)
         assert found > 0
+
+
+SAMPLE_TEXTS = {path.stem: path.read_text() for path in SAMPLES}
+
+
+@pytest.mark.parametrize(
+    "name, other", [(a, b) for a in SAMPLE_TEXTS for b in SAMPLE_TEXTS if a != b]
+)
+def test_a_foreign_ranking_table_leaves_the_kbs_own_model(name, other):
+    # the canonical model is memoized per table: one built from another
+    # KB's table is not the one mpr's violation classes read
+    kb, fresh = parse_kb(SAMPLE_TEXTS[name]), parse_kb(SAMPLE_TEXTS[name])
+    minimal_canonical_model(kb, compute_ranking(parse_kb(SAMPLE_TEXTS[other])))
+    gen = KbGenerator(seed=1)
+    for index, which in itertools.product(range(8), range(5)):
+        query = gen.query(fresh, index, which)
+        assert compare_all(kb, query)["mpr"] == compare_all(fresh, query)["mpr"], query
 
 
 class TestEngineAgreement:
