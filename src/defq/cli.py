@@ -165,15 +165,16 @@ def cmd_rank(args: Namespace) -> int:
 
 
 def _query_evidence(
-    kb: KnowledgeBase, rt, method: str, query: Conditional, kept: Sequence[int], size: int
+    kb: KnowledgeBase, method: str, query: Conditional, kept: Sequence[int], size: int
 ) -> dict[str, Any]:
     """The evidence behind an answer found on ``kb``, the query's part of a
-    KB of ``size`` defaults whose d-th kept default is ``kept[d]`` there.
-    The part's default masks come out as lists of the whole KB's indices:
-    the defaults the part dropped join every base and the relevant
-    remainder."""
+    KB of ``size`` defaults whose d-th kept default is ``kept[d]`` there,
+    read off the part's own ranking.  The part's default masks come out as
+    lists of the whole KB's indices: the defaults the part dropped join
+    every base and the relevant remainder."""
     untouched = sorted(set(range(size)).difference(kept))
     evidence: dict[str, Any] = {}
+    rt = compute_ranking(kb)
     rank_a = rank_of_formula(query.antecedent, rt, kb)
     evidence["antecedent_rank"] = _rank_json(rank_a)
     if method == "rc":  # the rank of A & !B, from the masks the answer kept
@@ -183,7 +184,7 @@ def _query_evidence(
         bases = closures.enumerate_bases(kb, rt, query.antecedent, method)
         evidence["bases"] = sorted(_whole_indices(b, kept, untouched) for b in bases)
     elif method in (closures.BASIC, closures.MINIMAL) and rank_a != INF:
-        trace = closures.relevant_trace(kb, rt, query, method)  # from the kept justifications
+        trace = closures.relevant_trace(kb, query, method)  # from the kept justifications
         evidence["justifications"] = sorted(_whole_indices(j, kept) for j in trace.justifications)
         evidence["relevant"] = _whole_indices(trace.relevant, kept)
         evidence["removed"] = _whole_indices(trace.removed, kept)
@@ -205,13 +206,12 @@ def cmd_query(args: Namespace) -> int:
     else:  # the atom cap applies to the query's part, not to the whole KB
         query = kb.read_query(args.query)
         kb, kept = kb.query_part(query)
-    rt = compute_ranking(kb)
-    ask = closures.closure_query(kb, rt, args.method)  # may import an engine: not timed
+    ask = closures.closure_query(kb, compute_ranking(kb), args.method)  # may import: not timed
     started = time.perf_counter()
     answer = ask(query)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if args.json or args.explain:
-        evidence = _query_evidence(kb, rt, args.method, query, kept, size)
+        evidence = _query_evidence(kb, args.method, query, kept, size)
     if args.json:
         _emit_json(
             {
@@ -237,8 +237,7 @@ def cmd_bases(args: Namespace) -> int:
     # atom cap applies to its truth table, as in cmd_query
     query = Conditional(antecedent, TRUE)
     kb, kept = whole.query_part(query)
-    rt = compute_ranking(kb)
-    bases = _query_evidence(kb, rt, args.method, query, kept, len(whole)).get("bases")
+    bases = _query_evidence(kb, args.method, query, kept, len(whole)).get("bases")
     if args.json:
         payload = {"antecedent": to_text(antecedent), "method": args.method, "bases": bases}
         if bases is None:  # the antecedent has infinite rank

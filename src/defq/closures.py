@@ -144,7 +144,6 @@ def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[int]:
     return found
 
 
-@per_kb("bases", lambda rt, antecedent, ordering: (ordering, antecedent))
 def enumerate_bases(
     kb: KnowledgeBase, rt: RankingTable, antecedent: Formula, ordering: str
 ) -> tuple[int, ...]:
@@ -153,8 +152,18 @@ def enumerate_bases(
 
     The antecedent must have finite rank (callers decide rank-infinite
     queries without bases).  The result is never empty and is sorted by
-    index list for reproducible output.
+    index list for reproducible output.  ``rt``, kept for the benchmark's
+    tracer, must be ``compute_ranking(kb)``: another table raises
+    ``ValueError`` before the memo is read.
     """
+    if rt is not compute_ranking(kb):
+        raise ValueError("rt is not this knowledge base's own ranking table")
+    return _bases(kb, antecedent, ordering)
+
+
+@per_kb("bases", lambda antecedent, ordering: (ordering, antecedent))
+def _bases(kb: KnowledgeBase, antecedent: Formula, ordering: str) -> tuple[int, ...]:
+    rt = compute_ranking(kb)
     if ordering not in (LC, MP):
         raise ValueError(f"unknown ordering {ordering!r}")
     if rank_of_formula(antecedent, rt, kb) == INF:
@@ -169,9 +178,8 @@ def enumerate_bases(
     return tuple(sorted(bases, key=_index_order))
 
 
-def _skeptical_over_bases(
-    kb: KnowledgeBase, rt: RankingTable, query: Conditional, ordering: str
-) -> bool:
+def _skeptical_over_bases(kb: KnowledgeBase, query: Conditional, ordering: str) -> bool:
+    rt = compute_ranking(kb)
     if rank_of_formula(query.antecedent, rt, kb) == INF:
         return True
     counter_models = kb.mask(query.antecedent) & ~kb.mask(query.consequent)
@@ -181,16 +189,16 @@ def _skeptical_over_bases(
     )
 
 
-def lc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
+def lc_query(kb: KnowledgeBase, query: Conditional) -> bool:
     """Lexicographic-closure membership: the consequent follows from every
-    count-ordering basis for the antecedent."""
-    return _skeptical_over_bases(kb, rt, query, LC)
+    count-ordering basis for the antecedent under the KB's own ranking."""
+    return _skeptical_over_bases(kb, query, LC)
 
 
-def mp_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
+def mp_query(kb: KnowledgeBase, query: Conditional) -> bool:
     """MP-closure membership: the consequent follows from every set-ordering
-    basis for the antecedent."""
-    return _skeptical_over_bases(kb, rt, query, MP)
+    basis for the antecedent under the KB's own ranking."""
+    return _skeptical_over_bases(kb, query, MP)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +254,11 @@ class RelevantTrace(NamedTuple):
     answer: bool
 
 
-def relevant_trace(
-    kb: KnowledgeBase, rt: RankingTable, query: Conditional, variant: str
-) -> RelevantTrace:
+def relevant_trace(kb: KnowledgeBase, query: Conditional, variant: str) -> RelevantTrace:
     """Run the relevant-closure procedure of ``variant``, the method id
-    ``BASIC`` or ``MINIMAL``, and keep its intermediate sets.  Nothing here
-    is memoized but the justifications, so tracing a query again costs a
-    few mask ANDs.
+    ``BASIC`` or ``MINIMAL``, on the KB's own ranking, and keep its
+    intermediate sets.  Nothing here is memoized but the justifications (and
+    the ranking), so tracing a query again costs a few mask ANDs.
 
     The relevant set is the union of the justifications (basic variant) or of
     their lowest-rank slices (minimal variant: each justification ANDed with
@@ -270,6 +276,7 @@ def relevant_trace(
     """
     if variant not in (BASIC, MINIMAL):
         raise ValueError(f"unknown variant {variant!r}")
+    rt = compute_ranking(kb)
     antecedent = query.antecedent
     if rank_of_formula(antecedent, rt, kb) == INF:
         raise ValueError("antecedent has infinite rank; no relevant closure trace exists")
@@ -299,43 +306,43 @@ def relevant_trace(
     )
 
 
-def relevant_query(
-    kb: KnowledgeBase, rt: RankingTable, query: Conditional, variant: str
-) -> bool:
+def relevant_query(kb: KnowledgeBase, query: Conditional, variant: str) -> bool:
     """Basic or minimal relevant-closure membership.
 
     Rank-infinite antecedents are accepted outright, mirroring the other
     closures on impossible antecedents.
     """
-    if rank_of_formula(query.antecedent, rt, kb) == INF:
+    if rank_of_formula(query.antecedent, compute_ranking(kb), kb) == INF:
         return True
-    return relevant_trace(kb, rt, query, variant).answer
+    return relevant_trace(kb, query, variant).answer
 
 
 def closure_query(
     kb: KnowledgeBase, rt: RankingTable, method: str
 ) -> Callable[[Conditional], bool]:
-    """Query function for one of the six engines, by CLI method id."""
+    """Query function for one of the six engines, by CLI method id.  ``rt``,
+    kept for the benchmark, must be ``compute_ranking(kb)``: else ValueError."""
+    if rt is not compute_ranking(kb):
+        raise ValueError("rt is not this knowledge base's own ranking table")
     if method == "rc":
-        return lambda q: rc_query(kb, rt, q)
+        return lambda q: rc_query(kb, q)
     if method == "mp":
-        return lambda q: mp_query(kb, rt, q)
+        return lambda q: mp_query(kb, q)
     if method == "lc":
-        return lambda q: lc_query(kb, rt, q)
+        return lambda q: lc_query(kb, q)
     if method in (BASIC, MINIMAL):
-        return lambda q: relevant_query(kb, rt, q, method)
+        return lambda q: relevant_query(kb, q, method)
     if method == "mpr":
         from .semantics import mpr_query  # the model engine loads only when asked for
 
-        return lambda q: mpr_query(kb, rt, q)
+        return lambda q: mpr_query(kb, q)
     raise ValueError(f"unknown method {method!r}")
 
 
 def compare_all(kb: KnowledgeBase, query: Conditional) -> dict[str, bool]:
     """Run all six engines on one query: each method's answer, in
     ``METHODS`` order."""
-    rt = compute_ranking(kb)
-    return {method: closure_query(kb, rt, method)(query) for method in METHODS}
+    return {method: closure_query(kb, compute_ranking(kb), method)(query) for method in METHODS}
 
 
 def __getattr__(name: str):

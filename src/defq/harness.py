@@ -7,9 +7,9 @@ through ``check_kb``, which compares the answers of ``closures.compare_all``
 with each engine's model-based counterpart and mp's with the oracle, verifies
 the inclusion chain between the six relations, the ordering coarseness and
 world-comparator equivalences, and the expected inference postulates.  All
-generation is deterministic per seed so failures are replayable.  Each
-routine here is handed a KB alone and reads its ranking through
-``compute_ranking``, which keeps one per KB.
+generation is deterministic per seed so failures are replayable.  Every
+routine here, the world comparator too, is handed no ranking table: it
+reads the KB's own through ``compute_ranking``, which keeps one per KB.
 
 mp's and mpr's model-based counterparts are the reference construction,
 off the engine path: MP's order on the violation classes held as one world
@@ -55,7 +55,6 @@ from .ranking import (
     INF,
     Conditional,
     KnowledgeBase,
-    RankingTable,
     compute_ranking,
     kb_satisfiable,
     rank_of_formula,
@@ -153,8 +152,7 @@ def check_postulates(
     Premises are evaluated with the same engine; a record is a violation only
     when its premises hold and its conclusion fails.
     """
-    rt = compute_ranking(kb)
-    q = closure_query(kb, rt, method)
+    q = closure_query(kb, compute_ranking(kb), method)
     records = []
     for a, b, c in triples:
         texts = to_text(a), to_text(b), to_text(c)
@@ -528,10 +526,11 @@ def cross_check(
 # ---------------------------------------------------------------------------
 
 
-def _satisfied_slices(j: int, kb: KnowledgeBase, rt: RankingTable) -> list[int]:
+def _satisfied_slices(j: int, kb: KnowledgeBase) -> list[int]:
     """Per-rank masks of the defaults satisfied at valuation index j (bit d
     for default d), ranks ascending with the infinite slice last (treated as
     the highest rank)."""
+    rt = compute_ranking(kb)
     rank_values = list(range(rt.order_k)) + [INF]
     return [
         sum(
@@ -559,7 +558,7 @@ def _subset_less(s1: Sequence[int], s2: Sequence[int]) -> bool:
     return False
 
 
-def brewka_subset_less(j1: int, j2: int, kb: KnowledgeBase, rt: RankingTable) -> bool:
+def brewka_subset_less(j1: int, j2: int, kb: KnowledgeBase) -> bool:
     """Strict subset-strategy preference between the valuations with
     indices j1 and j2.
 
@@ -567,10 +566,10 @@ def brewka_subset_less(j1: int, j2: int, kb: KnowledgeBase, rt: RankingTable) ->
     slice highest), and the valuations are compared by ``_subset_less`` on
     their per-rank satisfied sets.  This is an independent route to the set
     ordering on violation sets: its slices come from ``default_masks`` and
-    ``default_ranks``, not from ``rt.slices``, and it is tested for
-    agreement with the set ordering pair by pair.
+    the KB's own ``default_ranks``, not from its ``slices``, and it is
+    tested for agreement with the set ordering pair by pair.
     """
-    return _subset_less(_satisfied_slices(j1, kb, rt), _satisfied_slices(j2, kb, rt))
+    return _subset_less(_satisfied_slices(j1, kb), _satisfied_slices(j2, kb))
 
 
 def _ordering_problems(kb: KnowledgeBase) -> tuple[list[str], int]:
@@ -595,7 +594,7 @@ def _ordering_problems(kb: KnowledgeBase) -> tuple[list[str], int]:
         sum(1 << d for d, mask in enumerate(kb.default_masks) if not mask >> j & 1)
         for j in valuations
     ]
-    satisfied = [_satisfied_slices(j, kb, rt) for j in valuations]
+    satisfied = [_satisfied_slices(j, kb) for j in valuations]
     for j1, (v1, s1) in enumerate(zip(violated, satisfied)):
         for j2, (v2, s2) in enumerate(zip(violated, satisfied)):
             checks += 1

@@ -315,7 +315,7 @@ def rank_of_formula(a: Formula, rt: RankingTable, kb: KnowledgeBase) -> Rank:
     return mask_rank(kb.mask(a), rt)
 
 
-def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
+def rc_query(kb: KnowledgeBase, query: Conditional) -> bool:
     """Rational-closure membership of ``A |~ B``.
 
     Accepts iff rank(A) < rank(A & !B), or rank(A) is infinite.  ``INF`` is
@@ -323,6 +323,7 @@ def rc_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
     clause alone.  Both ranks are taken on truth masks, so no formula is
     built for A & !B.
     """
+    rt = compute_ranking(kb)
     a = kb.mask(query.antecedent)
     rank_a = mask_rank(a, rt)
     if rank_a == INF:

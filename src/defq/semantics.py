@@ -71,7 +71,7 @@ class RankedModel:
         return next((stratum & a for stratum in self.strata if stratum & a), 0)
 
 
-@per_kb("min_canonical", lambda rt=None: rt)
+@per_kb("min_canonical", lambda table=None: table)
 def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:
     """The minimal canonical ranked model of a satisfiable KB.
 
@@ -174,7 +174,7 @@ def least_height_worlds(kb: KnowledgeBase, a: int) -> int:
     return minimal
 
 
-def mpr_query(kb: KnowledgeBase, rt: RankingTable, query: Conditional) -> bool:
+def mpr_query(kb: KnowledgeBase, query: Conditional) -> bool:
     """Membership in the rational extension of the MP closure: the consequent
     holds at every least-height antecedent world (``least_height_worlds``)."""
     minimal = least_height_worlds(kb, kb.mask(query.antecedent))

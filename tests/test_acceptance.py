@@ -83,16 +83,15 @@ def criterion(number: int, label: str):
 def ask(kb_text: str, query_text: str, method: str) -> bool:
     kb = parse_kb(kb_text)
     query, kb = kb.parse_query(query_text)
-    rt = compute_ranking(kb)
     if method == "rc":
-        return rc_query(kb, rt, query)
+        return rc_query(kb, query)
     if method == "mp":
-        return mp_query(kb, rt, query)
+        return mp_query(kb, query)
     if method == "lc":
-        return lc_query(kb, rt, query)
+        return lc_query(kb, query)
     if method == "mpr":
-        return mpr_query(kb, rt, query)
-    return relevant_query(kb, rt, query, method)
+        return mpr_query(kb, query)
+    return relevant_query(kb, query, method)
 
 
 def bases_of(kb_text: str, antecedent: str, ordering: str) -> set:

@@ -76,7 +76,7 @@ def renamed_conditional(c: Conditional, names: dict) -> Conditional:
 def evidence(kb: KnowledgeBase, method: str, query: Conditional) -> dict:
     """The answer and the whole-KB evidence ``defq query --json`` gives."""
     rt = compute_ranking(kb)
-    found = _query_evidence(kb, rt, method, query, range(len(kb)), len(kb))
+    found = _query_evidence(kb, method, query, range(len(kb)), len(kb))
     return {"answer": closure_query(kb, rt, method)(query), **found}
 
 

@@ -75,8 +75,8 @@ def test_part_answers_and_evidence_match_the_whole_kb():
                 assert closure_query(part, part_rt, method)(query) == answer, (
                     seed, query.text(), method,
                 )
-                expected = _query_evidence(kb, rt, method, query, everything, len(kb))
-                got = _query_evidence(part, part_rt, method, query, kept, len(kb))
+                expected = _query_evidence(kb, method, query, everything, len(kb))
+                got = _query_evidence(part, method, query, kept, len(kb))
                 assert got == expected, (seed, query.text(), method)
                 with_evidence += len(expected) > 1
                 checked += 1

@@ -172,23 +172,21 @@ class TestPerKbMemo:
 class TestRcQuery:
     def test_italian_students_dont_pay(self, taxes_kb):
         query, kb = taxes_kb.parse_query("Student & Italian |~ !Pay_Taxes")
-        assert rc_query(kb, compute_ranking(kb), query)
+        assert rc_query(kb, query)
 
     def test_employed_students_young_undecided(self, taxes_kb):
-        rt = compute_ranking(taxes_kb)
         q_young, _ = taxes_kb.parse_query("Employee & Student |~ Young")
         q_not_young, _ = taxes_kb.parse_query("Employee & Student |~ !Young")
-        assert not rc_query(taxes_kb, rt, q_young)
-        assert not rc_query(taxes_kb, rt, q_not_young)
+        assert not rc_query(taxes_kb, q_young)
+        assert not rc_query(taxes_kb, q_not_young)
 
     def test_impossible_antecedent_accepts_anything(self, taxes_kb):
-        rt = compute_ranking(taxes_kb)
         query = Conditional(FALSE, atom("Young"))
-        assert rc_query(taxes_kb, rt, query)
+        assert rc_query(taxes_kb, query)
 
     def test_specific_subclass_pays(self, taxes_kb):
         query, kb = taxes_kb.parse_query("Employee & Student & Italian |~ Pay_Taxes")
-        assert rc_query(kb, compute_ranking(kb), query)
+        assert rc_query(kb, query)
 
 
 class TestRankingProperties:
@@ -215,7 +213,7 @@ class TestRankingProperties:
         gen = KbGenerator(seed=8)
         for w in range(6):
             a = gen.query(kb, 0, w).antecedent
-            accepted = rc_query(kb, rt, Conditional(TRUE, lnot(a)))
+            accepted = rc_query(kb, Conditional(TRUE, lnot(a)))
             rank_a = rank_of_formula(a, rt, kb)
             assert accepted == (rank_a >= 1 or rank_a == INF)
 
@@ -226,7 +224,7 @@ class TestRankingProperties:
         contradiction = land(atom(kb.signature.atoms[0]), lnot(atom(kb.signature.atoms[0]))) \
             if len(kb.signature) else FALSE
         assert rank_of_formula(contradiction, rt, kb) == INF
-        assert rc_query(kb, rt, Conditional(contradiction, FALSE))
+        assert rc_query(kb, Conditional(contradiction, FALSE))
 
     @pytest.mark.parametrize("kb_index", range(25))
     def test_world_masks_and_formula_ranks_follow_the_chain(self, kb_index):

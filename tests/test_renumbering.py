@@ -86,8 +86,8 @@ def assert_renumbering_changes_nothing(kb: KnowledgeBase, perm, queries) -> int:
         new_justifications = find_justifications(new, q.antecedent)
         assert sorted(new_justifications) == sorted(m(j) for j in justifications)
         for variant in (BASIC, MINIMAL):
-            trace = relevant_trace(kb, rt, q, variant)
-            new_trace = relevant_trace(new, new_rt, q, variant)
+            trace = relevant_trace(kb, q, variant)
+            new_trace = relevant_trace(new, q, variant)
             assert new_trace.answer == trace.answer
             for field in ("relevant", "removed", "remainder"):
                 assert getattr(new_trace, field) == m(getattr(trace, field)), field

@@ -42,7 +42,7 @@ from reference import (
     violated,
 )
 from test_cli import CHILD_ENV
-from test_metamorphic import POOLS
+from test_metamorphic import POOLS, SAMPLES
 from test_renumbering import SAMPLES, sample_queries
 
 
@@ -134,6 +134,25 @@ class TestMinimalCanonicalModel:
 
     def test_unsatisfiable_kb_raises(self):
         kb = parse_kb("true |~ a\ntrue |~ !a\n")
+        with pytest.raises(UnsatisfiableKB):
+            minimal_canonical_model(kb)
+
+    def test_world_mask_equals_the_stable_chain_worlds(self):
+        # so the compatible worlds can be read off the ranking alone
+        kbs = [parse_kb(path.read_text()) for path in SAMPLES]
+        kbs += [
+            KbGenerator(seed, max_atoms=atoms, max_defaults=defaults).knowledge_base(index)
+            for atoms, defaults in ((4, 6), (5, 8), (6, 10))
+            for seed in range(3)
+            for index in range(30)
+        ]
+        assert len(kbs) == 275
+        for kb in kbs:
+            assert minimal_canonical_model(kb).world_mask == compute_ranking(kb).worlds[-1]
+
+    def test_unsatisfiable_kb_has_no_stable_worlds(self):
+        kb = parse_kb("true |~ a\ntrue |~ !a\n")
+        assert compute_ranking(kb).worlds[-1] == 0
         with pytest.raises(UnsatisfiableKB):
             minimal_canonical_model(kb)
 
@@ -404,29 +423,26 @@ class TestCanonicalMinimality:
 
 class TestMprQueries:
     def test_merry_kb_accepts_young(self, merry_kb):
-        rt = compute_ranking(merry_kb)
         query, _ = merry_kb.parse_query("Student & Adult |~ Young")
-        assert mpr_query(merry_kb, rt, query) is True
-        assert mp_query(merry_kb, rt, query) is False
+        assert mpr_query(merry_kb, query) is True
+        assert mp_query(merry_kb, query) is False
 
     def test_redundant_kb_disagrees_with_count_ordering(self, redundant_kb):
-        rt = compute_ranking(redundant_kb)
         q_not_e, _ = redundant_kb.parse_query("a & c |~ !e")
         q_e, _ = redundant_kb.parse_query("a & c |~ e")
-        assert mpr_query(redundant_kb, rt, q_not_e) is True
-        assert mpr_query(redundant_kb, rt, q_e) is False
-        assert lc_query(redundant_kb, rt, q_not_e) is False
-        assert lc_query(redundant_kb, rt, q_e) is True
+        assert mpr_query(redundant_kb, q_not_e) is True
+        assert mpr_query(redundant_kb, q_e) is False
+        assert lc_query(redundant_kb, q_not_e) is False
+        assert lc_query(redundant_kb, q_e) is True
 
     def test_mpr_contains_mp_on_random_pool(self):
         gen = KbGenerator(seed=616161)
         for index in range(20):
             kb = gen.knowledge_base(index)
-            rt = compute_ranking(kb)
             for w in range(5):
                 q = gen.query(kb, index, w)
-                if mp_query(kb, rt, q):
-                    assert mpr_query(kb, rt, q)
+                if mp_query(kb, q):
+                    assert mpr_query(kb, q)
 
 
 class TestLeastHeightWorlds:
@@ -467,10 +483,9 @@ class TestLeastHeightWorlds:
             return split(kb, within)
 
         monkeypatch.setattr(semantics, "violation_classes", counted)
-        rt = compute_ranking(merry_kb)
         queries = [*merry_kb.conditionals, *sample_queries(merry_kb)]
         for q in queries:
-            mpr_query(merry_kb, rt, q)
+            mpr_query(merry_kb, q)
         full = merry_kb.truth.full
         antecedents = [merry_kb.mask(q.antecedent) for q in queries]
         assert len(set(antecedents)) < len(antecedents)  # some antecedent comes back
@@ -557,8 +572,8 @@ class TestEngineAgreement:
             refined = preferential_refinement(kb)
             for w in range(5):
                 q = gen.query(kb, index, w)
-                assert rc_query(kb, rt, q) == satisfies(canonical, q)
-                assert mp_query(kb, rt, q) == satisfies(refined, q)
+                assert rc_query(kb, q) == satisfies(canonical, q)
+                assert mp_query(kb, q) == satisfies(refined, q)
 
 
 REFERENCE_NAMES = (
