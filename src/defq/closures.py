@@ -14,12 +14,12 @@ minimal relevant closures built on them, and the six engines by CLI method
 id, one at a time or all six on one query.
 
 All four closures read one family of default sets, those consistent with
-the antecedent, and one depth-first search over the KB's default masks
-lists its inclusion-maximal members.  The orderings filter them into bases;
-the justifications are the minimal sets outside the family, that is, the
-minimal hitting sets of their complements.  The search cuts every subtree
-that cannot hold an answer and holds only its current path, so memory
-grows with the number of defaults, not with the number of subsets.
+the antecedent.  One loop, ``consistent_family``, lists both of its borders:
+the inclusion-maximal consistent sets, which the orderings filter into
+bases, and the minimal sets outside the family (the justifications), which
+are the minimal hitting sets of the maximal sets' complements.  The loop
+grows a set only into a new maximal one, so its rounds follow the two
+borders, not the subsets of the KB.
 """
 
 from __future__ import annotations
@@ -78,70 +78,79 @@ def _index_order(members: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _consistent_inclusion_maximal(kb: KnowledgeBase, start: int) -> list[int]:
-    """Inclusion-maximal default sets whose materialization is consistent
-    with the antecedent, whose truth mask is ``start``.
+@per_kb("family", lambda antecedent: antecedent)
+def consistent_family(
+    kb: KnowledgeBase, antecedent: Formula
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(maximal, refuting)``: the inclusion-maximal default sets whose
+    materialization is consistent with the antecedent, and the
+    inclusion-minimal ones that refute it (the justifications), each as
+    default masks sorted by index list.
 
-    Every ordering-maximal set is inclusion-maximal (supersets dominate in
-    both orderings), so the search space can be narrowed here.  The search
-    decides the defaults one by one, by how few of the ``start`` worlds
-    their mask keeps, so the ones the antecedent triggers are decided
-    first.  Past them the suffix AND is usually consistent with the running
-    mask and the cuts fire near the root; in index order an antecedent whose
-    conflicts sit at the end of the file costs thousands of nodes.  The
-    search carries ``chosen``, the default mask of the defaults included so
-    far, and ``mask``, the antecedent AND their truth masks; ``m_i`` is the
-    truth mask of the default at position i, and ``suffix[i]`` the AND of
-    the masks at positions >= i (``suffix[len(kb)]`` is the full mask).  A
-    set S is inclusion-maximal iff its mask is nonzero and meets the mask of
-    no default outside S.  Each rule below holds for any fixed order and
-    drops only subtrees holding no such set, and at a leaf (i = len(kb))
-    the third rule is exactly that test, so the leaves reached are the
-    inclusion-maximal sets:
+    A set refutes the antecedent iff it lies inside no maximal consistent
+    set, that is, iff it meets the complement of each, so the justifications
+    are the minimal hitting sets of those complements (Reiter 1987).  One
+    loop finds both families (Bailey & Stuckey, "dualize and advance",
+    PADL 2005).  It keeps the minimal hitting sets of the complements of the
+    maximal sets found so far, starting from the empty set, and pops them
+    one at a time:
 
-    - include i only when ``mask & m_i != 0``: the mask only shrinks along
-      a path, so an empty mask stays empty;
-    - exclude i only when ``mask & m_i != mask``: otherwise every
-      completion's mask lies inside ``m_i``, so i could be added back;
-    - cut when ``floor = mask & suffix[i]`` meets ``m_d`` for an excluded
-      d: every completion keeps ``floor`` inside its mask, so d could be
-      added back.  Including i leaves ``floor`` as it was (``mask & m_i &
-      suffix[i + 1]`` is ``mask & suffix[i]``), so the test runs only after
-      an exclusion.
+    - a consistent one grows, default by default in index order, into a
+      maximal consistent set, which is new because the set it grew from
+      meets every complement found before;
+    - an inconsistent one is a justification, since each proper subset
+      misses some complement, so lies inside a maximal set.
 
-    Only the current path is held, so memory grows with the number of
-    defaults, not with the number of leaves.
+    A new maximal set's complement updates the hitting sets (Berge): a set
+    that meets it stays, each other set grows by one default of it, and a
+    grown set is kept unless a set that stayed lies inside it.  The sets
+    before a step are minimal, so none holds another, and no other test is
+    needed:
+
+    - a set s that stayed never holds a grown set h + d: it would hold h,
+      and h is not s, since h misses the complement that s meets;
+    - a grown set h + d inside another, h' + d', has d = d', since h'
+      misses the complement that holds d; then h lies inside h', so h = h'
+      and the two are one set.
+
+    The justifications found meet every later complement, so they always
+    stay and never grow, and they sit outside that test: a grown set that
+    holds one is inconsistent, waits on the list and is dropped when it is
+    popped.  Only a consistent pop grows the list, and each finds a new one
+    of finitely many maximal sets, so the loop ends.  It ends with every
+    hitting set inconsistent, and then every maximal set has been found:
+    one not found would meet every complement, so it would hold a hitting
+    set, and that set would be consistent.  An unsatisfiable antecedent
+    refutes the empty set, so it gives ``((), (0,))``.
     """
-    if not start:
-        return []
-    default_masks = kb.default_masks
-    order = sorted(range(len(kb)), key=lambda d: (start & default_masks[d]).bit_count())
-    bits = [1 << d for d in order]
-    masks = [default_masks[d] for d in order]
-    suffix = [kb.truth.full]
-    for m in reversed(masks):
-        suffix.append(suffix[-1] & m)
-    suffix.reverse()
-    excluded: list[int] = []  # masks of the excluded defaults
-    found: list[int] = []
-
-    def descend(i: int, chosen: int, mask: int) -> None:
-        if i == len(masks):
-            found.append(chosen)
-            return
-        kept = mask & masks[i]
-        if kept:
-            descend(i + 1, chosen | bits[i], kept)
-        if kept != mask:
-            excluded.append(masks[i])
-            floor = mask & suffix[i + 1]
-            if not any(floor & m for m in excluded):
-                descend(i + 1, chosen, mask)
-            excluded.pop()
-
-    descend(0, 0, start)
-    del descend  # empties its own closure cell: no cycle keeps ``suffix`` alive
-    return found
+    a = kb.mask(antecedent)
+    masks = kb.default_masks
+    everything = (1 << len(kb)) - 1
+    maximal: list[int] = []
+    refuting: list[int] = []
+    pending = [0]
+    while pending:
+        hitting = pending.pop()  # the newest first: the list stays short
+        mask = a & kb.members_mask(hitting)
+        if not mask:
+            if not any(j & ~hitting == 0 for j in refuting):
+                refuting.append(hitting)
+            continue
+        top = hitting
+        for d in mask_indices(everything & ~hitting):
+            kept = mask & masks[d]
+            if kept:
+                mask = kept
+                top |= 1 << d
+        maximal.append(top)
+        complement = everything & ~top
+        added = [1 << d for d in mask_indices(complement)]
+        stayed = [h for h in pending if h & complement]
+        missed = [hitting] + [h for h in pending if not h & complement]
+        pending = stayed + [
+            g for g in (h | b for h in missed for b in added) if not any(s & ~g == 0 for s in stayed)
+        ]
+    return tuple(sorted(maximal, key=_index_order)), tuple(sorted(refuting, key=_index_order))
 
 
 def enumerate_bases(
@@ -169,13 +178,12 @@ def _bases(kb: KnowledgeBase, antecedent: Formula, ordering: str) -> tuple[int, 
     if rank_of_formula(antecedent, rt, kb) == INF:
         raise ValueError("antecedent has infinite rank; no bases exist")
 
-    candidates = _consistent_inclusion_maximal(kb, kb.mask(antecedent))
+    # every ordering-maximal set is inclusion-maximal: supersets dominate in both orderings
+    candidates, _ = consistent_family(kb, antecedent)
     if ordering == LC:
         best = max(numeric_tuple(c, rt) for c in candidates)
-        bases = [c for c in candidates if numeric_tuple(c, rt) == best]
-    else:
-        bases = [c for c in candidates if not any(mp_less_serious(c, y, rt) for y in candidates)]
-    return tuple(sorted(bases, key=_index_order))
+        return tuple(c for c in candidates if numeric_tuple(c, rt) == best)
+    return tuple(c for c in candidates if not any(mp_less_serious(c, y, rt) for y in candidates))
 
 
 def _skeptical_over_bases(kb: KnowledgeBase, query: Conditional, ordering: str) -> bool:
@@ -209,37 +217,10 @@ def mp_query(kb: KnowledgeBase, query: Conditional) -> bool:
 @per_kb("justifications", lambda antecedent: antecedent)
 def find_justifications(kb: KnowledgeBase, antecedent: Formula) -> tuple[int, ...]:
     """Inclusion-minimal default sets whose materialization refutes the
-    antecedent, as default masks; empty iff the whole KB is consistent with
-    it.
-
-    A set refutes the antecedent iff it lies inside no inclusion-maximal
-    consistent set, that is, iff it meets the complement of each, so the
-    justifications are the minimal hitting sets of those complements
-    (Reiter 1987).  They are built one complement at a time (Berge): a set
-    that meets the next complement stays, each other set grows by one
-    default of it, and a grown set is kept unless a set that stayed lies
-    inside it.  The sets before a step are minimal, so none holds another,
-    and no other test is needed:
-
-    - a set s that stayed never holds a grown set h + d: it would hold h,
-      and h is not s, since h misses the complement that s meets;
-    - a grown set h + d inside another, h' + d', has d = d', since h'
-      misses the complement that holds d; then h lies inside h', so h = h'
-      and the two are one set.
-
-    An unsatisfiable antecedent has no consistent set, so the empty set is
-    its one justification.
-    """
-    everything = (1 << len(kb)) - 1
-    minimal = [0]
-    for consistent in _consistent_inclusion_maximal(kb, kb.mask(antecedent)):
-        complement = everything & ~consistent
-        stayed = [h for h in minimal if h & complement]
-        grown = [
-            h | 1 << d for h in minimal if not h & complement for d in mask_indices(complement)
-        ]
-        minimal = stayed + [g for g in grown if not any(s & ~g == 0 for s in stayed)]
-    return tuple(sorted(minimal, key=_index_order))
+    antecedent, as default masks sorted by index list; empty iff the whole
+    KB is consistent with it.  They come from ``consistent_family``, which
+    finds the maximal consistent sets in the same loop."""
+    return consistent_family(kb, antecedent)[1]
 
 
 class RelevantTrace(NamedTuple):

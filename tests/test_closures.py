@@ -5,6 +5,8 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defq import (
     BASIC,
@@ -29,9 +31,10 @@ from defq import (
     relevant_query,
     relevant_trace,
 )
-from defq.closures import _consistent_inclusion_maximal
-from defq.harness import brewka_subset_less, check_postulates
-from defq.logic import mask_indices
+from defq.closures import consistent_family
+from defq.harness import brewka_subset_less, check_postulates, truth_functions
+from defq.logic import Signature, mask_indices
+from defq.ranking import Conditional, KnowledgeBase
 from reference import default_mask, partition, set_tuple_less, true_atoms, view, violated
 
 
@@ -324,8 +327,8 @@ p14 & p15 |~ !p0
 
 def reference_inclusion_maximal(kb, antecedent):
     """The unpruned search: every consistent set, kept when no default
-    outside it is consistent with it.  The maximality test runs at each
-    leaf, so only the sets found are held."""
+    outside it is consistent with it, sorted by index list.  The maximality
+    test runs at each leaf, so only the sets found are held."""
     masks = kb.default_masks
     found = []
 
@@ -340,7 +343,7 @@ def reference_inclusion_maximal(kb, antecedent):
         descend(i + 1, mask, chosen)
 
     descend(0, kb.truth.mask(antecedent), ())
-    return found
+    return tuple(sorted(found, key=lambda bits: list(mask_indices(bits))))
 
 
 def reference_justifications(kb, antecedent):
@@ -367,14 +370,30 @@ def reference_justifications(kb, antecedent):
 COMPLEMENTARY_PAIRS = "".join(f"true |~ p{i}\ntrue |~ !p{i}\n" for i in range(8))
 
 
+# The wide antichain: 16 defaults true |~ p_i under "at most 4 of p0-p7 and
+# at most 4 of p8-p15", written as the 112 negated 5-conjunctions, one
+# parenthesized group per half to stay under the parser's nesting cap.
+WIDE_ANTICHAIN = "".join(f"true |~ p{i}\n" for i in range(16))
+WIDE_HALVES = (range(8), range(8, 16))
+WIDE_ANTECEDENT = " & ".join(
+    "(" + " & ".join(
+        "!(" + " & ".join(f"p{i}" for i in five) + ")" for five in itertools.combinations(half, 5)
+    ) + ")"
+    for half in WIDE_HALVES
+)
+
+FUNCTIONS_3 = truth_functions(3)
+
+
 class TestSearchesMatchReference:
-    """The pruned searches return exactly what the unpruned ones do."""
+    """Both halves of ``consistent_family`` are exactly what the unpruned
+    scans return."""
 
     def assert_match(self, kb, antecedent):
-        found = _consistent_inclusion_maximal(kb, kb.truth.mask(antecedent))
-        assert len(found) == len(set(found))
-        assert set(found) == set(reference_inclusion_maximal(kb, antecedent))
-        assert find_justifications(kb, antecedent) == reference_justifications(kb, antecedent)
+        maximal, refuting = consistent_family(kb, antecedent)
+        assert maximal == reference_inclusion_maximal(kb, antecedent)
+        assert refuting == reference_justifications(kb, antecedent)
+        assert find_justifications(kb, antecedent) == refuting
 
     def test_random_pool(self):
         gen = KbGenerator(seed=737373, max_atoms=6, max_defaults=10)
@@ -384,6 +403,23 @@ class TestSearchesMatchReference:
                 self.assert_match(kb, gen.query(kb, index, w).antecedent)
             for c in kb.conditionals:
                 self.assert_match(kb, c.antecedent)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        defaults=st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), max_size=10),
+        antecedent=st.integers(0, 255),
+    )
+    @example(defaults=[], antecedent=255)
+    @example(defaults=[], antecedent=0)
+    @example(defaults=[(255, 15), (255, 240)], antecedent=0)
+    @example(defaults=[(255, 15), (255, 240)], antecedent=255)
+    def test_truth_function_kbs(self, defaults, antecedent):
+        # every KB over three atoms whose sides are truth functions, the
+        # empty KB and the true (255) and false (0) antecedents included
+        kb = KnowledgeBase(
+            [Conditional(FUNCTIONS_3[a], FUNCTIONS_3[b]) for a, b in defaults], Signature("abc")
+        )
+        self.assert_match(kb, FUNCTIONS_3[antecedent])
 
     @pytest.mark.parametrize("text, antecedents", FAMILY_16X16, ids=["shuffled", "paired"])
     def test_family_16x16(self, text, antecedents):
@@ -403,13 +439,28 @@ class TestSearchesMatchReference:
         assert (len(kb.signature), len(kb)) == (8, 16)
         query, _ = kb.parse_query(f"{antecedent_text} |~ true")
         self.assert_match(kb, query.antecedent)
-        assert len(_consistent_inclusion_maximal(kb, kb.truth.mask(query.antecedent))) == consistent
-        assert len(find_justifications(kb, query.antecedent)) == justifications
+        maximal, refuting = consistent_family(kb, query.antecedent)
+        assert (len(maximal), len(refuting)) == (consistent, justifications)
+
+    def test_wide_antichain(self):
+        # too wide for the 2^16 reference scans, so pinned by its counts:
+        # C(8,4)^2 maximal sets, four defaults from each half, and the 112
+        # five-subsets of a half as the justifications
+        kb = parse_kb(WIDE_ANTICHAIN)
+        query, _ = kb.parse_query(f"{WIDE_ANTECEDENT} |~ p0 | p8")
+        maximal, refuting = consistent_family(kb, query.antecedent)
+        assert len(maximal) == 4900
+        assert all((m & 0xFF).bit_count() == (m >> 8).bit_count() == 4 for m in maximal)
+        fives = {
+            default_mask(five) for half in WIDE_HALVES for five in itertools.combinations(half, 5)
+        }
+        assert len(refuting) == len(fives) == 112
+        assert set(refuting) == fives
 
 
 class TestSearchesFreeTheirState:
-    """A search's path and suffix masks go when it returns, not at the next
-    garbage collection: no reference cycle outlives the call."""
+    """A search's working lists go when it returns, not at the next garbage
+    collection: no reference cycle outlives the call."""
 
     @pytest.mark.parametrize(
         "search",

@@ -140,16 +140,29 @@ class TestPerKbMemo:
         compare_all(kb, query)
         a = query.antecedent
         assert set(kb.cache) == {
-            "masks", "ranking", "bases", "justifications",
+            "masks", "ranking", "family", "bases", "justifications",
             "min_canonical", "mpr_heights", "mpr_minimal",
         }
         assert set(kb.cache["bases"]) == {(LC, a), (MP, a)}
+        assert set(kb.cache["family"]) == {a}
         assert set(kb.cache["justifications"]) == {a}
         assert set(kb.cache["mpr_minimal"]) == {kb.mask(a)}
         assert {a, query.consequent} <= set(kb.cache["masks"])
         assert all(isinstance(f, Formula) for f in kb.cache["masks"])
         for slot in ("ranking", "min_canonical", "mpr_heights"):  # once per KB
             assert len(kb.cache[slot]) == 1
+
+    def test_one_family_serves_the_bases_and_the_justifications(self, conflict_kb):
+        # lc, mp and both relevant closures read one search's result
+        query, kb = conflict_kb.parse_query("Employee & Student |~ Busy")
+        compare_all(kb, query)
+        a = query.antecedent
+        assert list(kb.cache["family"]) == [a]
+        maximal, refuting = kb.cache["family"][a]
+        assert kb.cache["justifications"][a] is refuting
+        assert len(refuting) == 2
+        for ordering in (LC, MP):
+            assert set(kb.cache["bases"][(ordering, a)]) <= set(maximal)
 
     def test_a_call_that_raises_stores_no_slot(self):
         calls = []
