@@ -9,6 +9,11 @@ suite found violations, 2 parse error or usage error, a KB file that cannot
 be read, or output that cannot be written, 3 unsatisfiable KB for
 model-based methods, 4 size cap exceeded or memory limit reached.  They hold
 whether or not stderr can take the error message.
+
+Each ``cmd_*`` function computes and returns its exit code with two lazy
+renderings of its output, JSON pieces and text pieces.  ``main`` alone reads
+``--json`` and passes the chosen rendering to ``_write``, the one writer of
+stdout, so the other rendering never starts.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from itertools import chain, islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
-# Each command imports what it alone needs (json, harness, semantics) where
-# it runs, so a query loads only the engine it asks for; argparse loads only
-# for help, usage errors and unusual spellings (see read_argv).
+# Each command imports what it alone needs (harness, semantics) where it
+# runs, so a query loads only the engine it asks for; json loads only when a
+# JSON rendering is written, and argparse only for help, usage errors and
+# unusual spellings (see read_argv).
 from . import closures
 from .logic import (
     DEFAULT_ATOM_CAP,
@@ -59,6 +65,9 @@ EXIT_CAP = 4
 RANDOM_ATOMS = 4
 RANDOM_DEFAULTS = 6
 
+# what a command returns: its exit code, then its output as JSON and as text
+Output = tuple[int, Iterable[str], Iterable[str]]
+
 
 def _rank_text(r: Rank) -> str:
     return "inf" if r == INF else str(int(r))
@@ -94,12 +103,13 @@ def _write(pieces: Iterable[str]) -> None:
     out.flush()
 
 
-def _emit_json(payload: Any) -> None:
-    """Write ``payload`` as indented JSON and a newline, from the encoder's
-    chunks."""
+def _json(payload: Any) -> Iterator[str]:
+    """``payload`` as indented JSON and a newline, in the encoder's chunks;
+    ``json`` loads when the first chunk is asked for."""
     import json
 
-    _write(chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), ["\n"]))
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    yield "\n"
 
 
 def _json_list(items: Iterable[str]) -> str:
@@ -113,11 +123,8 @@ def _load_kb(args: Namespace) -> KnowledgeBase:
     """The KB file under the size flags as caps; an unset flag keeps the usual cap."""
     with open(args.kb_file, encoding="utf-8-sig") as handle:
         text = handle.read()
-    return parse_kb(
-        text,
-        max_atoms=DEFAULT_ATOM_CAP if args.max_atoms is None else args.max_atoms,
-        max_defaults=DEFAULT_KB_CAP if args.max_defaults is None else args.max_defaults,
-    )
+    return parse_kb(text, max_atoms=DEFAULT_ATOM_CAP if args.max_atoms is None else args.max_atoms,
+                    max_defaults=DEFAULT_KB_CAP if args.max_defaults is None else args.max_defaults)
 
 
 def _true_atoms(kb: KnowledgeBase, j: int) -> list[str]:
@@ -141,27 +148,21 @@ def _whole_indices(members: int, kept: Sequence[int], plus: Sequence[int] = ()) 
 # ---------------------------------------------------------------------------
 
 
-def cmd_rank(args: Namespace) -> int:
+def cmd_rank(args: Namespace) -> Output:
     kb = _load_kb(args)
     rt = compute_ranking(kb)
-    if args.json:
-        payload = {
-            "defaults": [
-                dict(index=d, conditional=c.text(), **_rank_json(rt.default_ranks[d]))
-                for d, c in enumerate(kb.conditionals)
-            ],
-            "order_k": rt.order_k,
-            "chain": [list(mask_indices(members)) for members in rt.chain],
-        }
-        _emit_json(payload)
-        return EXIT_OK
-    _write(chain(
+    payload = {
+        "defaults": [dict(index=d, conditional=c.text(), **_rank_json(rt.default_ranks[d]))
+                     for d, c in enumerate(kb.conditionals)],
+        "order_k": rt.order_k,
+        "chain": [list(mask_indices(members)) for members in rt.chain],
+    }
+    return EXIT_OK, _json(payload), chain(
         (f"{d}: rank {_rank_text(rt.default_ranks[d])}    {c.text()}\n"
          for d, c in enumerate(kb.conditionals)),
         [f"order k: {rt.order_k}\nchain:\n"],
         (f"  C{i}: {_index_set_text(mask_indices(m))}\n" for i, m in enumerate(rt.chain)),
-    ))
-    return EXIT_OK
+    )
 
 
 def _query_evidence(
@@ -173,10 +174,9 @@ def _query_evidence(
     lists of the whole KB's indices: the defaults the part dropped join
     every base and the relevant remainder."""
     untouched = sorted(set(range(size)).difference(kept))
-    evidence: dict[str, Any] = {}
     rt = compute_ranking(kb)
     rank_a = rank_of_formula(query.antecedent, rt, kb)
-    evidence["antecedent_rank"] = _rank_json(rank_a)
+    evidence: dict[str, Any] = {"antecedent_rank": _rank_json(rank_a)}
     if method == "rc":  # the rank of A & !B, from the masks the answer kept
         conflict = kb.mask(query.antecedent) & ~kb.mask(query.consequent)
         evidence["conflict_rank"] = _rank_json(mask_rank(conflict, rt))
@@ -197,7 +197,7 @@ def _query_evidence(
     return evidence
 
 
-def cmd_query(args: Namespace) -> int:
+def cmd_query(args: Namespace) -> Output:
     kb = _load_kb(args)
     size = len(kb)
     if args.method == "mpr":  # mpr's heights depend on every default
@@ -210,27 +210,18 @@ def cmd_query(args: Namespace) -> int:
     started = time.perf_counter()
     answer = ask(query)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if args.json or args.explain:
-        evidence = _query_evidence(kb, args.method, query, kept, size)
-    if args.json:
-        _emit_json(
-            {
-                "method": args.method,
-                "query": query.text(),
-                "answer": answer,
-                "evidence": evidence,
-                "elapsed_ms": round(elapsed_ms, 3),
-            }
-        )
-        return EXIT_OK
-    lines = ["yes\n" if answer else "no\n"]
-    if args.explain:
-        lines += (f"{key}: {value}\n" for key, value in sorted(evidence.items()))
-    _write(lines)
-    return EXIT_OK
+    # a plain answer finds no evidence, so its text lists none
+    evidence = (_query_evidence(kb, args.method, query, kept, size)
+                if args.json or args.explain else {})
+    payload = {"method": args.method, "query": query.text(), "answer": answer,
+               "evidence": evidence, "elapsed_ms": round(elapsed_ms, 3)}
+    return EXIT_OK, _json(payload), chain(
+        ["yes\n" if answer else "no\n"],
+        (f"{key}: {value}\n" for key, value in sorted(evidence.items())),
+    )
 
 
-def cmd_bases(args: Namespace) -> int:
+def cmd_bases(args: Namespace) -> Output:
     whole = _load_kb(args)
     antecedent = parse_formula(args.antecedent)
     # the consequent true adds no atoms, so the part is the antecedent's; the
@@ -238,16 +229,11 @@ def cmd_bases(args: Namespace) -> int:
     query = Conditional(antecedent, TRUE)
     kb, kept = whole.query_part(query)
     bases = _query_evidence(kb, args.method, query, kept, len(whole)).get("bases")
-    if args.json:
-        payload = {"antecedent": to_text(antecedent), "method": args.method, "bases": bases}
-        if bases is None:  # the antecedent has infinite rank
-            payload["infinite_rank"] = True
-        _emit_json(payload)
-    elif bases is None:
-        _write(["antecedent has infinite rank: no bases\n"])
-    else:
-        _write(f"{_index_set_text(base)}\n" for base in bases)
-    return EXIT_OK
+    payload = {"antecedent": to_text(antecedent), "method": args.method, "bases": bases}
+    if bases is None:  # the antecedent has infinite rank
+        payload["infinite_rank"] = True
+        return EXIT_OK, _json(payload), ["antecedent has infinite rank: no bases\n"]
+    return EXIT_OK, _json(payload), (f"{_index_set_text(base)}\n" for base in bases)
 
 
 def _worlds_by_name(atoms: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -264,7 +250,7 @@ def _worlds_by_name(atoms: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]
             stack.append((j | 1 << order[k], k + 1, (*names, atoms[order[k]])))
 
 
-def cmd_model(args: Namespace) -> int:
+def cmd_model(args: Namespace) -> Output:
     from . import semantics
 
     kb = _load_kb(args)
@@ -279,7 +265,9 @@ def cmd_model(args: Namespace) -> int:
     worlds = ((sum(d for column, d in columns if column[k] & bit), names)
               for j, names in _worlds_by_name(kb.signature.atoms)
               for k, bit in [(j >> 3, 1 << (j & 7))])  # world j's byte and bit
-    if args.json:
+
+    # both renderings read the one ``worlds`` stream: neither starts until asked
+    def as_json() -> Iterator[str]:
         # the text of {"worlds": rows} under json's indent=2 and sort_keys,
         # one row at a time; a satisfiable KB has a world, so rows is not empty
         tails = {v: f'"fr_rank": {h},\n      "rc_rank": {rc[v]},\n      '
@@ -288,26 +276,27 @@ def cmd_model(args: Namespace) -> int:
         quote = '"{}"'.format  # atom names are ASCII identifiers: JSON escapes none
         rows = (f'\n    {{\n      "atoms": {_json_list(map(quote, names))},\n      {tails[v]}'
                 for v, names in worlds if v in tails)
-        _write(chain(['{\n  "worlds": [', next(rows)], (f",{row}" for row in rows), ["\n  ]\n}\n"]))
-        return EXIT_OK
-    tails = {v: f"  rc={rc[v]}  fr={h}  violated={_index_set_text(mask_indices(v))}\n"
-             for v, h in heights.items()}
-    _write("{" + ", ".join(names) + "}" + tails[v] for v, names in worlds if v in tails)
-    return EXIT_OK
+        yield '{\n  "worlds": [' + next(rows)
+        yield from (f",{row}" for row in rows)
+        yield "\n  ]\n}\n"
+
+    def as_text() -> Iterator[str]:
+        tails = {v: f"  rc={rc[v]}  fr={h}  violated={_index_set_text(mask_indices(v))}\n"
+                 for v, h in heights.items()}
+        yield from ("{" + ", ".join(names) + "}" + tails[v] for v, names in worlds if v in tails)
+
+    return EXIT_OK, as_json(), as_text()
 
 
-def cmd_compare(args: Namespace) -> int:
+def cmd_compare(args: Namespace) -> Output:
     kb = _load_kb(args)
     query, kb = kb.parse_query(args.query)
     answers = closures.compare_all(kb, query)
-    if args.json:
-        _emit_json({"query": query.text(), "matrix": answers})
-        return EXIT_OK
-    _write(f"{method}: {'yes' if answer else 'no'}\n" for method, answer in answers.items())
-    return EXIT_OK
+    return EXIT_OK, _json({"query": query.text(), "matrix": answers}), (
+        f"{method}: {'yes' if answer else 'no'}\n" for method, answer in answers.items())
 
 
-def cmd_check(args: Namespace) -> int:
+def cmd_check(args: Namespace) -> Output:
     from . import harness
 
     if args.kb_file is not None:
@@ -315,41 +304,34 @@ def cmd_check(args: Namespace) -> int:
         gen = harness.KbGenerator(args.seed)
         queries = [gen.query(kb, 0, w) for w in range(args.count)]
         rows, problems, _ = harness.cross_check(kb, queries)
-        if args.json:
-            summary = {"queries": len(rows), "violations": len(problems)}
-            _emit_json({"queries": rows, "problems": problems, "summary": summary})
-        else:
-            _write(chain(
-                (f"query {q_text!r} {' '.join(f'{k}={int(v)}' for k, v in matrix.items())}\n"
-                 for q_text, matrix in rows),
-                (f"violation {problem}\n" for problem in problems),
-                [f"summary queries={len(rows)} violations={len(problems)}\n"],
-            ))
-        return EXIT_VIOLATIONS if problems else EXIT_OK
+        payload = {"queries": rows, "problems": problems,
+                   "summary": {"queries": len(rows), "violations": len(problems)}}
+        return EXIT_VIOLATIONS if problems else EXIT_OK, _json(payload), chain(
+            (f"query {q_text!r} {' '.join(f'{k}={int(v)}' for k, v in matrix.items())}\n"
+             for q_text, matrix in rows),
+            (f"violation {problem}\n" for problem in problems),
+            [f"summary queries={len(rows)} violations={len(problems)}\n"],
+        )
 
     max_atoms = args.max_atoms or RANDOM_ATOMS
     max_defaults = args.max_defaults or RANDOM_DEFAULTS
     if max_atoms > 8 or max_defaults > 10:
-        raise SizeCapExceeded(
-            "random checks enumerate all valuation and subset pairs; "
-            "use --max-atoms <= 8 and --max-defaults <= 10"
-        )
-    results, summary = harness.run_random_suite(
-        seed=args.seed, count=args.count, max_atoms=max_atoms, max_defaults=max_defaults
-    )
-    if args.json:
-        _emit_json({"trials": [t._asdict() for t in results], "summary": summary})
-        return EXIT_VIOLATIONS if summary["violations"] else EXIT_OK
-    lines = []
-    for trial in results:
-        lines.append(f"trial={trial.index} seed={trial.seed} atoms={trial.atoms} "
-                     f"defaults={trial.defaults} checks={trial.checks} "
-                     f"violations={len(trial.problems)}\n")
-        lines += (f"violation trial={trial.index} {problem}\n" for problem in trial.problems)
-    lines.append("summary trials={trials} queries={queries} checks={checks} "
-                 "violations={violations}\n".format(**summary))
-    _write(lines)
-    return EXIT_VIOLATIONS if summary["violations"] else EXIT_OK
+        raise SizeCapExceeded("random checks enumerate all valuation and subset pairs; "
+                              "use --max-atoms <= 8 and --max-defaults <= 10")
+    results, summary = harness.run_random_suite(seed=args.seed, count=args.count,
+                                                max_atoms=max_atoms, max_defaults=max_defaults)
+
+    def as_text() -> Iterator[str]:
+        for trial in results:
+            yield (f"trial={trial.index} seed={trial.seed} atoms={trial.atoms} "
+                   f"defaults={trial.defaults} checks={trial.checks} "
+                   f"violations={len(trial.problems)}\n")
+            yield from (f"violation trial={trial.index} {problem}\n" for problem in trial.problems)
+        yield ("summary trials={trials} queries={queries} checks={checks} "
+               "violations={violations}\n".format(**summary))
+
+    payload = {"trials": [t._asdict() for t in results], "summary": summary}
+    return EXIT_VIOLATIONS if summary["violations"] else EXIT_OK, _json(payload), as_text()
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +366,7 @@ _CAPS = (
 # Each subcommand's summary, function and arguments, in help order.  An
 # argument is an ``add_argument`` name and its keywords; flags start with
 # "-".  ``build_parser`` and ``read_argv`` both read this table.
-ARGUMENTS: dict[str, tuple[str, Callable[[Namespace], int], tuple[tuple[str, dict], ...]]] = {
+ARGUMENTS: dict[str, tuple[str, Callable[[Namespace], Output], tuple[tuple[str, dict], ...]]] = {
     "rank": ("default ranks and the exceptionality chain", cmd_rank, (("kb_file", {}), *_CAPS)),
     "query": ("answer a defeasible query", cmd_query, (
         ("kb_file", {}),
@@ -506,7 +488,9 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("check needs a KB file or --random")
             if args.command == "check" and args.random and args.kb_file is not None:
                 parser.error("check takes a KB file or --random, not both")
-        return args.func(args)
+        code, as_json, as_text = args.func(args)
+        _write(as_json if args.json else as_text)
+        return code
     except (ParseError, UnicodeDecodeError) as exc:  # a KB file that is not UTF-8 text
         _report(f"parse error: {exc}")
         return EXIT_PARSE

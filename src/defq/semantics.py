@@ -71,7 +71,6 @@ class RankedModel:
         return next((stratum & a for stratum in self.strata if stratum & a), 0)
 
 
-@per_kb("min_canonical", lambda table=None: table)
 def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -> RankedModel:
     """The minimal canonical ranked model of a satisfiable KB.
 
@@ -79,12 +78,18 @@ def minimal_canonical_model(kb: KnowledgeBase, rt: RankingTable | None = None) -
     materialization (exactly the compatible ones over a finite signature),
     and stratum r holds those first admitted at chain position r.  Equal
     consecutive chain masks make the chain stable, so only the last position
-    can admit no world; that empty stratum is dropped.  The memo is keyed on
-    ``rt`` (None for the KB's own table), so a table passed in never stands
-    in for the KB's own.
+    can admit no world; that empty stratum is dropped.  ``rt``, kept for
+    callers that hold the table, must be ``compute_ranking(kb)``: another
+    table raises ``ValueError`` before the memo is read.
     """
-    rt = rt or compute_ranking(kb)
-    worlds = rt.worlds
+    if rt is not None and rt is not compute_ranking(kb):
+        raise ValueError("rt is not this knowledge base's own ranking table")
+    return _canonical_model(kb)
+
+
+@per_kb("min_canonical")
+def _canonical_model(kb: KnowledgeBase) -> RankedModel:
+    worlds = compute_ranking(kb).worlds
     if worlds[-1] == 0:
         raise UnsatisfiableKB("no valuation satisfies the knowledge base")
     strata = [worlds[0]]

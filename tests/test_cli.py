@@ -1,5 +1,6 @@
 """Command-line interface: formats, flags, and exit codes."""
 
+import ast
 import contextlib
 import io
 import json
@@ -1403,7 +1404,8 @@ class _NoWrites(io.StringIO):
 
 
 class TestOneWriter:
-    """Every command, and help, writes stdout only through ``cli._write``."""
+    """Every command, and help, writes stdout through one ``cli._write``
+    call: a command returns its renderings and ``main`` writes one."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1431,13 +1433,28 @@ class TestOneWriter:
     def test_stdout_goes_through_write(self, capsys, monkeypatch, tmp_path, argv):
         argv = _kb_paths(argv, tmp_path)
         expected = _in_process(capsys, argv)
-        pieces = []
-        monkeypatch.setattr(cli, "_write", pieces.extend)
+        calls = []
+        monkeypatch.setattr(cli, "_write", lambda pieces: calls.append("".join(pieces)))
         monkeypatch.setattr(sys, "stdout", _NoWrites())
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-        got = code, ELAPSED_MS.sub("", "".join(pieces)), capsys.readouterr().err
+        assert len(calls) == 1
+        got = code, ELAPSED_MS.sub("", calls[0]), capsys.readouterr().err
         assert got == expected
         assert got[1]
+
+    def test_no_command_writes_or_reads_json(self):
+        """No ``cmd_*`` function, nor any function inside one, calls
+        ``_write``, and only ``cmd_query`` reads ``args.json``, once, to
+        find evidence for ``--json`` or ``--explain``: ``main`` chooses and
+        writes the rendering."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+        assert sorted(f.name for f in commands) == sorted(f"cmd_{c}" for c in COMMANDS)
+        nodes = [(f.name, node) for f in commands for node in ast.walk(f)]
+        assert [name for name, node in nodes if isinstance(node, ast.Name) and node.id == "_write"] == []
+        reads = [name for name, node in nodes
+                 if isinstance(node, ast.Attribute) and ast.unparse(node) == "args.json"]
+        assert reads == ["cmd_query"]

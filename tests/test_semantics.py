@@ -549,10 +549,12 @@ SAMPLE_TEXTS = {path.stem: path.read_text() for path in SAMPLES}
     "name, other", [(a, b) for a in SAMPLE_TEXTS for b in SAMPLE_TEXTS if a != b]
 )
 def test_a_foreign_ranking_table_leaves_the_kbs_own_model(name, other):
-    # the canonical model is memoized per table: one built from another
-    # KB's table is not the one mpr's violation classes read
+    # another KB's table is refused before the memo is read, so it never
+    # builds the model that mpr's violation classes read
     kb, fresh = parse_kb(SAMPLE_TEXTS[name]), parse_kb(SAMPLE_TEXTS[name])
-    minimal_canonical_model(kb, compute_ranking(parse_kb(SAMPLE_TEXTS[other])))
+    with pytest.raises(ValueError, match="own ranking table"):
+        minimal_canonical_model(kb, compute_ranking(parse_kb(SAMPLE_TEXTS[other])))
+    assert "min_canonical" not in kb.cache
     gen = KbGenerator(seed=1)
     for index, which in itertools.product(range(8), range(5)):
         query = gen.query(fresh, index, which)
